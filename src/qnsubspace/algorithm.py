@@ -4,8 +4,9 @@ Each iteration solves B p = -g, moves by any nonzero step length alpha along
 p, then rebuilds B to copy the Hessian on the two directions that matter: the
 newest conjugate direction q (the part of p outside the previous restricted
 Newton step) and the updated restricted Newton step itself. Both the Newton
-step and its Hessian image obey closed-form recursions, so the whole loop can
-run matrix-free on gradient differences alone.
+step and its Hessian image obey closed-form recursions, so each iteration
+needs one new Hessian image, that of the step: from H itself, or matrix-free
+from the gradient difference the step produces.
 
 Finite termination does not need exact line search: once the generated
 subspace reaches its grade r, every direction is the full Newton step, and
@@ -55,16 +56,20 @@ CURVATURE_RTOL = 1e-14
 
 @dataclass
 class _StepContext:
-    """What a step policy may look at before the step is taken."""
+    """What a step policy may look at before the step is taken.
 
-    x: np.ndarray
+    A probe the policy makes along p is kept in ``h_p``, so oracle mode
+    does not pay for the same Hessian product twice.
+    """
+
     g: np.ndarray
     p: np.ndarray
     h_probe: object  # callable v -> Hv
+    h_p: np.ndarray | None = None
 
     def exact_step(self):
-        h_p = self.h_probe(self.p)
-        curv = float(self.p @ h_p)
+        self.h_p = self.h_probe(self.p)
+        curv = float(self.p @ self.h_p)
         if curv <= 0.0:
             raise NotPositiveDefiniteError(
                 f"search direction has nonpositive curvature p'Hp = {curv:.3e}"
@@ -295,7 +300,7 @@ class SigmaPolicy:
 
 @dataclass
 class LearnedAction:
-    """Hessian images recovered from one step's gradient difference."""
+    """Hessian images of one iteration, derived from the step's image Hp."""
 
     h_p: np.ndarray
     h_q: np.ndarray
@@ -307,28 +312,37 @@ def learn_h_action(g_next, g_curr, alpha, h_newton_prev, q):
     """Recover Hessian images from gradients alone, for one iteration.
 
     On a quadratic the step from x to x + alpha p gives Hp exactly as
-    (g_next - g_curr) / alpha. Linearity then yields Hq = Hp - H pN_prev,
-    and the Hessian image of the updated restricted Newton step follows the
-    same recursion as the step itself:
-
-        H pN_next = (1 - alpha) H pN_prev - (g'q / q'Hq + alpha) Hq
-
-    Returns the images together with the shared recursion coefficient.
+    (g_next - g_curr) / alpha. The images of q and of the updated restricted
+    Newton step then follow from the recursion the solver runs in both
+    modes. Returns the images together with the recursion coefficient.
     """
     alpha = float(alpha)
     if alpha == 0.0:
         raise PolicyError("cannot learn from a zero step")
-    g_next = np.asarray(g_next, dtype=float)
     g_curr = np.asarray(g_curr, dtype=float)
+    h_p = (np.asarray(g_next, dtype=float) - g_curr) / alpha
     h_newton_prev = np.asarray(h_newton_prev, dtype=float)
-    q = np.asarray(q, dtype=float)
-    h_p = (g_next - g_curr) / alpha
+    return _conjugate_images(h_p, h_newton_prev, np.asarray(q, dtype=float),
+                             g_curr, alpha)
+
+
+def _conjugate_images(h_p, h_newton_prev, q, g_curr, alpha):
+    """The two-term recursion on Hessian images, shared by both modes.
+
+    Linearity gives Hq = Hp - H pN_prev for the new conjugate direction
+    q = p - pN_prev, and the image of the updated restricted Newton step
+    follows the same recursion as the step itself:
+
+        H pN_next = (1 - alpha) H pN_prev - (g'q / q'Hq + alpha) Hq
+
+    Returns the images together with the shared recursion coefficient, or
+    raises NotPositiveDefiniteError when q'Hq is not positive relative to
+    ||q|| ||Hq||.
+    """
     h_q = h_p - h_newton_prev
     q_h_q = float(q @ h_q)
-    if q_h_q <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"learned curvature q'Hq = {q_h_q:.3e} is not positive"
-        )
+    if q_h_q <= CURVATURE_RTOL * norm(q) * norm(h_q):
+        raise NotPositiveDefiniteError(f"degenerate curvature q'Hq = {q_h_q:.3e}")
     coef = float(g_curr @ q) / q_h_q + alpha
     h_newton_next = (1.0 - alpha) * h_newton_prev - coef * h_q
     return LearnedAction(h_p, h_q, h_newton_next, coef)
@@ -352,9 +366,12 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     sigmas : SigmaPolicy
         Complement scaling rule (default constant 1).
     mode : str
-        "oracle" applies H directly; "matrix-free" recovers every Hessian
-        image in the recursion from gradient differences via
-        :func:`learn_h_action`.
+        Where the step's Hessian image Hp comes from: "oracle" applies H
+        once per iteration, "matrix-free" takes the gradient difference
+        (g_next - g) / alpha. Both modes then run the same recursion for
+        the images of q and of the restricted Newton step, so neither
+        spends more than one H-product or gradient per iteration beyond
+        what the step and sigma policies probe.
     tol : float
         Terminate once ||g|| <= tol * (1 + ||g0||).
     max_iter : int, optional
@@ -446,8 +463,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             p = newton_step.copy()
         else:
             p = solve_direction(B, g)
-        probe = h_probe_at(x, g)
-        alpha = steps.alpha(k, _StepContext(x=x, g=g, p=p, h_probe=probe), rng_step)
+        ctx = _StepContext(g=g, p=p, h_probe=h_probe_at(x, g))
+        alpha = steps.alpha(k, ctx, rng_step)
         x_next = x + alpha * p
         g_next = prob.gradient(x_next)
 
@@ -455,8 +472,12 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         trajectory_scale = 1.0 + norm(x) + norm(p) + norm(newton_step)
         exhausted = bool(norm(q_raw) <= EXHAUSTED_RTOL * trajectory_scale)
 
+        # the mode decides only where Hp comes from; everything below runs
+        # the same recursion on it
         if mode == MATRIX_FREE:
             h_p = (g_next - g) / alpha
+        elif ctx.h_p is not None:
+            h_p = ctx.h_p
         else:
             h_p = prob.hessian_action(p)
 
@@ -477,31 +498,19 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             h_q = np.zeros(n)
             newton_next = newton_step - alpha * p
             h_newton_next = h_newton - alpha * h_p
-            if mode == ORACLE:
-                h_newton_next = prob.hessian_action(newton_next)
         else:
             q = q_raw
-            if mode == MATRIX_FREE:
-                h_q = h_p - h_newton
-            else:
-                h_q = prob.hessian_action(q)
-            q_h_q = float(q @ h_q)
-            if q_h_q <= CURVATURE_RTOL * norm(q) * norm(h_q):
+            try:
+                act = _conjugate_images(h_p, h_newton, q, g, alpha)
+            except NotPositiveDefiniteError as exc:
                 if norm(g_next) <= threshold:
                     record.q = q
-                    record.h_q = h_q
+                    record.h_q = h_p - h_newton
                     return finish(CONVERGED, x_next, g_next)
-                return finish(
-                    BREAKDOWN, x_next, g_next,
-                    reason=f"degenerate curvature q'Hq = {q_h_q:.3e} with "
-                           "gradient above tolerance",
-                )
-            coef = float(g @ q) / q_h_q + alpha
-            newton_next = (1.0 - alpha) * newton_step - coef * q
-            if mode == MATRIX_FREE:
-                h_newton_next = (1.0 - alpha) * h_newton - coef * h_q
-            else:
-                h_newton_next = prob.hessian_action(newton_next)
+                return finish(BREAKDOWN, x_next, g_next,
+                              reason=f"{exc} with gradient above tolerance")
+            h_q, h_newton_next = act.h_q, act.h_newton_next
+            newton_next = (1.0 - alpha) * newton_step - act.coef * q
 
         record.q = q
         record.h_q = h_q

@@ -188,3 +188,8 @@ def span_approx_dense(P, HP, sigma):
     proj = P @ np.linalg.solve(P.T @ P, P.T)
     curv = HP @ np.linalg.solve(P.T @ HP, HP.T)
     return sigma * (np.eye(n) - proj) + curv
+
+
+def operator_matrix(matvec, n):
+    """The n x n matrix of a linear operator, one unit vector at a time."""
+    return np.column_stack([matvec(e) for e in np.eye(n)])

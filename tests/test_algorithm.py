@@ -167,6 +167,37 @@ def test_matrix_free_matches_oracle_field_by_field(seed):
     assert same, mismatches
 
 
+def count_work(monkeypatch):
+    """Call counters on the problem's gradient and Hessian-product oracles."""
+    counts = {"gradient": 0, "hessian_action": 0}
+    for name in counts:
+        method = getattr(QuadraticProblem, name)
+
+        def counted(self, v, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, v)
+
+        monkeypatch.setattr(QuadraticProblem, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode, steps, hess, grads", [
+    (ORACLE, StepPolicy.unit(), lambda k: k, lambda k: k + 1),
+    (MATRIX_FREE, StepPolicy.unit(), lambda k: 0, lambda k: k + 1),
+    (ORACLE, StepPolicy.exact_line_search(), lambda k: k, lambda k: k + 1),
+    # the exact step's probe costs one gradient per iteration without H
+    (MATRIX_FREE, StepPolicy.exact_line_search(), lambda k: 0, lambda k: 2 * k + 1),
+])
+def test_one_hessian_image_per_iteration(monkeypatch, mode, steps, hess, grads):
+    prob, x0 = generate_problem(12, 6, cond=20.0, seed=97)
+    counts = count_work(monkeypatch)
+    trace = subspace_qn_solve(prob, x0, steps=steps, mode=mode, tol=1e-9)
+    k = trace.iterations
+    assert trace.status == CONVERGED
+    assert k >= 6
+    assert counts == {"gradient": grads(k), "hessian_action": hess(k)}
+
+
 def test_learned_action_reproduces_hessian_images():
     prob, x0 = generate_problem(7, 7, cond=12.0, seed=91)
     rng = np.random.default_rng(91)

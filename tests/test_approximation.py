@@ -15,6 +15,9 @@ from qnsubspace import (
     solve_direction,
 )
 
+from qnsubspace import approximation
+from qnsubspace.approximation import SOLVE_RESIDUAL_RTOL
+
 import oracles
 
 
@@ -30,7 +33,8 @@ def test_matches_defining_formula():
     for sigma in (0.3, 1.0, 5.0):
         B = SpanApprox(P, HP, sigma)
         ref = oracles.span_approx_dense(P, HP, sigma)
-        assert np.allclose(B.dense(), ref, atol=1e-10 * norm(ref))
+        assert np.allclose(oracles.operator_matrix(B.matvec, 7), ref,
+                           atol=1e-10 * norm(ref))
         v = np.linspace(-1, 1, 7)
         assert np.allclose(B.matvec(v), ref @ v, atol=1e-10 * norm(ref))
         assert np.allclose(B.solve(v), np.linalg.solve(ref, v), atol=1e-8)
@@ -39,7 +43,7 @@ def test_matches_defining_formula():
 def test_positive_definite_and_reproduces_images():
     prob, P, HP = sample_span(seed=3)
     B = SpanApprox(P, HP, 0.7)
-    assert np.linalg.eigvalsh(B.dense()).min() > 0.0
+    assert np.linalg.eigvalsh(oracles.operator_matrix(B.matvec, 7)).min() > 0.0
     for j in range(P.shape[1]):
         assert np.allclose(B.matvec(P[:, j]), HP[:, j], atol=1e-9 * norm(HP[:, j]))
 
@@ -47,8 +51,8 @@ def test_positive_definite_and_reproduces_images():
 def test_column_scaling_is_irrelevant():
     prob, P, HP = sample_span(seed=4)
     D = np.diag([1e-6, 1e4])
-    a = SpanApprox(P, HP, 1.3).dense()
-    b = SpanApprox(P @ D, HP @ D, 1.3).dense()
+    a = oracles.operator_matrix(SpanApprox(P, HP, 1.3).matvec, 7)
+    b = oracles.operator_matrix(SpanApprox(P @ D, HP @ D, 1.3).matvec, 7)
     assert np.allclose(a, b, atol=1e-8 * norm(a))
 
 
@@ -105,8 +109,9 @@ def test_full_memory_equals_direct_construction():
     hist = DirectionHistory()
     for j in range(3):
         hist.append(P[:, j], HP[:, j])
-    assert np.allclose(build_full_memory(hist, 1.1).dense(),
-                       SpanApprox(P, HP, 1.1).dense(), atol=1e-10)
+    assert np.allclose(oracles.operator_matrix(build_full_memory(hist, 1.1).matvec, 6),
+                       oracles.operator_matrix(SpanApprox(P, HP, 1.1).matvec, 6),
+                       atol=1e-10)
     empty = build_full_memory(DirectionHistory(), 3.0)
     assert empty.rank == 0
     assert empty.sigma == 3.0
@@ -118,6 +123,45 @@ def test_solve_direction_residual():
     g = np.linspace(1, 7, 7)
     p = solve_direction(B, g)
     assert norm(B.matvec(p) + g) <= 1e-9 * norm(g)
+
+
+def test_low_rank_solve_matches_the_dense_operator_at_n512():
+    # spans the solver builds: one conjugate direction, the restricted
+    # Newton step with the next direction, and a full memory of eight
+    # directions, at the largest supported size
+    prob, x0 = generate_problem(512, 12, cond=100.0, seed=14)
+    oracle = KrylovOracle(prob, x0)
+    Q = np.column_stack([oracle.conjugate_direction(k) for k in range(8)])
+    HQ = prob.H @ Q
+    newton = oracle.minimizer(2) - x0
+    NQ = np.column_stack([newton, Q[:, 2]])
+    hist = DirectionHistory()
+    for j in range(8):
+        hist.append(Q[:, j], HQ[:, j])
+    rhs = [prob.gradient(oracle.minimizer(2)),
+           np.random.default_rng(14).standard_normal(512)]
+    for sigma in (0.5, 1.0, 30.0):
+        cases = [
+            (build_two_vector(np.zeros(512), np.zeros(512), Q[:, 0], HQ[:, 0], sigma),
+             Q[:, :1]),
+            (build_two_vector(newton, prob.H @ newton, Q[:, 2], HQ[:, 2], sigma), NQ),
+            (build_full_memory(hist, sigma), Q),
+        ]
+        for B, P in cases:
+            assert B.rank == P.shape[1]
+            ref = oracles.span_approx_dense(P, prob.H @ P, sigma)
+            for g in rhs:
+                p = solve_direction(B, g)
+                assert norm(ref @ p + g) <= SOLVE_RESIDUAL_RTOL * norm(g)
+                assert norm(p - np.linalg.solve(ref, -g)) <= 1e-9 * norm(p)
+
+
+def test_singular_capacitance_is_a_degenerate_basis(monkeypatch):
+    prob, P, HP = sample_span(seed=15)
+    singular = lambda a: (a, np.arange(len(a), dtype=np.int32), 1)
+    monkeypatch.setattr(approximation.lapack, "dgetrf", singular)
+    with pytest.raises(DegenerateBasisError, match="capacitance"):
+        SpanApprox(P, HP, 1.0)
 
 
 def test_applied_to_upcoming_direction_gives_scaled_subspace_gradient():
