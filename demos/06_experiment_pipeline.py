@@ -3,7 +3,8 @@
 Writes a small experiment spec, runs every method on every problem, and
 inspects the artifacts: a summary table, per-iteration convergence curves,
 and one verifiable trace file per cell. The same spec and seed always
-reproduce the artifacts byte for byte. The CLI equivalent is
+reproduce the tables and problem files byte for byte, and the traces up to
+their measured wall times. The CLI equivalent is
 
     qnsubspace run --spec spec.json --out-dir out
     qnsubspace verify --trace out/traces/<f>.json --problem out/problems/<p>.json

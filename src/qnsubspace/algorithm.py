@@ -551,7 +551,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                     f"iteration {k}: Newton step and conjugate direction are "
                     f"nearly parallel (1 - |cos| = {align_gap:.3e})"
                 )
-            B = build_two_vector(newton_next, h_newton_next, q, h_q, sigma)
+            B = build_two_vector(newton_next, h_newton_next, q, h_q, sigma,
+                                 align_gap=align_gap)
             record.collapsed = bool(B.rank == 1)
         record.sigma = sigma
 

@@ -148,13 +148,14 @@ def build_full_memory(history, sigma):
     return SpanApprox(P, HP, sigma)
 
 
-def build_two_vector(newton_step, h_newton_step, q, h_q, sigma):
+def build_two_vector(newton_step, h_newton_step, q, h_q, sigma, align_gap=None):
     """Approximation spanned by the current restricted Newton step and the
     latest conjugate direction.
 
     When the two vectors are parallel within COLLAPSE_TOL (or the Newton step
     is zero) the span collapses to the single column q; the operator is
-    unchanged by the drop. A zero q is an error.
+    unchanged by the drop. A zero q is an error. ``align_gap`` is
+    ``1 - cosine_alignment(newton_step, q)`` when the caller already has it.
     """
     q = np.asarray(q, dtype=float)
     h_q = np.asarray(h_q, dtype=float)
@@ -162,8 +163,9 @@ def build_two_vector(newton_step, h_newton_step, q, h_q, sigma):
         raise DegenerateBasisError("conjugate direction is zero")
     newton_step = np.asarray(newton_step, dtype=float)
     h_newton_step = np.asarray(h_newton_step, dtype=float)
-    if norm(newton_step) == 0.0 or \
-            1.0 - cosine_alignment(newton_step, q) <= COLLAPSE_TOL:
+    if align_gap is None:
+        align_gap = 1.0 - cosine_alignment(newton_step, q)
+    if norm(newton_step) == 0.0 or align_gap <= COLLAPSE_TOL:
         return SpanApprox(q[:, None], h_q[:, None], sigma)
     return SpanApprox(
         np.column_stack([newton_step, q]),

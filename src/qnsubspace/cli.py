@@ -31,6 +31,7 @@ from .algorithm import (
 from .baselines import cg_solve, qn_exact_ls_solve
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
 from .problem import (
+    KrylovOracle,
     generate_problem,
     krylov_grade,
     load_problem,
@@ -95,7 +96,7 @@ def _require(cond, where, msg):
 
 
 def _resolve_problem(pspec, idx, base_seed):
-    """Return (problem, x0, pid, grade, gen_spec, seed_used)."""
+    """Return (problem, x0, pid, gen_spec, seed_used)."""
     where = f"problems[{idx}]"
     _require(isinstance(pspec, dict), where, "must be an object")
     if "path" in pspec:
@@ -104,7 +105,7 @@ def _resolve_problem(pspec, idx, base_seed):
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             raise SpecError(f"{where}: cannot load {pspec['path']}: {exc}")
         pid = pspec.get("id") or Path(pspec["path"]).stem
-        return prob, x0, pid, krylov_grade(prob, x0), meta.get("spec"), meta.get("seed")
+        return prob, x0, pid, meta.get("spec"), meta.get("seed")
 
     _require("n" in pspec, where, "needs either 'path' or 'n'")
     n = pspec["n"]
@@ -122,7 +123,7 @@ def _resolve_problem(pspec, idx, base_seed):
     except (ValueError, TypeError) as exc:
         raise SpecError(f"{where}: {exc}")
     pid = pspec.get("id") or f"p{idx:03d}"
-    return prob, x0, pid, krylov_grade(prob, x0), gen_spec, seed
+    return prob, x0, pid, gen_spec, seed
 
 
 def _step_policy(d, where):
@@ -217,13 +218,13 @@ def _breakdown_trace(prob, x0, method, reason):
     )
 
 
-def _verdicts(trace, prob, x0):
+def _verdicts(trace, prob, x0, oracle):
     """Map check reports onto the two verdict columns."""
     if trace.status == BREAKDOWN:
         return "n/a", "n/a"
     termination = "n/a"
     unit = "n/a"
-    for report in verify_trace(trace, prob, x0):
+    for report in verify_trace(trace, prob, x0, oracle):
         verdict = "pass" if report.passed else "fail"
         if report.check in ("newton-onset", "conjugate-baseline"):
             termination = verdict
@@ -241,8 +242,8 @@ def cmd_generate(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx, pspec in enumerate(problems):
-        prob, x0, pid, grade, gen_spec, seed_used = _resolve_problem(
-            pspec, idx, base_seed)
+        prob, x0, pid, gen_spec, seed_used = _resolve_problem(pspec, idx, base_seed)
+        grade = krylov_grade(prob, x0)
         path = out_dir / f"{pid}.json"
         save_problem(path, prob, x0, seed=seed_used, spec=gen_spec)
         print(f"{pid}: n={prob.n} grade={grade} -> {path}")
@@ -273,8 +274,10 @@ def cmd_run(args):
     n_breakdown = 0
     n_fail = 0
     for pi, pspec in enumerate(problems):
-        prob, x0, pid, grade, gen_spec, seed_used = _resolve_problem(
-            pspec, pi, base_seed)
+        prob, x0, pid, gen_spec, seed_used = _resolve_problem(pspec, pi, base_seed)
+        # one reference per problem: its eigendecomposition and minimizers
+        # serve the grade column and the checks of every method
+        oracle = KrylovOracle(prob, x0)
         save_problem(out_dir / "problems" / f"{pid}.json", prob, x0,
                      seed=seed_used, spec=gen_spec)
         for method in methods:
@@ -290,7 +293,7 @@ def cmd_run(args):
             trace.meta["method_label"] = method.label
             trace.save(out_dir / "traces" / method.file_tag(pid))
 
-            termination, unit = _verdicts(trace, prob, x0)
+            termination, unit = _verdicts(trace, prob, x0, oracle)
             if trace.status == BREAKDOWN:
                 n_breakdown += 1
             if "fail" in (termination, unit):
@@ -298,7 +301,7 @@ def cmd_run(args):
             rows.append({
                 "problem_id": pid,
                 "n": str(prob.n),
-                "grade": str(grade),
+                "grade": str(oracle.grade),
                 "method": method.label,
                 "status": trace.status,
                 "iterations": str(trace.iterations),

@@ -9,10 +9,11 @@ construction.
 
 import json
 import warnings
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import norm
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
@@ -131,6 +132,11 @@ class KrylovOracle:
     Within the touched span H acts diagonally, so the power basis comes from
     an exact scalar recurrence with full reorthogonalization, and minimizers
     of f over x0 + (k-dimensional span) come from a small projected solve.
+
+    One oracle is the whole reference for a problem and start point: its one
+    eigendecomposition of H gives the grade, the basis and
+    :attr:`condition_number`, and :attr:`minimizers` and
+    :attr:`conjugate_directions` are computed once, on first use.
     """
 
     def __init__(self, prob, x0=None):
@@ -142,9 +148,11 @@ class KrylovOracle:
         self._g0 = g0
         g0_norm = norm(g0)
 
+        evals, evecs = np.linalg.eigh(prob.H)
+        self.condition_number = float(evals[-1] / evals[0])
+
         mu, weights, axes = [], [], []
         if g0_norm > 0.0:
-            evals, evecs = np.linalg.eigh(prob.H)
             cluster_tol = RANK_RTOL * max(1.0, norm(prob.H, 1))
             i = 0
             while i < prob.n:
@@ -189,16 +197,42 @@ class KrylovOracle:
         self.basis = self._axes @ self._power
         self.basis.setflags(write=False)
 
+    @cached_property
+    def _projected(self):
+        """Cholesky factor L of A = Z'diag(mu)Z over the whole power basis Z,
+        and L^-1 b for b = -Z'w.
+
+        The projected matrix of the first k basis vectors is the leading k x k
+        block of A, so its factor is the leading block of L and its
+        forward-solved right side is the first k entries of L^-1 b.
+        """
+        Z = self._power
+        L = cholesky(Z.T @ (self._mu[:, None] * Z), lower=True)
+        return L, solve_triangular(L, -(Z.T @ self._w), lower=True)
+
     def minimizer(self, k):
         """Minimizer of f over x0 + span of the first k basis vectors."""
         if not 0 <= k <= self.grade:
             raise ValueError(f"k must lie in [0, {self.grade}], got {k}")
         if k == 0:
             return self.origin.copy()
-        Z = self._power[:, :k]
-        A = Z.T @ (self._mu[:, None] * Z)
-        y = cho_solve(cho_factor(A, lower=True), -(Z.T @ self._w))
-        return self.origin + self._axes @ (Z @ y)
+        L, z = self._projected
+        y = solve_triangular(L[:k, :k], z[:k], lower=True, trans="T")
+        return self.origin + self._axes @ (self._power[:, :k] @ y)
+
+    @cached_property
+    def minimizers(self):
+        """(n, grade + 1) array whose column k is ``minimizer(k)``."""
+        X = np.column_stack([self.minimizer(k) for k in range(self.grade + 1)])
+        X.setflags(write=False)
+        return X
+
+    @cached_property
+    def conjugate_directions(self):
+        """(n, grade) array whose column k is ``conjugate_direction(k)``."""
+        Q = np.diff(self.minimizers, axis=1)
+        Q.setflags(write=False)
+        return Q
 
     def minimizer_gradient(self, k):
         """Gradient at :meth:`minimizer`; orthogonal to the first k basis vectors."""
@@ -212,7 +246,7 @@ class KrylovOracle:
         """
         if not 0 <= k < self.grade:
             raise ValueError(f"k must lie in [0, {self.grade}), got {k}")
-        return self.minimizer(k + 1) - self.minimizer(k)
+        return self.conjugate_directions[:, k].copy()
 
 
 def krylov_grade(prob, x0=None):
@@ -306,9 +340,9 @@ def problem_to_dict(prob, x0=None, seed=None, spec=None):
     x0 = prob._check_vector(x0, name="x0")
     return {
         "n": prob.n,
-        "H": [float(v) for v in prob.H.ravel(order="C")],
-        "c": [float(v) for v in prob.c],
-        "x0": [float(v) for v in x0],
+        "H": prob.H.ravel(order="C").tolist(),
+        "c": prob.c.tolist(),
+        "x0": x0.tolist(),
         "seed": seed,
         "spec": spec,
     }
@@ -327,9 +361,11 @@ def problem_from_dict(d):
 
 
 def save_problem(path, prob, x0=None, seed=None, spec=None):
+    """Write the :func:`problem_to_dict` form as one line of sorted-key JSON."""
+    # json.dumps without an indent runs the C encoder; json.dump never does
+    text = json.dumps(problem_to_dict(prob, x0, seed=seed, spec=spec), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(problem_to_dict(prob, x0, seed=seed, spec=spec), fh, indent=2,
-                  sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

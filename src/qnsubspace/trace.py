@@ -22,7 +22,7 @@ def _vec(x):
 
 
 def _vec_list(x):
-    return None if x is None else [float(v) for v in np.asarray(x).ravel()]
+    return None if x is None else np.asarray(x, dtype=float).ravel().tolist()
 
 
 @dataclass
@@ -109,11 +109,16 @@ class IterateTrace:
         return self.status == CONVERGED
 
     def to_dict(self):
+        d = self._fields()
+        # one object per iteration lives under this key
+        d["iterations"] = [r.to_dict() for r in self.records]
+        return d
+
+    def _fields(self):
+        """Every top-level field except the per-iteration records."""
         return {
             "schema": TRACE_SCHEMA,
             "meta": self.meta,
-            # one object per iteration lives under this key
-            "iterations": [r.to_dict() for r in self.records],
             "status": {
                 "kind": self.status,
                 "iterations": self.iterations,
@@ -144,9 +149,28 @@ class IterateTrace:
         )
 
     def save(self, path):
+        """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline.
+
+        The text goes out one field and one record at a time, so the whole
+        document never exists as one string. ``json.dumps`` without an indent
+        runs the C encoder; ``json.dump`` to a file never does.
+        """
+        fields = self._fields()
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            sep = "{"
+            for key in sorted([*fields, "iterations"]):
+                fh.write(f"{sep}{json.dumps(key)}: ")
+                sep = ", "
+                if key != "iterations":
+                    fh.write(json.dumps(fields[key], sort_keys=True))
+                    continue
+                fh.write("[")
+                for i, rec in enumerate(self.records):
+                    if i:
+                        fh.write(", ")
+                    fh.write(json.dumps(rec.to_dict(), sort_keys=True))
+                fh.write("]")
+            fh.write("}\n")
 
     @classmethod
     def load(cls, path):
@@ -180,17 +204,12 @@ class DirectionHistory:
 
     def conjugacy_defect(self):
         """max over i != j of |p_i^T H p_j| / (||H p_i|| ||p_j||); 0.0 if < 2 directions."""
-        m = len(self.directions)
-        worst = 0.0
-        for i in range(m):
-            hi = self.h_images[i]
-            nhi = np.linalg.norm(hi)
-            for j in range(m):
-                if i == j:
-                    continue
-                pj = self.directions[j]
-                denom = nhi * np.linalg.norm(pj)
-                if denom == 0.0:
-                    continue
-                worst = max(worst, abs(float(hi @ pj)) / denom)
-        return worst
+        if len(self.directions) < 2:
+            return 0.0
+        P, HP = self.matrices()
+        denom = np.outer(np.linalg.norm(HP, axis=0), np.linalg.norm(P, axis=0))
+        keep = denom != 0.0
+        np.fill_diagonal(keep, False)
+        if not keep.any():
+            return 0.0
+        return float(np.max(np.abs(HP.T @ P)[keep] / denom[keep]))

@@ -3,6 +3,8 @@
 Every check recomputes its reference quantities from the problem data
 (Krylov-space minimizers, conjugate directions, the exact solution) rather
 than trusting anything the solver recorded beyond the iterates themselves.
+The checks take those references from one :class:`KrylovOracle` of the
+problem and start point, which every trace of that problem can share.
 """
 
 from dataclasses import dataclass, field
@@ -76,7 +78,7 @@ class CheckReport:
         return [f.line() for f in self.findings]
 
 
-def check_newton_onset(trace, prob, x0):
+def check_newton_onset(trace, oracle):
     """Verify the finite-termination behaviour of an arbitrary-step run.
 
     Once the iteration count reaches the grade r of the generated subspace,
@@ -84,9 +86,10 @@ def check_newton_onset(trace, prob, x0):
     taken from then on must land exactly on the minimizer. Before that, each
     new direction must be parallel to the reference conjugate direction, and
     the tracked restricted Newton step must point at the current subspace
-    minimizer (checked through gradient orthogonality).
+    minimizer (checked through gradient orthogonality). ``oracle`` is the
+    :class:`KrylovOracle` of the problem and start point.
     """
-    oracle = KrylovOracle(prob, x0)
+    prob = oracle.problem
     r = oracle.grade
     x_star = prob.solution()
     x_scale = 1.0 + norm(x_star)
@@ -134,7 +137,7 @@ def check_newton_onset(trace, prob, x0):
             "no unit step taken at or past the grade, and no termination",
         )
 
-    angle_tol = (ANGLE_TOL_ILL if prob.condition_number() > ILL_CONDITIONED
+    angle_tol = (ANGLE_TOL_ILL if oracle.condition_number > ILL_CONDITIONED
                  else ANGLE_TOL)
     worst_angle = 0.0
     checked = 0
@@ -146,7 +149,7 @@ def check_newton_onset(trace, prob, x0):
             skipped += 1
             continue
         worst_angle = max(
-            worst_angle, direction_angle(rec.q, oracle.conjugate_direction(rec.k))
+            worst_angle, direction_angle(rec.q, oracle.conjugate_directions[:, rec.k])
         )
         checked += 1
     report.add(
@@ -157,20 +160,23 @@ def check_newton_onset(trace, prob, x0):
         worst_angle,
     )
 
+    # each gradient at x_k + alpha_k p_k + pN_k against the first
+    # min(k + 1, r) reference conjugate directions
     g0_norm = norm(trace.records[0].g) if trace.records else 0.0
     worst_orth = 0.0
     pairs = 0
-    for rec in trace.records:
-        if rec.newton_step is None or g0_norm == 0.0:
-            continue
-        x_hat = rec.x + rec.alpha * rec.p + rec.newton_step
-        g_hat = prob.gradient(x_hat)
-        for i in range(min(rec.k + 1, r)):
-            q_ref = oracle.conjugate_direction(i)
-            worst_orth = max(
-                worst_orth, abs(g_hat @ q_ref) / (g0_norm * norm(q_ref))
-            )
-            pairs += 1
+    tracked = [rec for rec in trace.records if rec.newton_step is not None]
+    if tracked and g0_norm > 0.0:
+        X_hat = np.column_stack([rec.x + rec.alpha * rec.p + rec.newton_step
+                                 for rec in tracked])
+        G_hat = prob.H @ X_hat + prob.c[:, None]
+        Q = oracle.conjugate_directions
+        scaled = np.abs(G_hat.T @ Q) / (g0_norm * norm(Q, axis=0))
+        ks = np.array([rec.k for rec in tracked])
+        mask = np.arange(r)[None, :] < np.minimum(ks + 1, r)[:, None]
+        pairs = int(mask.sum())
+        if pairs:
+            worst_orth = float(scaled[mask].max())
     report.add(
         "restricted Newton step reaches the subspace minimizer",
         worst_orth <= ORTHOGONALITY_RTOL,
@@ -180,7 +186,7 @@ def check_newton_onset(trace, prob, x0):
     return report
 
 
-def check_unit_step_counts(trace, prob, x0):
+def check_unit_step_counts(trace, oracle):
     """Verify the iteration count of an all-unit-step run.
 
     With every step of length one the method terminates in r+1 iterations,
@@ -188,7 +194,7 @@ def check_unit_step_counts(trace, prob, x0):
     value at iteration r-2 (the starting identity scale when r is 1). The
     memory must collapse to a single direction throughout.
     """
-    r = KrylovOracle(prob, x0).grade
+    r = oracle.grade
     report = CheckReport(check="unit-step-count")
 
     off = [rec.k for rec in trace.records
@@ -228,14 +234,14 @@ def check_unit_step_counts(trace, prob, x0):
     return report
 
 
-def check_exact_search_count(trace, prob, x0):
+def check_exact_search_count(trace, oracle):
     """Verify the iteration count of an exact-line-search run.
 
     Minimizing along each direction keeps the tracked restricted Newton step
     at zero, so every direction is a conjugate direction and the method
     terminates in exactly the grade, like the classical baselines.
     """
-    r = KrylovOracle(prob, x0).grade
+    r = oracle.grade
     report = CheckReport(check="exact-search-count")
     report.add("run converged", trace.status == CONVERGED,
                f"status {trace.status}")
@@ -247,14 +253,14 @@ def check_exact_search_count(trace, prob, x0):
     return report
 
 
-def check_conjugate_baseline(trace, prob, x0):
+def check_conjugate_baseline(trace, oracle):
     """Verify a conjugate-direction baseline run against the problem.
 
     Checks r-step termination, the terminal gradient, mutual conjugacy of
     the recorded directions, orthogonality of each gradient to all earlier
     directions, and that each iterate is the Krylov-space minimizer.
     """
-    oracle = KrylovOracle(prob, x0)
+    prob = oracle.problem
     r = oracle.grade
     x_star = prob.solution()
     report = CheckReport(check="conjugate-baseline")
@@ -289,17 +295,17 @@ def check_conjugate_baseline(trace, prob, x0):
         defect,
     )
 
+    # every gradient g_j, the final one included, against every p_i, i < j
     worst_orth = 0.0
     if g0_norm > 0.0:
-        dirs = [rec.p for rec in trace.records]
+        D = np.column_stack([rec.p for rec in trace.records])
         grads = [rec.g for rec in trace.records]
         if trace.final_x is not None:
-            grads = grads + [prob.gradient(trace.final_x)]
-        for j, g_j in enumerate(grads):
-            for p_i in dirs[:j]:
-                worst_orth = max(
-                    worst_orth, abs(g_j @ p_i) / (g0_norm * norm(p_i))
-                )
+            grads.append(prob.gradient(trace.final_x))
+        scaled = np.abs(np.column_stack(grads).T @ D) / (g0_norm * norm(D, axis=0))
+        earlier = np.tril(np.ones(scaled.shape, dtype=bool), k=-1)
+        if earlier.any():
+            worst_orth = float(scaled[earlier].max())
     report.add(
         "gradients orthogonal to all earlier directions",
         worst_orth <= ORTHOGONALITY_RTOL,
@@ -312,7 +318,7 @@ def check_conjugate_baseline(trace, prob, x0):
     for j, rec in enumerate(trace.records):
         if j == 0 or j > r:
             continue
-        worst_iter = max(worst_iter, norm(rec.x - oracle.minimizer(j)) / x_scale)
+        worst_iter = max(worst_iter, norm(rec.x - oracle.minimizers[:, j]) / x_scale)
     if trace.final_x is not None and trace.status == CONVERGED:
         worst_iter = max(worst_iter, norm(trace.final_x - x_star) / x_scale)
     report.add(
@@ -388,20 +394,25 @@ def traces_match(a, b, rtol=1e-6):
     return (not mismatches, mismatches)
 
 
-def verify_trace(trace, prob, x0):
+def verify_trace(trace, prob, x0, oracle=None):
     """Run every check that applies to this trace's method.
 
-    Returns a list of CheckReport.
+    ``oracle`` is the :class:`KrylovOracle` of ``prob`` from ``x0``, built
+    here when not given; pass one to share its eigendecomposition and
+    minimizers across the traces of one problem. Returns a list of
+    CheckReport.
     """
     method = trace.meta.get("method", "")
-    if method in ("cg", "bfgs", "memoryless"):
-        return [check_conjugate_baseline(trace, prob, x0)]
-    if method == "qn-subspace":
-        reports = [check_newton_onset(trace, prob, x0)]
-        step_kind = trace.meta.get("step_policy", {}).get("kind")
-        if step_kind == "unit":
-            reports.append(check_unit_step_counts(trace, prob, x0))
-        elif step_kind == "exact":
-            reports.append(check_exact_search_count(trace, prob, x0))
-        return reports
-    raise ValueError(f"no checks registered for method {method!r}")
+    if method not in ("cg", "bfgs", "memoryless", "qn-subspace"):
+        raise ValueError(f"no checks registered for method {method!r}")
+    if oracle is None:
+        oracle = KrylovOracle(prob, x0)
+    if method != "qn-subspace":
+        return [check_conjugate_baseline(trace, oracle)]
+    reports = [check_newton_onset(trace, oracle)]
+    step_kind = trace.meta.get("step_policy", {}).get("kind")
+    if step_kind == "unit":
+        reports.append(check_unit_step_counts(trace, oracle))
+    elif step_kind == "exact":
+        reports.append(check_exact_search_count(trace, oracle))
+    return reports

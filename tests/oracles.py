@@ -193,3 +193,36 @@ def span_approx_dense(P, HP, sigma):
 def operator_matrix(matvec, n):
     """The n x n matrix of a linear operator, one unit vector at a time."""
     return np.column_stack([matvec(e) for e in np.eye(n)])
+
+
+# ---------------------------------------------------------------------------
+# per-pair references for the vectorized trace checks
+
+
+def pairwise_conjugacy_defect(directions, h_images):
+    """max over i != j of |h_i'p_j| / (||h_i|| ||p_j||), one pair at a time.
+
+    Pairs with a zero norm are skipped; 0.0 when no pair is left.
+    """
+    worst = 0.0
+    for i, h_i in enumerate(h_images):
+        for j, p_j in enumerate(directions):
+            denom = np.linalg.norm(h_i) * np.linalg.norm(p_j)
+            if i != j and denom != 0.0:
+                worst = max(worst, abs(float(h_i @ p_j)) / denom)
+    return worst
+
+
+def subspace_minimizers(H, c, x0, Q):
+    """Minimizers of the quadratic over x0 + span of the first k columns of Q.
+
+    One dense solve per k = 0, ..., m for the m orthonormal columns of Q.
+    """
+    H = np.asarray(H, float)
+    x0 = np.asarray(x0, float)
+    g0 = H @ x0 + np.asarray(c, float)
+    out = [x0.copy()]
+    for k in range(1, Q.shape[1] + 1):
+        Qk = Q[:, :k]
+        out.append(x0 + Qk @ np.linalg.solve(Qk.T @ H @ Qk, -(Qk.T @ g0)))
+    return out

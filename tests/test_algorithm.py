@@ -21,6 +21,8 @@ from qnsubspace import (
     subspace_qn_solve,
     traces_match,
 )
+from qnsubspace import algorithm, approximation
+from qnsubspace.util import cosine_alignment
 
 import oracles
 
@@ -196,6 +198,23 @@ def test_one_hessian_image_per_iteration(monkeypatch, mode, steps, hess, grads):
     assert trace.status == CONVERGED
     assert k >= 6
     assert counts == {"gradient": grads(k), "hessian_action": hess(k)}
+
+
+def test_one_alignment_per_two_vector_build(monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return cosine_alignment(u, v)
+
+    for module in (algorithm, approximation):
+        monkeypatch.setattr(module, "cosine_alignment", counted)
+    prob, x0 = generate_problem(12, 6, cond=20.0, seed=97)
+    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.uniform(), tol=1e-9,
+                              max_iter=10, seed=3)
+    built = [rec for rec in trace.records if rec.sigma is not None and not rec.exhausted]
+    assert any(rec.exhausted for rec in trace.records)
+    assert len(calls) == len(built) > 0
 
 
 def test_learned_action_reproduces_hessian_images():

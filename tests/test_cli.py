@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qnsubspace import load_problem
+from qnsubspace import KrylovOracle, load_problem, problem
 from qnsubspace.cli import (
     EXIT_BREAKDOWN,
     EXIT_CHECK_FAIL,
@@ -214,6 +214,59 @@ def test_verify_subcommand(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert code == EXIT_CHECK_FAIL
     assert "FAIL" in printed
+
+
+GRID_METHODS = [
+    {"kind": "cg"},
+    {"kind": "bfgs"},
+    {"kind": "memoryless"},
+    {"kind": "qn-subspace", "step": {"kind": "unit"}, "mode": "oracle"},
+    {"kind": "qn-subspace", "step": {"kind": "unit"}, "mode": "matrix-free"},
+    {"kind": "qn-subspace", "step": {"kind": "unit-after", "start": 8},
+     "mode": "matrix-free"},
+    {"kind": "qn-subspace", "step": {"kind": "exact"}, "mode": "oracle"},
+]
+
+
+def count_reference_work(monkeypatch):
+    """Call counters on the eigensolvers the problem module reaches and on
+    the Krylov minimizer."""
+    counts = {"eigh": 0, "eigvalsh": 0, "minimizer": 0}
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _fn=getattr(problem.np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(problem.np.linalg, name, counted)
+    minimizer = KrylovOracle.minimizer
+
+    def counted_minimizer(self, k):
+        counts["minimizer"] += 1
+        return minimizer(self, k)
+
+    monkeypatch.setattr(KrylovOracle, "minimizer", counted_minimizer)
+    return counts
+
+
+def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 4,
+        "problems": [{"n": 16, "r": 6, "cond": 10.0}],
+        "methods": GRID_METHODS,
+    })
+    out = tmp_path / "out"
+    counts = count_reference_work(monkeypatch)
+    main(["run", "--spec", spec, "--out-dir", str(out)])
+    rows = read_rows(out / "summary.csv")
+    assert len(rows) == 7
+    assert counts["eigh"] + counts["eigvalsh"] == 1
+    assert 0 < counts["minimizer"] <= int(rows[0]["grade"]) + 1
+
+    traces = sorted((out / "traces").iterdir())
+    for trace_path in traces:
+        main(["verify", "--trace", str(trace_path),
+              "--problem", str(out / "problems" / "p000.json")])
+    assert counts["eigh"] + counts["eigvalsh"] == 1 + len(traces)
 
 
 @pytest.mark.parametrize("payload,fragment", [

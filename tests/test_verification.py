@@ -5,7 +5,10 @@ import pytest
 from numpy.linalg import norm
 
 from qnsubspace import (
+    MATRIX_FREE,
+    ORACLE,
     IterateTrace,
+    KrylovOracle,
     SigmaPolicy,
     StepPolicy,
     cg_solve,
@@ -15,11 +18,15 @@ from qnsubspace import (
     check_unit_step_counts,
     generate_problem,
     krylov_grade,
+    qn_exact_ls_solve,
     subspace_qn_solve,
     traces_match,
     verify_trace,
 )
+from qnsubspace import verification as V
 from qnsubspace.util import cosine_alignment, direction_angle, unit
+
+import oracles
 
 
 def copy_trace(trace):
@@ -41,7 +48,8 @@ def test_direction_angle_basics():
 
 def test_baseline_check_passes_on_an_honest_run():
     prob, x0 = generate_problem(8, 5, cond=30.0, seed=100)
-    report = check_conjugate_baseline(cg_solve(prob, x0, tol=1e-10), prob, x0)
+    report = check_conjugate_baseline(cg_solve(prob, x0, tol=1e-10),
+                                      KrylovOracle(prob, x0))
     assert report.check == "conjugate-baseline"
     assert report.passed
     assert len(report.findings) == 6
@@ -53,7 +61,7 @@ def test_baseline_check_catches_a_doctored_direction():
     trace = copy_trace(cg_solve(prob, x0, tol=1e-10))
     rng = np.random.default_rng(0)
     trace.records[2].p = rng.standard_normal(8)
-    report = check_conjugate_baseline(trace, prob, x0)
+    report = check_conjugate_baseline(trace, KrylovOracle(prob, x0))
     assert not report.passed
     failed = {f.name for f in report.failures()}
     assert "directions mutually conjugate" in failed
@@ -64,7 +72,7 @@ def test_baseline_check_catches_a_wrong_count():
     trace = copy_trace(cg_solve(prob, x0, tol=1e-10))
     trace.records.pop()
     trace.iterations -= 1
-    report = check_conjugate_baseline(trace, prob, x0)
+    report = check_conjugate_baseline(trace, KrylovOracle(prob, x0))
     assert any(f.name == "terminates in exactly the subspace grade"
                for f in report.failures())
 
@@ -75,7 +83,7 @@ def test_newton_onset_check_passes_on_an_honest_run():
         prob, x0, steps=StepPolicy.unit_after(6), sigmas=SigmaPolicy.uniform(),
         tol=1e-8, max_iter=9, seed=1,
     )
-    report = check_newton_onset(trace, prob, x0)
+    report = check_newton_onset(trace, KrylovOracle(prob, x0))
     assert report.passed, [f.line() for f in report.failures()]
 
 
@@ -85,30 +93,32 @@ def test_newton_onset_check_catches_a_faked_unit_step():
         prob, x0, steps=StepPolicy.uniform(), sigmas=SigmaPolicy.uniform(),
         tol=1e-9, max_iter=7, seed=2,
     )
-    assert check_newton_onset(trace, prob, x0).passed
+    oracle = KrylovOracle(prob, x0)
+    assert check_newton_onset(trace, oracle).passed
     doctored = copy_trace(trace)
     doctored.records[-1].alpha = 1.0  # claims a unit step the run never took
-    report = check_newton_onset(doctored, prob, x0)
+    report = check_newton_onset(doctored, oracle)
     assert any(f.name == "unit step past the grade terminates on the spot"
                for f in report.failures())
 
 
 def test_unit_step_count_check():
     prob, x0 = generate_problem(7, 3, cond=9.0, seed=103)
+    oracle = KrylovOracle(prob, x0)
     trace = subspace_qn_solve(prob, x0, tol=1e-9)
-    report = check_unit_step_counts(trace, prob, x0)
+    report = check_unit_step_counts(trace, oracle)
     assert report.passed
     assert trace.iterations == 4
 
     tuned = subspace_qn_solve(prob, x0, sigmas=SigmaPolicy.newton_at(1),
                               tol=1e-9)
     assert tuned.iterations == 3
-    assert check_unit_step_counts(tuned, prob, x0).passed
+    assert check_unit_step_counts(tuned, oracle).passed
 
     # a generic run whose metadata claims the tuned scaling must fail
     liar = copy_trace(trace)
     liar.meta["sigma_policy"] = {"kind": "newton-at", "at": 1, "scale": 1.0}
-    report = check_unit_step_counts(liar, prob, x0)
+    report = check_unit_step_counts(liar, oracle)
     assert any(f.name == "iteration count matches the scaling rule"
                for f in report.failures())
 
@@ -117,10 +127,11 @@ def test_exact_search_count_check():
     prob, x0 = generate_problem(9, 5, cond=25.0, seed=104)
     trace = subspace_qn_solve(prob, x0, steps=StepPolicy.exact_line_search(),
                               tol=1e-9)
-    assert check_exact_search_count(trace, prob, x0).passed
+    oracle = KrylovOracle(prob, x0)
+    assert check_exact_search_count(trace, oracle).passed
     cut = subspace_qn_solve(prob, x0, steps=StepPolicy.exact_line_search(),
                             tol=1e-9, max_iter=4)
-    report = check_exact_search_count(cut, prob, x0)
+    report = check_exact_search_count(cut, oracle)
     assert not report.passed
 
 
@@ -173,3 +184,90 @@ def test_traces_match_reports_field_level_differences():
     d.status = "breakdown"
     same, mismatches = traces_match(a, d)
     assert any(m.startswith("status:") for m in mismatches)
+
+
+# the seven method columns of the benchmark's CLI grid, with the CLI's budget
+GRID_SOLVERS = (
+    lambda prob, x0: cg_solve(prob, x0, max_iter=prob.n + 5),
+    lambda prob, x0: qn_exact_ls_solve(prob, x0, variant="bfgs", max_iter=prob.n + 5),
+    lambda prob, x0: qn_exact_ls_solve(prob, x0, variant="memoryless",
+                                       max_iter=prob.n + 5),
+    lambda prob, x0: subspace_qn_solve(prob, x0, mode=ORACLE, seed=1),
+    lambda prob, x0: subspace_qn_solve(prob, x0, mode=MATRIX_FREE, seed=1),
+    lambda prob, x0: subspace_qn_solve(prob, x0, steps=StepPolicy.unit_after(8),
+                                       mode=MATRIX_FREE, seed=1),
+    lambda prob, x0: subspace_qn_solve(prob, x0, steps=StepPolicy.exact_line_search(),
+                                       mode=ORACLE, seed=1),
+)
+
+
+def per_pair_values(trace, prob, x0, basis):
+    """The values of the findings the checks compute with matrix products,
+    recomputed one pair at a time against per-k reference minimizers.
+
+    Returns {(check, finding): (value, limit)}.
+    """
+    xs = oracles.subspace_minimizers(prob.H, prob.c, x0, basis)
+    qs = [b - a for a, b in zip(xs, xs[1:])]
+    r = len(qs)
+    records = trace.records
+    g0_norm = norm(records[0].g) if records else 0.0
+    if trace.meta["method"] == "qn-subspace":
+        angles = [0.0]
+        orth = [0.0]
+        for rec in records:
+            if rec.k < r and rec.q is not None and not rec.exhausted and \
+                    norm(rec.q) >= V.DIRECTION_FLOOR * (1.0 + norm(rec.x) + norm(rec.p)):
+                angles.append(direction_angle(rec.q, qs[rec.k]))
+            if rec.newton_step is not None and g0_norm > 0.0:
+                g_hat = prob.gradient(rec.x + rec.alpha * rec.p + rec.newton_step)
+                orth += [abs(g_hat @ q) / (g0_norm * norm(q)) for q in qs[:rec.k + 1]]
+        return {
+            ("newton-onset", "new directions parallel to reference conjugate directions"):
+                (max(angles), V.ANGLE_TOL),
+            ("newton-onset", "restricted Newton step reaches the subspace minimizer"):
+                (max(orth), V.ORTHOGONALITY_RTOL),
+        }
+
+    with_image = [rec for rec in records if rec.h_p is not None]
+    defect = oracles.pairwise_conjugacy_defect([rec.p for rec in with_image],
+                                               [rec.h_p for rec in with_image])
+    grads = [rec.g for rec in records]
+    if trace.final_x is not None:
+        grads.append(prob.gradient(trace.final_x))
+    orth = [0.0]
+    if g0_norm > 0.0:
+        orth += [abs(g_j @ rec.p) / (g0_norm * norm(rec.p))
+                 for j, g_j in enumerate(grads) for rec in records[:j]]
+    x_scale = 1.0 + norm(prob.solution())
+    misses = [norm(rec.x - xs[j]) / x_scale for j, rec in enumerate(records) if 1 <= j <= r]
+    if trace.final_x is not None and trace.converged:
+        misses.append(norm(trace.final_x - prob.solution()) / x_scale)
+    return {
+        ("conjugate-baseline", "directions mutually conjugate"): (defect, V.CONJUGACY_TOL),
+        ("conjugate-baseline", "gradients orthogonal to all earlier directions"):
+            (max(orth), V.ORTHOGONALITY_RTOL),
+        ("conjugate-baseline", "iterates are the subspace minimizers"):
+            (max(misses, default=0.0), V.ITERATE_MATCH_RTOL),
+    }
+
+
+@pytest.mark.parametrize("grade, cond, seed", [(4, 10.0, 201), (8, 10.0, 202), (6, 100.0, 203)])
+def test_matrix_product_checks_match_the_per_pair_reference(grade, cond, seed):
+    prob, x0 = generate_problem(16, grade, cond=cond, seed=seed)
+    oracle = KrylovOracle(prob, x0)
+    compared = 0
+    for solve in GRID_SOLVERS:
+        trace = solve(prob, x0)
+        shared = verify_trace(trace, prob, x0, oracle)
+        fresh = verify_trace(trace, prob, x0)
+        assert [(rep.check, f.name, f.passed, f.value) for rep in shared for f in rep.findings] \
+            == [(rep.check, f.name, f.passed, f.value) for rep in fresh for f in rep.findings]
+        found = {(rep.check, f.name): f for rep in shared for f in rep.findings}
+        for key, (value, limit) in per_pair_values(trace, prob, x0, oracle.basis).items():
+            assert found[key].passed == (value <= limit), key
+            # the values are rounding residues, most far below 1e-12; the
+            # summation order differs, so they agree to 1e-12 of max(1, |value|)
+            assert found[key].value == pytest.approx(value, rel=1e-12, abs=1e-12), key
+            compared += 1
+    assert compared == 3 * 3 + 4 * 2
