@@ -135,8 +135,9 @@ class KrylovOracle:
 
     One oracle is the whole reference for a problem and start point: its one
     eigendecomposition of H gives the grade, the basis and
-    :attr:`condition_number`, and :attr:`minimizers` and
-    :attr:`conjugate_directions` are computed once, on first use.
+    :attr:`condition_number`, and :attr:`minimizers`,
+    :attr:`conjugate_directions` and :attr:`solution` are computed once, on
+    first use.
     """
 
     def __init__(self, prob, x0=None):
@@ -151,48 +152,36 @@ class KrylovOracle:
         evals, evecs = np.linalg.eigh(prob.H)
         self.condition_number = float(evals[-1] / evals[0])
 
-        mu, weights, axes = [], [], []
-        if g0_norm > 0.0:
-            cluster_tol = RANK_RTOL * max(1.0, norm(prob.H, 1))
-            i = 0
-            while i < prob.n:
-                j = i + 1
-                while j < prob.n and evals[j] - evals[j - 1] <= cluster_tol:
-                    j += 1
-                block = evecs[:, i:j]
-                component = block @ (block.T @ g0)
-                weight = norm(component)
-                if weight > RANK_RTOL * g0_norm:
-                    mu.append(float(np.mean(evals[i:j])))
-                    weights.append(weight)
-                    axes.append(component / weight)
-                i = j
+        tol = RANK_RTOL * max(1.0, norm(prob.H, 1))
+        # eigenvalues at most tol apart from their neighbour share a cluster c;
+        # g0's component in it is evecs_c (evecs_c' g0), an axis of the span
+        starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > tol)
+        components = np.add.reduceat(evecs * (evecs.T @ g0), starts, axis=1)
+        weights = norm(components, axis=0)
+        touched = weights > RANK_RTOL * g0_norm
+        sizes = np.diff(starts, append=prob.n)
+        self._mu = (np.add.reduceat(evals, starts) / sizes)[touched]
+        self._w = weights[touched]
+        self._axes = components[:, touched] / self._w
+        r = self._w.size
 
-        r = len(mu)
-        self._mu = np.asarray(mu)
-        self._w = np.asarray(weights)
-        self._axes = (
-            np.column_stack(axes) if axes else np.zeros((prob.n, 0))
-        )
-
-        # power basis of the touched span, in its exact diagonal coordinates
-        columns = []
+        # power basis of the touched span, in its exact diagonal coordinates,
+        # with two block Gram-Schmidt passes against the columns so far
+        Z = np.zeros((r, r))
+        k = 0
         if r:
-            tol = RANK_RTOL * max(1.0, norm(prob.H, 1))
-            v = self._w / norm(self._w)
-            for _ in range(r):
-                columns.append(v)
-                t = self._mu * v
+            Z[:, 0] = self._w / norm(self._w)
+            k = 1
+            while k < r:
+                t = self._mu * Z[:, k - 1]
                 for _ in range(2):
-                    for u in columns:
-                        t = t - (u @ t) * u
+                    t -= Z[:, :k] @ (Z[:, :k].T @ t)
                 res = norm(t)
                 if res <= tol:
                     break
-                v = t / res
-        self._power = (
-            np.column_stack(columns) if columns else np.zeros((r, 0))
-        )
+                Z[:, k] = t / res
+                k += 1
+        self._power = Z[:, :k]
         self.grade = self._power.shape[1]
         self.basis = self._axes @ self._power
         self.basis.setflags(write=False)
@@ -209,6 +198,13 @@ class KrylovOracle:
         Z = self._power
         L = cholesky(Z.T @ (self._mu[:, None] * Z), lower=True)
         return L, solve_triangular(L, -(Z.T @ self._w), lower=True)
+
+    @cached_property
+    def solution(self):
+        """The problem's unique minimizer, solved once for every check."""
+        x = self.problem.solution()
+        x.setflags(write=False)
+        return x
 
     def minimizer(self, k):
         """Minimizer of f over x0 + span of the first k basis vectors."""

@@ -3,8 +3,17 @@
 Every solver in the package returns an :class:`IterateTrace`. Fields that a
 particular solver does not produce (for example sigma for the conjugate
 gradient baseline) stay ``None`` and serialize as JSON null.
+
+In the ``qnsubspace-trace-v2`` file form, each vector of an iteration record
+(``x``, ``g``, ``p``, ``h_p``, ``q``, ``pN``, ``h_q``, ``h_pN``) is one string:
+the base64 text of its little-endian float64 bytes, which keeps every bit and
+costs a fraction of writing each float's decimal repr. Scalars, flags,
+``meta``, ``warnings``, ``status`` and ``final.x`` stay plain JSON numbers.
+Vectors given as number lists, as in ``qnsubspace-trace-v1`` files, load the
+same way.
 """
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -14,11 +23,25 @@ CONVERGED = "converged"
 MAX_ITER = "max-iter"
 BREAKDOWN = "breakdown"
 
-TRACE_SCHEMA = "qnsubspace-trace-v1"
+TRACE_SCHEMA = "qnsubspace-trace-v2"
 
 
 def _vec(x):
-    return None if x is None else np.asarray(x, dtype=float)
+    """Vector from its file form: a base64 float64 string or a number list."""
+    if x is None:
+        return None
+    if isinstance(x, str):
+        raw = base64.b64decode(x, validate=True)
+        return np.frombuffer(raw, dtype="<f8").astype(float)
+    return np.asarray(x, dtype=float)
+
+
+def _vec_b64(x):
+    """Base64 text of the little-endian float64 bytes of a vector."""
+    if x is None:
+        return None
+    raw = np.asarray(x, dtype="<f8").ravel().tobytes()
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _vec_list(x):
@@ -55,16 +78,16 @@ class IterateRecord:
     def to_dict(self):
         return {
             "k": self.k,
-            "x": _vec_list(self.x),
-            "g": _vec_list(self.g),
-            "p": _vec_list(self.p),
+            "x": _vec_b64(self.x),
+            "g": _vec_b64(self.g),
+            "p": _vec_b64(self.p),
             "alpha": float(self.alpha),
             "grad_norm": float(self.grad_norm),
-            "h_p": _vec_list(self.h_p),
-            "q": _vec_list(self.q),
-            "pN": _vec_list(self.newton_step),
-            "h_q": _vec_list(self.h_q),
-            "h_pN": _vec_list(self.h_newton_step),
+            "h_p": _vec_b64(self.h_p),
+            "q": _vec_b64(self.q),
+            "pN": _vec_b64(self.newton_step),
+            "h_q": _vec_b64(self.h_q),
+            "h_pN": _vec_b64(self.h_newton_step),
             "sigma": None if self.sigma is None else float(self.sigma),
             # plain bool: numpy's bool type is not JSON serializable
             "collapsed": None if self.collapsed is None else bool(self.collapsed),

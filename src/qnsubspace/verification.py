@@ -91,7 +91,7 @@ def check_newton_onset(trace, oracle):
     """
     prob = oracle.problem
     r = oracle.grade
-    x_star = prob.solution()
+    x_star = oracle.solution
     x_scale = 1.0 + norm(x_star)
     report = CheckReport(check="newton-onset")
 
@@ -262,7 +262,7 @@ def check_conjugate_baseline(trace, oracle):
     """
     prob = oracle.problem
     r = oracle.grade
-    x_star = prob.solution()
+    x_star = oracle.solution
     report = CheckReport(check="conjugate-baseline")
 
     report.add("run converged", trace.status == CONVERGED,

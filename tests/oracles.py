@@ -226,3 +226,55 @@ def subspace_minimizers(H, c, x0, Q):
         Qk = Q[:, :k]
         out.append(x0 + Qk @ np.linalg.solve(Qk.T @ H @ Qk, -(Qk.T @ g0)))
     return out
+
+
+def krylov_reference(H, c, x0, rtol):
+    """Grade and subspace minimizers of the gradient-generated space, one
+    eigenvalue at a time.
+
+    Eigenvalues less than ``rtol * max(1, ||H||_1)`` apart form one cluster;
+    a cluster counts when g0's component in it exceeds ``rtol * ||g0||``.
+    The power basis is built in the touched span's diagonal coordinates with
+    two modified Gram-Schmidt passes per column, one column at a time, and
+    stops at a residual below the same tolerance. Returns
+    ``(grade, [minimizer(0), ..., minimizer(grade)])``, each minimizer from a
+    dense projected solve.
+    """
+    H = np.asarray(H, float)
+    x0 = np.asarray(x0, float)
+    g0 = H @ x0 + np.asarray(c, float)
+    n = len(g0)
+    tol = rtol * max(1.0, np.linalg.norm(H, 1))
+    evals, evecs = np.linalg.eigh(H)
+    mu, weights, axes = [], [], []
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and evals[j] - evals[j - 1] <= tol:
+            j += 1
+        component = evecs[:, i:j] @ (evecs[:, i:j].T @ g0)
+        weight = np.linalg.norm(component)
+        if weight > rtol * np.linalg.norm(g0):
+            mu.append(np.mean(evals[i:j]))
+            weights.append(weight)
+            axes.append(component / weight)
+        i = j
+    mu, weights = np.array(mu), np.array(weights)
+    columns = []
+    if len(mu):
+        v = weights / np.linalg.norm(weights)
+        for _ in range(len(mu)):
+            columns.append(v)
+            t = mu * v
+            for _ in range(2):
+                for u in columns:
+                    t = t - (u @ t) * u
+            res = np.linalg.norm(t)
+            if res <= tol:
+                break
+            v = t / res
+    out = [x0.copy()]
+    for k in range(1, len(columns) + 1):
+        Qk = np.column_stack(axes) @ np.column_stack(columns[:k])
+        out.append(x0 + Qk @ np.linalg.solve(Qk.T @ H @ Qk, -(Qk.T @ g0)))
+    return len(columns), out

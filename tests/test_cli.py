@@ -89,7 +89,7 @@ def test_run_writes_tables_and_traces(tmp_path, capsys):
     traces = sorted((out / "traces").iterdir())
     assert len(traces) == 10
     payload = json.loads(traces[0].read_text())
-    assert payload["schema"] == "qnsubspace-trace-v1"
+    assert payload["schema"] == "qnsubspace-trace-v2"
     assert "wall_time_ms" in payload["meta"]
 
     problems = sorted(p.name for p in (out / "problems").iterdir())
@@ -216,6 +216,32 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "FAIL" in printed
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text[:-5],  # truncated: incorrect padding
+    lambda text: text[:-4],  # whole base64 quanta dropped: 5 bytes left over
+    lambda text: "*" + text[1:],  # outside the base64 alphabet
+])
+def test_verify_rejects_corrupt_vector_text(tmp_path, capsys, corrupt):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2,
+        "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "cg"}],
+    })
+    out = tmp_path / "out"
+    main(["run", "--spec", spec, "--out-dir", str(out)])
+    capsys.readouterr()
+    trace_path = next((out / "traces").glob("*.json"))
+    payload = json.loads(trace_path.read_text())
+    payload["iterations"][1]["g"] = corrupt(payload["iterations"][1]["g"])
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(payload))
+
+    code = main(["verify", "--trace", str(doctored),
+                 "--problem", str(out / "problems" / "p000.json")])
+    assert code == EXIT_USAGE
+    assert "cannot load trace" in capsys.readouterr().err
+
+
 GRID_METHODS = [
     {"kind": "cg"},
     {"kind": "bfgs"},
@@ -229,9 +255,9 @@ GRID_METHODS = [
 
 
 def count_reference_work(monkeypatch):
-    """Call counters on the eigensolvers the problem module reaches and on
-    the Krylov minimizer."""
-    counts = {"eigh": 0, "eigvalsh": 0, "minimizer": 0}
+    """Call counters on the eigensolvers the problem module reaches, on the
+    Krylov minimizer and on the exact solve."""
+    counts = {"eigh": 0, "eigvalsh": 0, "minimizer": 0, "solution": 0}
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _fn=getattr(problem.np.linalg, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -245,6 +271,13 @@ def count_reference_work(monkeypatch):
         return minimizer(self, k)
 
     monkeypatch.setattr(KrylovOracle, "minimizer", counted_minimizer)
+    solution = problem.QuadraticProblem.solution
+
+    def counted_solution(self):
+        counts["solution"] += 1
+        return solution(self)
+
+    monkeypatch.setattr(problem.QuadraticProblem, "solution", counted_solution)
     return counts
 
 
@@ -261,12 +294,14 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
     assert len(rows) == 7
     assert counts["eigh"] + counts["eigvalsh"] == 1
     assert 0 < counts["minimizer"] <= int(rows[0]["grade"]) + 1
+    assert counts["solution"] == 1
 
     traces = sorted((out / "traces").iterdir())
     for trace_path in traces:
         main(["verify", "--trace", str(trace_path),
               "--problem", str(out / "problems" / "p000.json")])
     assert counts["eigh"] + counts["eigvalsh"] == 1 + len(traces)
+    assert counts["solution"] == 1 + len(traces)
 
 
 @pytest.mark.parametrize("payload,fragment", [

@@ -15,6 +15,7 @@ from qnsubspace import (
     load_problem,
     problem_from_dict,
     problem_to_dict,
+    problem,
     save_problem,
 )
 
@@ -85,6 +86,33 @@ def test_minimizer_matches_brute_force():
         gr = krylov_grade(prob, x0b)
         ref = oracles.brute_krylov_minimizer(prob.H, prob.c, x0b, gr)
         assert norm(krylov_minimizer(prob, x0b, gr) - ref) <= 1e-8 * (1 + norm(ref))
+
+
+def reference_cases():
+    rng = np.random.default_rng(8)
+    for n, grade, cond in ((16, 6, 10.0), (64, 32, 100.0), (128, 32, 100.0),
+                           (128, 64, 100.0)):
+        prob, x0 = generate_problem(n, grade, cond=cond, seed=n + grade)
+        yield prob, x0
+        yield prob, rng.standard_normal(n)
+    # six distinct eigenvalues with multiplicities 1, 3, 2, 4, 1, 5
+    lam = np.repeat(np.geomspace(1.0, 50.0, 6), [1, 3, 2, 4, 1, 5])
+    prob, x0 = generate_problem(16, 4, eigenvalues=lam, seed=9)
+    yield prob, x0
+    yield prob, rng.standard_normal(16)
+
+
+def test_oracle_matches_the_per_eigenvalue_reference():
+    grades = []
+    for prob, x0 in reference_cases():
+        oracle = KrylovOracle(prob, x0)
+        grade, ref = oracles.krylov_reference(prob.H, prob.c, x0, problem.RANK_RTOL)
+        assert oracle.grade == grade
+        grades.append(grade)
+        assert np.array_equal(oracle.minimizers[:, 0], x0)
+        for k in range(1, grade + 1):
+            assert norm(oracle.minimizers[:, k] - ref[k]) <= 1e-12 * norm(ref[k])
+    assert grades[-2:] == [4, 6]  # clusters of repeated eigenvalues count once
 
 
 def test_minimizer_endpoints_and_bounds():

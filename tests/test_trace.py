@@ -1,11 +1,13 @@
 """On-disk layout of trace and problem files: one line of sorted-key JSON."""
 
+import base64
 import json
 
 import numpy as np
 
 from qnsubspace import (
     BREAKDOWN,
+    IterateRecord,
     IterateTrace,
     StepPolicy,
     generate_problem,
@@ -14,6 +16,9 @@ from qnsubspace import (
     subspace_qn_solve,
 )
 from qnsubspace.problem import problem_to_dict
+
+RECORD_VECTORS = {"x": "x", "g": "g", "p": "p", "h_p": "h_p", "q": "q",
+                  "pN": "newton_step", "h_q": "h_q", "h_pN": "h_newton_step"}
 
 
 def one_line(payload):
@@ -72,3 +77,72 @@ def test_problem_file_is_one_line_and_indented_files_load(tmp_path):
         assert np.array_equal(loaded.c, prob.c)
         assert np.array_equal(x0_loaded, x0)
         assert meta == {"seed": [5, 1], "spec": {"n": 6, "grade": 3}}
+
+
+def awkward_record(n):
+    """A record whose vectors hold values a decimal round trip could blur."""
+    rng = np.random.default_rng(n)
+    special = np.array([-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300,
+                        -1e-300, np.nextafter(1.0, 2.0), 1.0 / 3.0])
+    vecs = [np.resize(np.concatenate([special, rng.standard_normal(n)]), n)
+            for _ in RECORD_VECTORS]
+    x, g, p, h_p, q, pN, h_q, h_pN = vecs
+    return IterateRecord(k=0, x=x, g=g, p=p, alpha=1.0, grad_norm=1.0, h_p=h_p,
+                         q=q, newton_step=pN, h_q=h_q, h_newton_step=h_pN,
+                         sigma=1.0, collapsed=True, exhausted=False)
+
+
+def test_record_vectors_round_trip_bit_for_bit(tmp_path):
+    for n in (1, 7, 64):
+        rec = awkward_record(n)
+        trace = IterateTrace(records=[rec], final_x=rec.x, final_grad_norm=0.0)
+        path = tmp_path / f"n{n}.json"
+        trace.save(path)
+        loaded = IterateTrace.load(path).records[0]
+        for attr in RECORD_VECTORS.values():
+            want, got = getattr(rec, attr), getattr(loaded, attr)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # keeps -0.0 and subnormals
+            assert got.dtype == np.float64 and got.flags.writeable
+
+
+def test_record_vectors_are_base64_and_final_x_is_numbers(tmp_path):
+    run, _ = sample_traces()
+    path = tmp_path / "run.json"
+    run.save(path)
+    payload = json.loads(path.read_text())
+    assert payload["schema"] == "qnsubspace-trace-v2"
+    n = run.records[0].x.size
+    seen = 0
+    for rec in payload["iterations"]:
+        for key in RECORD_VECTORS:
+            if rec[key] is None:
+                continue
+            assert isinstance(rec[key], str)
+            assert len(base64.b64decode(rec[key], validate=True)) == 8 * n
+            seen += 1
+    assert seen >= 2 * len(RECORD_VECTORS)
+    final_x = payload["final"]["x"]
+    assert len(final_x) == n
+    assert all(type(v) is float for v in final_x)
+
+
+def test_v1_traces_with_number_lists_load_to_the_same_arrays(tmp_path):
+    run, _ = sample_traces()
+    payload = run.to_dict()
+    payload["schema"] = "qnsubspace-trace-v1"
+    for rec, d in zip(run.records, payload["iterations"]):
+        for key, attr in RECORD_VECTORS.items():
+            vec = getattr(rec, attr)
+            d[key] = None if vec is None else vec.tolist()
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    loaded = IterateTrace.load(path)
+    assert len(loaded.records) == len(run.records)
+    for rec, got in zip(run.records, loaded.records):
+        for attr in RECORD_VECTORS.values():
+            want = getattr(rec, attr)
+            assert (want is None) == (getattr(got, attr) is None)
+            if want is not None:
+                assert np.array_equal(getattr(got, attr), want)
+    assert np.array_equal(loaded.final_x, run.final_x)
