@@ -13,7 +13,11 @@ subspace reaches its grade r, every direction is the full Newton step, and
 taking a unit step at any iteration k >= r lands exactly on the minimizer.
 """
 
-from dataclasses import dataclass, field
+import contextlib
+import math
+import numbers
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import norm
@@ -116,8 +120,58 @@ class _SigmaContext:
         return newton_sigma(q_up, h_q_up, self.g_next)
 
 
+# A row of a policy kind table: the name of the public constructor, which holds
+# every default and check; the spec fields it needs; every spec field besides
+# the kind; the rule (policy, k, ctx, rng) -> value at iteration k; the label.
+_Kind = namedtuple("_Kind", "build required fields rule label")
+
+
+def _real(name, value):
+    """``value`` as a float; PolicyError unless it is a finite real, not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            if math.isfinite(value):
+                return float(value)
+    raise PolicyError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(name, value):
+    """``value`` as an int; PolicyError unless it is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PolicyError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+class _TablePolicy:
+    """``spec``, its inverse ``from_spec`` and ``descriptor``, read from ``_kinds``."""
+
+    @classmethod
+    def from_spec(cls, spec):
+        if not isinstance(spec, dict):
+            raise PolicyError(f"{cls._what} policy must be an object")
+        kind = spec.get("kind", cls._default_kind)
+        if not isinstance(kind, str) or kind not in cls._kinds:
+            raise PolicyError(f"unknown {cls._what} policy kind {kind!r}")
+        entry = cls._kinds[kind]
+        for name in entry.required:
+            if name not in spec:
+                raise PolicyError(f"{kind} {cls._what} needs {name!r}")
+        return getattr(cls, entry.build)(
+            **{name: spec[name] for name in entry.fields if name in spec})
+
+    def spec(self):
+        d = {"kind": self.kind}
+        for name in self._kinds[self.kind].fields:
+            value = getattr(self, name)
+            d[name] = list(value) if isinstance(value, tuple) else value
+        return d
+
+    def descriptor(self):
+        return self._kinds[self.kind].label(self)
+
+
 @dataclass(frozen=True)
-class StepPolicy:
+class StepPolicy(_TablePolicy):
     """Step length rule. Never emits zero.
 
     kinds: "unit", "constant", "uniform" (random in [lo, hi] rejecting
@@ -132,18 +186,43 @@ class StepPolicy:
     values: tuple = ()
     start: int = 0
 
+    _what = "step"
+    _default_kind = "unit"
+    _kinds = {
+        "unit": _Kind("unit", (), (), lambda pol, k, ctx, rng: 1.0,
+                      lambda pol: pol.kind),
+        "constant": _Kind("constant", ("value",), ("value",),
+                          lambda pol, k, ctx, rng: pol.value,
+                          lambda pol: f"constant[{pol.value:g}]"),
+        "uniform": _Kind("uniform", (), ("lo", "hi"),
+                         lambda pol, k, ctx, rng: pol._draw(rng),
+                         lambda pol: f"uniform[{pol.lo:g}:{pol.hi:g}]"),
+        "exact": _Kind("exact_line_search", (), (),
+                       lambda pol, k, ctx, rng: ctx.exact_step(), lambda pol: pol.kind),
+        "schedule": _Kind(
+            "schedule", ("values",), ("values",),
+            lambda pol, k, ctx, rng: pol._scheduled(k),
+            lambda pol: "schedule[" + ":".join(f"{v:g}" for v in pol.values) + "]"),
+        "unit-after": _Kind(
+            "unit_after", ("start",), ("start", "lo", "hi"),
+            lambda pol, k, ctx, rng: 1.0 if k >= pol.start else pol._draw(rng),
+            lambda pol: f"unit-after[{pol.start}]"),
+    }
+
     @classmethod
     def unit(cls):
         return cls(kind="unit")
 
     @classmethod
     def constant(cls, value):
+        value = _real("value", value)
         if value == 0.0:
             raise PolicyError("constant step must be nonzero")
-        return cls(kind="constant", value=float(value))
+        return cls(kind="constant", value=value)
 
     @classmethod
     def uniform(cls, lo=0.1, hi=2.0):
+        lo, hi = _real("lo", lo), _real("hi", hi)
         if hi <= lo:
             raise PolicyError(f"empty step range [{lo}, {hi}]")
         if max(abs(lo), abs(hi)) < MIN_RANDOM_STEP:
@@ -151,7 +230,7 @@ class StepPolicy:
                 f"range [{lo}, {hi}] lies entirely inside the rejected band "
                 f"(-{MIN_RANDOM_STEP}, {MIN_RANDOM_STEP})"
             )
-        return cls(kind="uniform", lo=float(lo), hi=float(hi))
+        return cls(kind="uniform", lo=lo, hi=hi)
 
     @classmethod
     def exact_line_search(cls):
@@ -159,7 +238,10 @@ class StepPolicy:
 
     @classmethod
     def schedule(cls, values):
-        values = tuple(float(v) for v in values)
+        try:
+            values = tuple(_real("schedule step", v) for v in values)
+        except TypeError:
+            raise PolicyError(f"schedule must be a list, got {values!r}") from None
         if not values:
             raise PolicyError("schedule must not be empty")
         if any(v == 0.0 for v in values):
@@ -168,10 +250,11 @@ class StepPolicy:
 
     @classmethod
     def unit_after(cls, start, lo=0.1, hi=2.0):
+        start = _integer("start", start)
         if start < 0:
             raise PolicyError("start iteration must be nonnegative")
         base = cls.uniform(lo, hi)  # validates the range
-        return cls(kind="unit-after", start=int(start), lo=base.lo, hi=base.hi)
+        return cls(kind="unit-after", start=start, lo=base.lo, hi=base.hi)
 
     def _draw(self, rng):
         for _ in range(1000):
@@ -180,59 +263,26 @@ class StepPolicy:
                 return a
         raise PolicyError("could not draw a step outside the rejected band")
 
+    def _scheduled(self, k):
+        if k >= len(self.values):
+            raise PolicyError(f"step schedule exhausted at iteration {k}")
+        return self.values[k]
+
     def alpha(self, k, ctx, rng):
-        if self.kind == "unit":
-            a = 1.0
-        elif self.kind == "constant":
-            a = self.value
-        elif self.kind == "uniform":
-            a = self._draw(rng)
-        elif self.kind == "exact":
-            a = ctx.exact_step()
-        elif self.kind == "schedule":
-            if k >= len(self.values):
-                raise PolicyError(f"step schedule exhausted at iteration {k}")
-            a = self.values[k]
-        elif self.kind == "unit-after":
-            a = 1.0 if k >= self.start else self._draw(rng)
-        else:
-            raise PolicyError(f"unknown step policy kind {self.kind!r}")
+        a = self._kinds[self.kind].rule(self, k, ctx, rng)
         if a == 0.0:
             raise PolicyError(f"step policy produced zero at iteration {k}")
         return a
 
-    def spec(self):
-        d = {"kind": self.kind}
-        if self.kind == "constant":
-            d["value"] = self.value
-        elif self.kind == "uniform":
-            d.update(lo=self.lo, hi=self.hi)
-        elif self.kind == "schedule":
-            d["values"] = list(self.values)
-        elif self.kind == "unit-after":
-            d.update(start=self.start, lo=self.lo, hi=self.hi)
-        return d
-
-    def descriptor(self):
-        if self.kind == "constant":
-            return f"constant[{self.value:g}]"
-        if self.kind == "uniform":
-            return f"uniform[{self.lo:g}:{self.hi:g}]"
-        if self.kind == "schedule":
-            return "schedule[" + ":".join(f"{v:g}" for v in self.values) + "]"
-        if self.kind == "unit-after":
-            return f"unit-after[{self.start}]"
-        return self.kind
-
 
 @dataclass(frozen=True)
-class SigmaPolicy:
+class SigmaPolicy(_TablePolicy):
     """Complement scaling rule. Always emits a positive value.
 
     kinds: "constant", "uniform" (random in [lo, hi], lo > 0), "newton-at"
     (the unique termination-forcing value at iteration ``at``, possibly
-    rescaled by ``scale``; ``default`` elsewhere). ``at = -1`` scales the
-    identity the run starts from.
+    rescaled by ``scale``; ``default`` elsewhere, and where that value does
+    not exist). ``at = -1`` scales the identity the run starts from.
     """
 
     kind: str
@@ -243,59 +293,50 @@ class SigmaPolicy:
     scale: float = 1.0
     default: float = 1.0
 
+    _what = "sigma"
+    _default_kind = "constant"
+    _kinds = {
+        "constant": _Kind("constant", (), ("value",),
+                          lambda pol, k, ctx, rng: pol.value,
+                          lambda pol: f"constant[{pol.value:g}]"),
+        "uniform": _Kind("uniform", (), ("lo", "hi"),
+                         lambda pol, k, ctx, rng: float(rng.uniform(pol.lo, pol.hi)),
+                         lambda pol: f"uniform[{pol.lo:g}:{pol.hi:g}]"),
+        "newton-at": _Kind(
+            "newton_at", ("at",), ("at", "scale", "default"),
+            lambda pol, k, ctx, rng: (
+                pol.scale * ctx.newton_value() if k == pol.at else pol.default),
+            lambda pol: f"newton-at[{pol.at}]"
+            + ("" if pol.scale == 1.0 else f"*{pol.scale:g}")),
+    }
+
     @classmethod
     def constant(cls, value=1.0):
+        value = _real("value", value)
         if value <= 0.0:
             raise PolicyError("sigma must be positive")
-        return cls(kind="constant", value=float(value))
+        return cls(kind="constant", value=value)
 
     @classmethod
     def uniform(cls, lo=0.5, hi=2.0):
+        lo, hi = _real("lo", lo), _real("hi", hi)
         if lo <= 0.0 or hi <= lo:
             raise PolicyError(f"invalid sigma range [{lo}, {hi}]")
-        return cls(kind="uniform", lo=float(lo), hi=float(hi))
+        return cls(kind="uniform", lo=lo, hi=hi)
 
     @classmethod
     def newton_at(cls, at, scale=1.0, default=1.0):
+        at = _integer("at", at)
+        scale, default = _real("scale", scale), _real("default", default)
         if scale <= 0.0 or default <= 0.0:
             raise PolicyError("scale and default sigma must be positive")
-        return cls(kind="newton-at", at=int(at), scale=float(scale),
-                   default=float(default))
+        return cls(kind="newton-at", at=at, scale=scale, default=default)
 
     def sigma(self, k, ctx, rng):
-        if self.kind == "constant":
-            s = self.value
-        elif self.kind == "uniform":
-            s = float(rng.uniform(self.lo, self.hi))
-        elif self.kind == "newton-at":
-            s = self.scale * ctx.newton_value() if k == self.at else self.default
-        else:
-            raise PolicyError(f"unknown sigma policy kind {self.kind!r}")
+        s = self._kinds[self.kind].rule(self, k, ctx, rng)
         if s <= 0.0:
             raise PolicyError(f"sigma policy produced {s} at iteration {k}")
         return s
-
-    def spec(self):
-        d = {"kind": self.kind}
-        if self.kind == "constant":
-            d["value"] = self.value
-        elif self.kind == "uniform":
-            d.update(lo=self.lo, hi=self.hi)
-        elif self.kind == "newton-at":
-            d.update(at=self.at, scale=self.scale, default=self.default)
-        return d
-
-    def descriptor(self):
-        if self.kind == "constant":
-            return f"constant[{self.value:g}]"
-        if self.kind == "uniform":
-            return f"uniform[{self.lo:g}:{self.hi:g}]"
-        if self.kind == "newton-at":
-            tag = f"newton-at[{self.at}]"
-            if self.scale != 1.0:
-                tag += f"*{self.scale:g}"
-            return tag
-        return self.kind
 
 
 @dataclass
@@ -414,7 +455,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     h_newton = np.zeros(n)
 
     sigma_init = 1.0 if initial_sigma is None else float(initial_sigma)
-    if sigmas.kind == "newton-at" and sigmas.at == -1 and g0_norm > 0.0:
+    if sigmas.at == -1 and g0_norm > 0.0:
         start_ctx = _SigmaContext(
             q=np.zeros(n), h_q=np.zeros(n), newton_step=newton_step,
             h_newton_step=h_newton, g_next=g, h_probe=h_probe_at(x, g),
@@ -436,21 +477,9 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     })
 
     if g0_norm <= threshold:
-        trace.status = CONVERGED
-        trace.final_x = x
-        trace.final_grad_norm = float(g0_norm)
-        return trace
+        return trace.finish(CONVERGED, x, g0_norm)
 
     B = _identity_approx(n, sigma_init)
-
-    def finish(status, x_end, g_end, reason=""):
-        trace.status = status
-        trace.iterations = len(trace.records)
-        trace.reason = reason
-        trace.final_x = x_end
-        trace.final_grad_norm = float(norm(g_end))
-        return trace
-
     span_complete = False
 
     for k in range(max_iter):
@@ -506,9 +535,9 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                 if norm(g_next) <= threshold:
                     record.q = q
                     record.h_q = h_p - h_newton
-                    return finish(CONVERGED, x_next, g_next)
-                return finish(BREAKDOWN, x_next, g_next,
-                              reason=f"{exc} with gradient above tolerance")
+                    return trace.finish(CONVERGED, x_next, norm(g_next))
+                return trace.finish(BREAKDOWN, x_next, norm(g_next),
+                                    reason=f"{exc} with gradient above tolerance")
             h_q, h_newton_next = act.h_q, act.h_newton_next
             newton_next = (1.0 - alpha) * newton_step - act.coef * q
 
@@ -518,7 +547,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         record.h_newton_step = h_newton_next
 
         if norm(g_next) <= threshold:
-            return finish(CONVERGED, x_next, g_next)
+            return trace.finish(CONVERGED, x_next, norm(g_next))
 
         sigma_ctx = _SigmaContext(
             q=q, h_q=h_q, newton_step=newton_next, h_newton_step=h_newton_next,
@@ -528,18 +557,16 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         try:
             sigma = sigmas.sigma(k, sigma_ctx, rng_sigma)
         except DegenerateBasisError as exc:
-            sigma = sigmas.default if sigmas.kind == "newton-at" else 1.0
+            sigma = sigmas.default
             trace.warnings.append(
                 f"iteration {k}: sigma policy fell back to {sigma:g} ({exc})"
             )
 
         if exhausted:
             if norm(newton_next) == 0.0:
-                return finish(
-                    BREAKDOWN, x_next, g_next,
-                    reason="no direction information left while the gradient "
-                           "is above tolerance",
-                )
+                return trace.finish(BREAKDOWN, x_next, norm(g_next),
+                                    "no direction information left while the "
+                                    "gradient is above tolerance")
             P = newton_next[:, None]
             HP = h_newton_next[:, None]
             B = SpanApprox(P, HP, sigma)
@@ -559,4 +586,4 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         x, g = x_next, g_next
         newton_step, h_newton = newton_next, h_newton_next
 
-    return finish(MAX_ITER, x, g)
+    return trace.finish(MAX_ITER, x, norm(g))

@@ -72,15 +72,6 @@ def memoryless_bfgs_update(p, h_p):
     return 0.5 * (B_next + B_next.T)
 
 
-def _finish(trace, status, x, grad_norm, reason=""):
-    trace.status = status
-    trace.iterations = len(trace.records)
-    trace.reason = reason
-    trace.final_x = x
-    trace.final_grad_norm = float(grad_norm)
-    return trace
-
-
 def cg_solve(prob, x0, tol=1e-9, max_iter=None):
     """Conjugate gradients with exact line search.
 
@@ -96,12 +87,12 @@ def cg_solve(prob, x0, tol=1e-9, max_iter=None):
     p = -g
     for k in range(cap):
         if norm(g) <= threshold:
-            return _finish(trace, CONVERGED, x, norm(g))
+            return trace.finish(CONVERGED, x, norm(g))
         h_p = prob.hessian_action(p)
         curv = float(p @ h_p)
         if curv <= 0.0:
-            return _finish(trace, BREAKDOWN, x, norm(g),
-                           reason="nonpositive curvature along search direction")
+            return trace.finish(BREAKDOWN, x, norm(g),
+                                reason="nonpositive curvature along search direction")
         alpha = -float(g @ p) / curv
         trace.records.append(IterateRecord(
             k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=float(norm(g)), h_p=h_p,
@@ -111,9 +102,9 @@ def cg_solve(prob, x0, tol=1e-9, max_iter=None):
         p = -g_next + (float(g_next @ h_p) / curv) * p
         g = g_next
     if norm(g) <= threshold:
-        return _finish(trace, CONVERGED, x, norm(g))
-    return _finish(trace, BREAKDOWN, x, norm(g),
-                   reason=f"no convergence within {cap} iterations")
+        return trace.finish(CONVERGED, x, norm(g))
+    return trace.finish(BREAKDOWN, x, norm(g),
+                        reason=f"no convergence within {cap} iterations")
 
 
 def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
@@ -137,17 +128,17 @@ def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
     B = np.eye(prob.n)
     for k in range(cap):
         if norm(g) <= threshold:
-            return _finish(trace, CONVERGED, x, norm(g))
+            return trace.finish(CONVERGED, x, norm(g))
         try:
             p = cho_solve(cho_factor(B, lower=True), -g)
         except np.linalg.LinAlgError:
-            return _finish(trace, BREAKDOWN, x, norm(g),
-                           reason="approximation lost positive definiteness")
+            return trace.finish(BREAKDOWN, x, norm(g),
+                                reason="approximation lost positive definiteness")
         h_p = prob.hessian_action(p)
         curv = float(p @ h_p)
         if curv <= 0.0:
-            return _finish(trace, BREAKDOWN, x, norm(g),
-                           reason="nonpositive curvature along search direction")
+            return trace.finish(BREAKDOWN, x, norm(g),
+                                reason="nonpositive curvature along search direction")
         alpha = -float(g @ p) / curv
         trace.records.append(IterateRecord(
             k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=float(norm(g)), h_p=h_p,
@@ -159,6 +150,6 @@ def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
         else:
             B = memoryless_bfgs_update(p, h_p)
     if norm(g) <= threshold:
-        return _finish(trace, CONVERGED, x, norm(g))
-    return _finish(trace, BREAKDOWN, x, norm(g),
-                   reason=f"no convergence within {cap} iterations")
+        return trace.finish(CONVERGED, x, norm(g))
+    return trace.finish(BREAKDOWN, x, norm(g),
+                        reason=f"no convergence within {cap} iterations")

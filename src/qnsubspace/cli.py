@@ -18,7 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 from numpy.linalg import norm
 
 from .algorithm import (
@@ -126,48 +125,6 @@ def _resolve_problem(pspec, idx, base_seed):
     return prob, x0, pid, gen_spec, seed
 
 
-def _step_policy(d, where):
-    _require(isinstance(d, dict), where, "step policy must be an object")
-    kind = d.get("kind", "unit")
-    try:
-        if kind == "unit":
-            return StepPolicy.unit()
-        if kind == "constant":
-            _require("value" in d, where, "constant step needs 'value'")
-            return StepPolicy.constant(d["value"])
-        if kind == "uniform":
-            return StepPolicy.uniform(d.get("lo", 0.1), d.get("hi", 2.0))
-        if kind == "exact":
-            return StepPolicy.exact_line_search()
-        if kind == "schedule":
-            _require("values" in d, where, "schedule needs 'values'")
-            return StepPolicy.schedule(d["values"])
-        if kind == "unit-after":
-            _require("start" in d, where, "unit-after needs 'start'")
-            return StepPolicy.unit_after(
-                d["start"], d.get("lo", 0.1), d.get("hi", 2.0))
-    except PolicyError as exc:
-        raise SpecError(f"{where}: {exc}")
-    raise SpecError(f"{where}: unknown step policy kind {kind!r}")
-
-
-def _sigma_policy(d, where):
-    _require(isinstance(d, dict), where, "sigma policy must be an object")
-    kind = d.get("kind", "constant")
-    try:
-        if kind == "constant":
-            return SigmaPolicy.constant(d.get("value", 1.0))
-        if kind == "uniform":
-            return SigmaPolicy.uniform(d.get("lo", 0.5), d.get("hi", 2.0))
-        if kind == "newton-at":
-            _require("at" in d, where, "newton-at needs 'at'")
-            return SigmaPolicy.newton_at(
-                d["at"], d.get("scale", 1.0), d.get("default", 1.0))
-    except PolicyError as exc:
-        raise SpecError(f"{where}: {exc}")
-    raise SpecError(f"{where}: unknown sigma policy kind {kind!r}")
-
-
 class _Method:
     """One resolved method column of the experiment matrix."""
 
@@ -179,9 +136,11 @@ class _Method:
         _require(self.kind in ("cg", "bfgs", "memoryless", "qn-subspace"),
                  where, f"unknown method kind {self.kind!r}")
         if self.kind == "qn-subspace":
-            self.step = _step_policy(mspec.get("step", {"kind": "unit"}), where)
-            self.sigma = _sigma_policy(
-                mspec.get("sigma", {"kind": "constant", "value": 1.0}), where)
+            try:
+                self.step = StepPolicy.from_spec(mspec.get("step", {}))
+                self.sigma = SigmaPolicy.from_spec(mspec.get("sigma", {}))
+            except PolicyError as exc:
+                raise SpecError(f"{where}: {exc}")
             self.mode = mode_override or mspec.get("mode", ORACLE)
             _require(self.mode in (ORACLE, MATRIX_FREE), where,
                      f"unknown mode {self.mode!r}")
@@ -208,14 +167,6 @@ class _Method:
             prob, x0, steps=self.step, sigmas=self.sigma, mode=self.mode,
             tol=tol, max_iter=max_iter, seed=seed,
         )
-
-
-def _breakdown_trace(prob, x0, method, reason):
-    g0 = prob.gradient(x0)
-    return IterateTrace(
-        status=BREAKDOWN, iterations=0, reason=reason, final_x=np.asarray(x0),
-        final_grad_norm=float(norm(g0)), meta={"method": method.kind},
-    )
 
 
 def _verdicts(trace, prob, x0, oracle):
@@ -287,7 +238,8 @@ def cmd_run(args):
                 trace = method.run(prob, x0, tol, max_iter, cell_seed)
             except (NotPositiveDefiniteError, DegenerateBasisError,
                     PolicyError) as exc:
-                trace = _breakdown_trace(prob, x0, method, str(exc))
+                trace = IterateTrace(meta={"method": method.kind}).finish(
+                    BREAKDOWN, x0, norm(prob.gradient(x0)), str(exc))
             trace.meta["wall_time_ms"] = (time.perf_counter() - started) * 1e3
             trace.meta["problem_id"] = pid
             trace.meta["method_label"] = method.label
@@ -359,6 +311,9 @@ def cmd_verify(args):
         trace = IterateTrace.load(args.trace)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot load trace {args.trace}: {exc}")
+    if trace.dimension() not in (None, prob.n):
+        raise SpecError(f"cannot load trace {args.trace}: vectors of length "
+                        f"{trace.dimension()}, problem dimension {prob.n}")
 
     try:
         reports = verify_trace(trace, prob, x0)

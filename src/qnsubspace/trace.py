@@ -131,6 +131,28 @@ class IterateTrace:
     def converged(self):
         return self.status == CONVERGED
 
+    def finish(self, status, x, grad_norm, reason=""):
+        """Record the terminal state after the last record; returns the trace."""
+        self.status = status
+        self.iterations = len(self.records)
+        self.reason = reason
+        self.final_x = x
+        self.final_grad_norm = float(grad_norm)
+        return self
+
+    def dimension(self):
+        """Length of every vector the trace holds; None if it holds none.
+
+        Raises ValueError unless all of them are 1-D and of one length.
+        """
+        vectors = [self.final_x]
+        for r in self.records:
+            vectors += (r.x, r.g, r.p, r.h_p, r.q, r.newton_step, r.h_q, r.h_newton_step)
+        shapes = {v.shape for v in vectors if v is not None}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError(f"vectors are not 1-D of one length: {sorted(shapes)}")
+        return shapes.pop()[0] if shapes else None
+
     def to_dict(self):
         d = self._fields()
         # one object per iteration lives under this key
@@ -160,7 +182,7 @@ class IterateTrace:
     def from_dict(cls, d):
         status = d["status"]
         final = d.get("final", {})
-        return cls(
+        trace = cls(
             records=[IterateRecord.from_dict(r) for r in d["iterations"]],
             status=status["kind"],
             iterations=int(status["iterations"]),
@@ -170,6 +192,8 @@ class IterateTrace:
             meta=d.get("meta", {}),
             warnings=list(d.get("warnings", [])),
         )
+        trace.dimension()  # rejects vectors of mixed lengths
+        return trace
 
     def save(self, path):
         """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline.

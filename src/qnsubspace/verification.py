@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import norm
 
+from .algorithm import SigmaPolicy
 from .problem import ILL_CONDITIONED, KrylovOracle
 from .trace import CONVERGED, DirectionHistory
 from .util import direction_angle
@@ -211,12 +212,8 @@ def check_unit_step_counts(trace, oracle):
         f"{trace.iterations} iterations, grade {r}",
     )
 
-    spec = trace.meta.get("sigma_policy", {})
-    newton_tuned = (
-        spec.get("kind") == "newton-at"
-        and spec.get("at") == r - 2
-        and float(spec.get("scale", 1.0)) == 1.0
-    )
+    sigmas = SigmaPolicy.from_spec(trace.meta.get("sigma_policy", {}))
+    newton_tuned = sigmas.at == r - 2 and sigmas.scale == 1.0
     expected = r if newton_tuned else r + 1
     report.add(
         "iteration count matches the scaling rule",
@@ -394,6 +391,11 @@ def traces_match(a, b, rtol=1e-6):
     return (not mismatches, mismatches)
 
 
+# The iteration-count check each step policy kind is held to.
+_COUNT_CHECKS = {"unit": check_unit_step_counts,
+                 "exact": check_exact_search_count}
+
+
 def verify_trace(trace, prob, x0, oracle=None):
     """Run every check that applies to this trace's method.
 
@@ -410,9 +412,7 @@ def verify_trace(trace, prob, x0, oracle=None):
     if method != "qn-subspace":
         return [check_conjugate_baseline(trace, oracle)]
     reports = [check_newton_onset(trace, oracle)]
-    step_kind = trace.meta.get("step_policy", {}).get("kind")
-    if step_kind == "unit":
-        reports.append(check_unit_step_counts(trace, oracle))
-    elif step_kind == "exact":
-        reports.append(check_exact_search_count(trace, oracle))
+    count_check = _COUNT_CHECKS.get(trace.meta.get("step_policy", {}).get("kind"))
+    if count_check is not None:
+        reports.append(count_check(trace, oracle))
     return reports

@@ -258,6 +258,16 @@ def test_step_policy_validation():
         StepPolicy.schedule([1.0, 0.0])
     with pytest.raises(PolicyError):
         StepPolicy.unit_after(-1)
+    # numbers must be finite reals, not bools; start must be an integer
+    for bad in (float("nan"), float("inf"), True, "2", None):
+        with pytest.raises(PolicyError, match="finite number"):
+            StepPolicy.constant(bad)
+    with pytest.raises(PolicyError, match="finite number"):
+        StepPolicy.schedule([1.0, float("nan")])
+    with pytest.raises(PolicyError, match="must be a list"):
+        StepPolicy.schedule(5)
+    with pytest.raises(PolicyError, match="integer"):
+        StepPolicy.unit_after(2.7)
 
 
 def test_random_steps_avoid_the_zero_band():
@@ -282,6 +292,12 @@ def test_sigma_policy_validation():
         SigmaPolicy.uniform(0.0, 2.0)
     with pytest.raises(PolicyError):
         SigmaPolicy.newton_at(0, scale=0.0)
+    with pytest.raises(PolicyError, match="finite number"):
+        SigmaPolicy.uniform(0.5, float("inf"))
+    with pytest.raises(PolicyError, match="integer"):
+        SigmaPolicy.newton_at(1.5)
+    with pytest.raises(PolicyError, match="unknown sigma policy kind"):
+        SigmaPolicy.from_spec({"kind": "newton"})
 
 
 def test_policy_descriptors_and_specs():
@@ -292,6 +308,38 @@ def test_policy_descriptors_and_specs():
     assert SigmaPolicy.newton_at(3, scale=1.1).descriptor() == "newton-at[3]*1.1"
     assert SigmaPolicy.uniform(0.5, 2.0).spec() == {
         "kind": "uniform", "lo": 0.5, "hi": 2.0}
+    # every kind of both classes: spec and label as written to traces and
+    # summary tables, and from_spec inverts spec
+    cases = [
+        (StepPolicy.unit(), {"kind": "unit"}, "unit"),
+        (StepPolicy.constant(0.5), {"kind": "constant", "value": 0.5},
+         "constant[0.5]"),
+        (StepPolicy.uniform(-1.0, 1.5), {"kind": "uniform", "lo": -1.0, "hi": 1.5},
+         "uniform[-1:1.5]"),
+        (StepPolicy.exact_line_search(), {"kind": "exact"}, "exact"),
+        (StepPolicy.schedule([1.0, 0.5, -2]),
+         {"kind": "schedule", "values": [1.0, 0.5, -2.0]}, "schedule[1:0.5:-2]"),
+        (StepPolicy.unit_after(4),
+         {"kind": "unit-after", "start": 4, "lo": 0.1, "hi": 2.0}, "unit-after[4]"),
+        (SigmaPolicy.constant(), {"kind": "constant", "value": 1.0}, "constant[1]"),
+        (SigmaPolicy.uniform(0.7, 1.9), {"kind": "uniform", "lo": 0.7, "hi": 1.9},
+         "uniform[0.7:1.9]"),
+        (SigmaPolicy.newton_at(2, scale=1.1),
+         {"kind": "newton-at", "at": 2, "scale": 1.1, "default": 1.0},
+         "newton-at[2]*1.1"),
+        (SigmaPolicy.newton_at(-1, default=0.8),
+         {"kind": "newton-at", "at": -1, "scale": 1.0, "default": 0.8},
+         "newton-at[-1]"),
+    ]
+    for policy, spec, label in cases:
+        assert policy.spec() == spec
+        assert policy.descriptor() == label
+        assert type(policy).from_spec(policy.spec()) == policy
+    # a spec leaves out what the constructors default
+    assert StepPolicy.from_spec({}) == StepPolicy.unit()
+    assert SigmaPolicy.from_spec({}) == SigmaPolicy.constant(1.0)
+    assert StepPolicy.from_spec({"kind": "unit-after", "start": 4}) \
+        == StepPolicy.unit_after(4)
 
 
 def test_sigma_fallback_past_exhaustion_warns():

@@ -216,28 +216,50 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "FAIL" in printed
 
 
+# Each case edits record 1 or the final state of a 6-dimensional trace.
+# 32 base64 characters are 3 whole floats, so they decode cleanly.
 @pytest.mark.parametrize("corrupt", [
-    lambda text: text[:-5],  # truncated: incorrect padding
-    lambda text: text[:-4],  # whole base64 quanta dropped: 5 bytes left over
-    lambda text: "*" + text[1:],  # outside the base64 alphabet
+    lambda rec, final: rec.update(g=rec["g"][:-5]),  # truncated: incorrect padding
+    # whole base64 quanta dropped: 5 bytes left over
+    lambda rec, final: rec.update(g=rec["g"][:-4]),
+    lambda rec, final: rec.update(g="*" + rec["g"][1:]),  # outside the alphabet
+    lambda rec, final: rec.update(h_q=rec["h_q"][:32]),
+    lambda rec, final: rec.update(h_pN=rec["h_pN"][:32]),
+    lambda rec, final: final.update(x=final["x"][:3]),
+    lambda rec, final: rec.update(x=[1.0, 2.0, 3.0]),  # a v1 number list
 ])
 def test_verify_rejects_corrupt_vector_text(tmp_path, capsys, corrupt):
     spec = write_spec(tmp_path / "spec.json", {
         "seed": 2,
         "problems": [{"n": 6, "r": 3, "cond": 10.0}],
-        "methods": [{"kind": "cg"}],
+        "methods": [{"kind": "qn-subspace"}],
     })
     out = tmp_path / "out"
     main(["run", "--spec", spec, "--out-dir", str(out)])
     capsys.readouterr()
     trace_path = next((out / "traces").glob("*.json"))
     payload = json.loads(trace_path.read_text())
-    payload["iterations"][1]["g"] = corrupt(payload["iterations"][1]["g"])
+    corrupt(payload["iterations"][1], payload["final"])
     doctored = tmp_path / "doctored.json"
     doctored.write_text(json.dumps(payload))
 
     code = main(["verify", "--trace", str(doctored),
                  "--problem", str(out / "problems" / "p000.json")])
+    assert code == EXIT_USAGE
+    assert "cannot load trace" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_trace_of_another_dimension(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2,
+        "problems": [{"n": 6, "r": 3, "cond": 10.0}, {"n": 5, "r": 2, "cond": 4.0}],
+        "methods": [{"kind": "cg"}],
+    })
+    out = tmp_path / "out"
+    main(["run", "--spec", spec, "--out-dir", str(out)])
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(out / "traces" / "p000__m00_cg.json"),
+                 "--problem", str(out / "problems" / "p001.json")])
     assert code == EXIT_USAGE
     assert "cannot load trace" in capsys.readouterr().err
 
@@ -312,6 +334,22 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
     ({"problems": [{"n": 5, "r": 2, "cond": 4.0}],
       "methods": [{"kind": "qn-subspace", "step": {"kind": "constant"}}]},
      "needs 'value'"),
+    *[({"problems": [{"n": 5, "r": 2, "cond": 4.0}],
+        "methods": [{"kind": "qn-subspace", **policy}]}, fragment)
+      for policy, fragment in [
+          ({"step": {"kind": "constant", "value": "abc"}}, "finite number"),
+          ({"step": {"kind": "uniform", "lo": "x"}}, "finite number"),
+          ({"step": {"kind": "unit-after", "start": "3"}}, "integer"),
+          ({"step": {"kind": "schedule", "values": 5}}, "must be a list"),
+          ({"sigma": {"kind": "constant", "value": None}}, "finite number"),
+          ({"sigma": {"kind": "newton-at", "at": "x"}}, "integer"),
+          ({"sigma": {"kind": "uniform", "hi": "2"}}, "finite number"),
+          ({"step": {"kind": "constant", "value": float("nan")}}, "finite number"),
+          ({"step": {"kind": "unit-after", "start": 2.7}}, "integer"),
+          ({"sigma": {"kind": "newton-at", "at": 1.5}}, "integer"),
+          ({"step": {"kind": "bogus"}}, "unknown step policy kind"),
+          ({"sigma": "constant"}, "sigma policy must be an object"),
+      ]],
 ])
 def test_bad_specs_exit_with_usage_code(tmp_path, capsys, payload, fragment):
     spec = write_spec(tmp_path / "spec.json", payload)
