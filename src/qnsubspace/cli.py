@@ -25,6 +25,8 @@ from .algorithm import (
     ORACLE,
     SigmaPolicy,
     StepPolicy,
+    _integer,
+    _real,
     subspace_qn_solve,
 )
 from .baselines import cg_solve, qn_exact_ls_solve
@@ -45,6 +47,9 @@ EXIT_USAGE = 2
 EXIT_BREAKDOWN = 3
 
 DEFAULT_TOL = 1e-9
+
+# Problem files store their seed, and their codec holds integers in [0, 2**64).
+SEED_LIMIT = 2**64
 
 SUMMARY_COLUMNS = (
     "problem_id", "n", "grade", "method", "status", "iterations",
@@ -94,6 +99,15 @@ def _require(cond, where, msg):
         raise SpecError(f"{where}: {msg}")
 
 
+def _require_seed(seed, where):
+    """SpecError unless ``seed`` is an integer in [0, SEED_LIMIT) or a list of them."""
+    items = seed if isinstance(seed, list) else [seed]
+    valid = all(isinstance(s, int) and not isinstance(s, bool) and 0 <= s < SEED_LIMIT
+                for s in items)
+    _require(valid, where,
+             f"must be an integer in [0, 2**64) or a list of them, got {seed!r}")
+
+
 def _resolve_problem(pspec, idx, base_seed):
     """Return (problem, x0, pid, gen_spec, seed_used)."""
     where = f"problems[{idx}]"
@@ -111,7 +125,10 @@ def _resolve_problem(pspec, idx, base_seed):
     grade = pspec.get("r", pspec.get("grade"))
     seed = pspec.get("seed")
     if seed is None:
+        _require_seed(base_seed, "seed")
         seed = [base_seed, idx]
+    else:
+        _require_seed(seed, f"{where}.seed")
     gen_spec = {k: pspec[k] for k in ("n", "r", "grade", "eigenvalues", "cond")
                 if k in pspec}
     try:
@@ -213,6 +230,12 @@ def cmd_run(args):
     base_seed = args.seed if args.seed is not None else spec.get("seed", 0)
     tol = args.tol if args.tol is not None else spec.get("tol", DEFAULT_TOL)
     max_iter = args.max_iter if args.max_iter is not None else spec.get("max_iter")
+    try:
+        _require(_real("tol", tol) > 0, "tol", f"must be positive, got {tol!r}")
+        _require(max_iter is None or _integer("max_iter", max_iter) >= 0,
+                 "max_iter", f"must be non-negative, got {max_iter!r}")
+    except PolicyError as exc:
+        raise SpecError(str(exc))
     methods = [_Method(m, i, mode_override=args.mode)
                for i, m in enumerate(methods_spec)]
 

@@ -7,11 +7,11 @@ is exercised against instances built here, whose Krylov grade is known by
 construction.
 """
 
-import json
 import warnings
 from functools import cached_property
 
 import numpy as np
+import orjson
 from numpy.linalg import norm
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
@@ -32,10 +32,10 @@ ILL_CONDITIONED = 1e8
 class QuadraticProblem:
     """Immutable instance of min x'Hx/2 + c'x with H symmetric positive definite.
 
-    H and c are copied and frozen at construction. Symmetry is enforced by
-    averaging with the transpose after a tolerance check, and positive
-    definiteness is verified with a Cholesky factorization whose factor is
-    cached for :meth:`solution`.
+    H and c are copied, checked finite and frozen at construction. Symmetry
+    is enforced by averaging with the transpose after a tolerance check, and
+    positive definiteness is verified with a Cholesky factorization whose
+    factor is cached for :meth:`solution`.
     """
 
     def __init__(self, H, c):
@@ -50,6 +50,9 @@ class QuadraticProblem:
             )
         if n > MAX_DIMENSION:
             raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIMENSION}")
+        for name, a in (("H", H), ("c", c)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
         scale = max(1.0, float(np.abs(H).max()))
         asym = float(np.abs(H - H.T).max())
         if asym > 1e-12 * scale:
@@ -329,11 +332,20 @@ def generate_problem(n, grade=None, *, eigenvalues=None, cond=None, seed=0):
     return QuadraticProblem(H, c), np.zeros(n)
 
 
+def _start_point(prob, x0):
+    """``x0`` as a finite vector of the problem's dimension; ValueError otherwise.
+
+    Kept out of ``_check_vector``, which the solvers call on every gradient.
+    """
+    x0 = prob._check_vector(x0, name="x0")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
+    return x0
+
+
 def problem_to_dict(prob, x0=None, seed=None, spec=None):
     """JSON-ready form: H flattened row-major, vectors as float lists."""
-    if x0 is None:
-        x0 = np.zeros(prob.n)
-    x0 = prob._check_vector(x0, name="x0")
+    x0 = _start_point(prob, np.zeros(prob.n) if x0 is None else x0)
     return {
         "n": prob.n,
         "H": prob.H.ravel(order="C").tolist(),
@@ -351,20 +363,28 @@ def problem_from_dict(d):
     if H.shape != (n * n,):
         raise ValueError(f"H must hold {n * n} row-major entries, got {H.shape[0]}")
     prob = QuadraticProblem(H.reshape(n, n), np.asarray(d["c"], dtype=float))
-    x0 = np.asarray(d.get("x0") if d.get("x0") is not None else np.zeros(n), dtype=float)
+    x0 = d.get("x0")
+    x0 = _start_point(prob, np.zeros(n) if x0 is None else x0)
     meta = {"seed": d.get("seed"), "spec": d.get("spec")}
     return prob, x0, meta
 
 
 def save_problem(path, prob, x0=None, seed=None, spec=None):
-    """Write the :func:`problem_to_dict` form as one line of sorted-key JSON."""
-    # json.dumps without an indent runs the C encoder; json.dump never does
-    text = json.dumps(problem_to_dict(prob, x0, seed=seed, spec=spec), sort_keys=True)
-    with open(path, "w") as fh:
+    """Write the :func:`problem_to_dict` form as one line of sorted-key JSON.
+
+    The text is orjson's: compact separators, and each float in its shortest
+    form that reads back bit for bit (``1e-05`` is spelled ``0.00001``).
+    orjson would write a non-finite number as ``null``, so H, c and x0 are
+    checked finite before this; an integer seed must fit in 64 bits unsigned.
+    """
+    # orjson encodes the n^2 floats of H about ten times faster than json.dumps
+    text = orjson.dumps(problem_to_dict(prob, x0, seed=seed, spec=spec),
+                        option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    with open(path, "wb") as fh:
         fh.write(text)
-        fh.write("\n")
 
 
 def load_problem(path):
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+    """Read a file written by :func:`save_problem`, or any JSON of that form."""
+    with open(path, "rb") as fh:
+        return problem_from_dict(orjson.loads(fh.read()))

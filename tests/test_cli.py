@@ -350,12 +350,80 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
           ({"step": {"kind": "bogus"}}, "unknown step policy kind"),
           ({"sigma": "constant"}, "sigma policy must be an object"),
       ]],
+    # problem files store the seed, and their codec holds no integer past 64 bits
+    ({"problems": [{"n": 5, "r": 2, "cond": 4.0, "seed": 2**70}],
+      "methods": [{"kind": "cg"}]}, "problems[0].seed: must be an integer"),
+    ({"problems": [{"n": 5, "r": 2, "cond": 4.0, "seed": [3, 2**64]}],
+      "methods": [{"kind": "cg"}]}, "problems[0].seed: must be an integer"),
+    ({"seed": 2**70, "problems": [{"n": 5, "r": 2, "cond": 4.0}],
+      "methods": [{"kind": "cg"}]}, "error: seed: must be an integer"),
+    *[({"problems": [{"n": 5, "r": 2, "cond": 4.0}], "methods": [{"kind": "cg"}],
+        **limits}, fragment)
+      for limits, fragment in [
+          ({"tol": "x"}, "tol must be a finite number"),
+          ({"max_iter": "5"}, "max_iter must be an integer"),
+          ({"max_iter": 2.5}, "max_iter must be an integer"),
+          ({"tol": float("nan")}, "tol must be a finite number"),
+      ]],
 ])
 def test_bad_specs_exit_with_usage_code(tmp_path, capsys, payload, fragment):
     spec = write_spec(tmp_path / "spec.json", payload)
     out = tmp_path / "out"
     assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_USAGE
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_seed_option_past_64_bits_exits_with_usage_code(tmp_path, capsys, command):
+    spec = write_spec(tmp_path / "spec.json", {
+        "problems": [{"n": 5, "r": 2, "cond": 4.0}], "methods": [{"kind": "cg"}]})
+    code = main([command, "--spec", spec, "--out-dir", str(tmp_path / "out"),
+                 "--seed", str(2**70)])
+    assert code == EXIT_USAGE
+    assert "seed: must be an integer" in capsys.readouterr().err
+
+
+def run_one_cg(tmp_path):
+    """Run cg on one problem; return the trace and problem file paths."""
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "cg"}]})
+    out = tmp_path / "out"
+    assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_PASS
+    return out / "traces" / "p000__m00_cg.json", out / "problems" / "p000.json"
+
+
+def test_verify_rejects_a_truncated_problem_file(tmp_path, capsys):
+    trace_path, problem_path = run_one_cg(tmp_path)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_bytes(problem_path.read_bytes()[:-40])
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace_path), "--problem", str(truncated)])
+    assert code == EXIT_USAGE
+    assert "cannot load problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,text", [
+    ("c", "null"),  # what orjson writes for a non-finite number
+    ("x0", "null"),
+    ("x0", "Infinity"),  # what json.dumps writes
+])
+def test_non_finite_problem_files_exit_with_usage_code(tmp_path, capsys, field, text):
+    trace_path, problem_path = run_one_cg(tmp_path)
+    payload = json.loads(problem_path.read_text())
+    payload[field][0] = "@"
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(payload).replace('"@"', text))
+    capsys.readouterr()
+
+    code = main(["verify", "--trace", str(trace_path), "--problem", str(doctored)])
+    assert code == EXIT_USAGE
+    assert "cannot load problem" in capsys.readouterr().err
+    spec = write_spec(tmp_path / "from_file.json", {
+        "problems": [{"path": str(doctored)}], "methods": [{"kind": "cg"}]})
+    code = main(["run", "--spec", spec, "--out-dir", str(tmp_path / "again")])
+    assert code == EXIT_USAGE
+    assert "cannot load" in capsys.readouterr().err
 
 
 def test_missing_spec_file_exits_with_usage_code(tmp_path, capsys):

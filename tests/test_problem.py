@@ -199,3 +199,31 @@ def test_problem_round_trip(tmp_path):
     assert np.array_equal(again.H, prob.H) and np.array_equal(x0c, x0)
     payload = json.loads(path.read_text())
     assert payload["n"] == 5 and len(payload["H"]) == 25  # row-major flat
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_rejected(tmp_path, bad):
+    with pytest.raises(ValueError, match="c must be finite"):
+        QuadraticProblem(np.eye(3), [bad, 1.0, 2.0])
+    with pytest.raises(ValueError, match="H must be finite"):
+        QuadraticProblem(np.diag([1.0, bad, 2.0]), np.ones(3))
+
+    # the problem file would hold null for it, which reads back as NaN
+    prob = small_problem()
+    x0 = np.array([0.0, bad, 0.0])
+    path = tmp_path / "p.json"
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        save_problem(path, prob, x0)
+    assert not path.exists()
+    d = problem_to_dict(prob)
+    d["x0"] = x0.tolist()
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        problem_from_dict(d)
+
+
+@pytest.mark.parametrize("field", ["H", "c", "x0"])
+def test_null_entries_in_a_problem_file_are_rejected(field):
+    d = problem_to_dict(small_problem())
+    d[field][1] = None
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        problem_from_dict(d)

@@ -4,11 +4,13 @@ import base64
 import json
 
 import numpy as np
+import orjson
 
 from qnsubspace import (
     BREAKDOWN,
     IterateRecord,
     IterateTrace,
+    QuadraticProblem,
     StepPolicy,
     generate_problem,
     load_problem,
@@ -65,7 +67,10 @@ def test_problem_file_is_one_line_and_indented_files_load(tmp_path):
     path = tmp_path / "p.json"
     save_problem(path, prob, x0, seed=[5, 1], spec={"n": 6, "grade": 3})
     payload = problem_to_dict(prob, x0, seed=[5, 1], spec={"n": 6, "grade": 3})
-    assert path.read_text() == one_line(payload)
+    text = path.read_bytes()
+    assert text == orjson.dumps(payload,
+                                option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    assert text.count(b"\n") == 1
 
     indented = tmp_path / "indented.json"
     with open(indented, "w") as fh:
@@ -77,6 +82,60 @@ def test_problem_file_is_one_line_and_indented_files_load(tmp_path):
         assert np.array_equal(loaded.c, prob.c)
         assert np.array_equal(x0_loaded, x0)
         assert meta == {"seed": [5, 1], "spec": {"n": 6, "grade": 3}}
+
+
+# Values a decimal round trip could blur: signed zero, the smallest subnormal,
+# a subnormal off the decimal grid, a huge magnitude and a repeating binary.
+AWKWARD = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, -2.2250738585072014e-308 / 3])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def awkward_problem():
+    """A problem whose c and x0 hold the awkward values."""
+    prob, _ = generate_problem(5, 3, cond=10.0, seed=8)
+    return QuadraticProblem(prob.H, AWKWARD), AWKWARD[::-1].copy()
+
+
+def assert_loads_bit_for_bit(path, prob, x0):
+    loaded, x0_loaded, meta = load_problem(path)
+    assert same_bits(loaded.H, prob.H)
+    assert same_bits(loaded.c, prob.c)
+    assert same_bits(x0_loaded, x0)
+    assert meta == {"seed": [8, 0], "spec": {"n": 5}}
+
+
+def test_problem_files_round_trip_bit_for_bit(tmp_path):
+    prob, x0 = awkward_problem()
+    path = tmp_path / "p.json"
+    save_problem(path, prob, x0, seed=[8, 0], spec={"n": 5})
+    assert_loads_bit_for_bit(path, prob, x0)
+
+
+def test_problem_files_of_the_stdlib_encoder_load_bit_for_bit(tmp_path):
+    prob, x0 = awkward_problem()
+    payload = problem_to_dict(prob, x0, seed=[8, 0], spec={"n": 5})
+    one = tmp_path / "one_line.json"
+    one.write_text(one_line(payload))
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    for path in (one, indented):
+        assert_loads_bit_for_bit(path, prob, x0)
+
+
+def test_stdlib_json_reads_saved_problem_files(tmp_path):
+    prob, x0 = awkward_problem()
+    path = tmp_path / "p.json"
+    save_problem(path, prob, x0, seed=[8, 0], spec={"n": 5})
+    with open(path) as fh:
+        data = json.load(fh)
+    assert same_bits(data["H"], prob.H.ravel())
+    assert same_bits(data["c"], prob.c)
+    assert same_bits(data["x0"], x0)
+    assert data["n"] == 5 and data["seed"] == [8, 0] and data["spec"] == {"n": 5}
 
 
 def awkward_record(n):
