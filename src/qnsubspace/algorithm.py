@@ -455,7 +455,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     h_newton = np.zeros(n)
 
     sigma_init = 1.0 if initial_sigma is None else float(initial_sigma)
-    if sigmas.at == -1 and g0_norm > 0.0:
+    if sigmas.at == -1 and 0.0 < g0_norm < math.inf:
         start_ctx = _SigmaContext(
             q=np.zeros(n), h_q=np.zeros(n), newton_step=newton_step,
             h_newton_step=h_newton, g_next=g, h_probe=h_probe_at(x, g),
@@ -476,19 +476,22 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         "initial_sigma": sigma_init,
     })
 
+    if not math.isfinite(g0_norm):
+        return trace.finish(BREAKDOWN, x, g0_norm,
+                            "gradient is not finite at iterate 0")
     if g0_norm <= threshold:
         return trace.finish(CONVERGED, x, g0_norm)
 
+    # None once the span is exhausted
     B = _identity_approx(n, sigma_init)
-    span_complete = False
 
     for k in range(max_iter):
-        if span_complete:
-            # With the span complete the solve returns the stored correction
-            # identically, but evaluating it through the operator would push
-            # the correction's tiny directional error through the off-span
-            # part of B, scaling it by the top curvature over sigma at every
-            # pass. Use the stored value: its error only contracts from here.
+        if B is None:
+            # With the span complete every direction is the stored restricted
+            # Newton step, so no operator is kept. Solving through one would
+            # also push the step's tiny directional error through its
+            # off-span part, scaled by the top curvature over sigma at every
+            # pass; the stored value's error only contracts from here.
             p = newton_step.copy()
         else:
             p = solve_direction(B, g)
@@ -496,6 +499,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         alpha = steps.alpha(k, ctx, rng_step)
         x_next = x + alpha * p
         g_next = prob.gradient(x_next)
+        g_next_norm = norm(g_next)
 
         q_raw = p - newton_step
         trajectory_scale = 1.0 + norm(x) + norm(p) + norm(newton_step)
@@ -515,6 +519,9 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             h_p=h_p, exhausted=exhausted,
         )
         trace.records.append(record)
+        if not math.isfinite(g_next_norm):
+            return trace.finish(BREAKDOWN, x_next, g_next_norm,
+                                f"gradient is not finite at iterate {k + 1}")
 
         if exhausted:
             # the solve reproduced the restricted Newton step: the subspace
@@ -522,7 +529,6 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             # the move actually taken (rather than scaling the stored value
             # by 1 - alpha, identical in exact arithmetic) keeps the solve's
             # one-time rounding out of the stored correction.
-            span_complete = True
             q = np.zeros(n)
             h_q = np.zeros(n)
             newton_next = newton_step - alpha * p
@@ -532,11 +538,11 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             try:
                 act = _conjugate_images(h_p, h_newton, q, g, alpha)
             except NotPositiveDefiniteError as exc:
-                if norm(g_next) <= threshold:
+                if g_next_norm <= threshold:
                     record.q = q
                     record.h_q = h_p - h_newton
-                    return trace.finish(CONVERGED, x_next, norm(g_next))
-                return trace.finish(BREAKDOWN, x_next, norm(g_next),
+                    return trace.finish(CONVERGED, x_next, g_next_norm)
+                return trace.finish(BREAKDOWN, x_next, g_next_norm,
                                     reason=f"{exc} with gradient above tolerance")
             h_q, h_newton_next = act.h_q, act.h_newton_next
             newton_next = (1.0 - alpha) * newton_step - act.coef * q
@@ -546,8 +552,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         record.newton_step = newton_next
         record.h_newton_step = h_newton_next
 
-        if norm(g_next) <= threshold:
-            return trace.finish(CONVERGED, x_next, norm(g_next))
+        if g_next_norm <= threshold:
+            return trace.finish(CONVERGED, x_next, g_next_norm)
 
         sigma_ctx = _SigmaContext(
             q=q, h_q=h_q, newton_step=newton_next, h_newton_step=h_newton_next,
@@ -564,13 +570,10 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
 
         if exhausted:
             if norm(newton_next) == 0.0:
-                return trace.finish(BREAKDOWN, x_next, norm(g_next),
+                return trace.finish(BREAKDOWN, x_next, g_next_norm,
                                     "no direction information left while the "
                                     "gradient is above tolerance")
-            P = newton_next[:, None]
-            HP = h_newton_next[:, None]
-            B = SpanApprox(P, HP, sigma)
-            record.collapsed = True
+            B = None
         else:
             align_gap = 1.0 - cosine_alignment(newton_next, q)
             if COLLAPSE_WARN_BAND[0] <= align_gap <= COLLAPSE_WARN_BAND[1]:
@@ -580,7 +583,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                 )
             B = build_two_vector(newton_next, h_newton_next, q, h_q, sigma,
                                  align_gap=align_gap)
-            record.collapsed = bool(B.rank == 1)
+        record.collapsed = B is None or bool(B.rank == 1)
         record.sigma = sigma
 
         x, g = x_next, g_next

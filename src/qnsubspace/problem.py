@@ -358,13 +358,16 @@ def problem_to_dict(prob, x0=None, seed=None, spec=None):
 
 def problem_from_dict(d):
     """Inverse of :func:`problem_to_dict`. Returns (problem, x0, meta)."""
-    n = int(d["n"])
-    H = np.asarray(d["H"], dtype=float)
-    if H.shape != (n * n,):
-        raise ValueError(f"H must hold {n * n} row-major entries, got {H.shape[0]}")
-    prob = QuadraticProblem(H.reshape(n, n), np.asarray(d["c"], dtype=float))
-    x0 = d.get("x0")
-    x0 = _start_point(prob, np.zeros(n) if x0 is None else x0)
+    try:
+        n = int(d["n"])
+        H = np.asarray(d["H"], dtype=float)
+        if H.shape != (n * n,):
+            raise ValueError(f"H must hold {n * n} row-major entries, got {H.size}")
+        prob = QuadraticProblem(H.reshape(n, n), np.asarray(d["c"], dtype=float))
+        x0 = d.get("x0")
+        x0 = _start_point(prob, np.zeros(n) if x0 is None else x0)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed problem: {exc}") from None
     meta = {"seed": d.get("seed"), "spec": d.get("spec")}
     return prob, x0, meta
 

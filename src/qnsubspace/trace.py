@@ -16,6 +16,7 @@ same way.
 import base64
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,16 +49,23 @@ def _vec_list(x):
     return None if x is None else np.asarray(x, dtype=float).ravel().tolist()
 
 
+# The file key of each vector attribute of IterateRecord.
+_RECORD_VECTORS = {"x": "x", "g": "g", "p": "p", "h_p": "h_p", "q": "q",
+                   "newton_step": "pN", "h_q": "h_q", "h_newton_step": "h_pN"}
+_record_vectors = attrgetter(*_RECORD_VECTORS)
+
+
 @dataclass
 class IterateRecord:
     """State recorded at one iteration, taken at the start of the step.
 
     ``x``, ``g`` and ``p`` describe the step from iterate k; ``q``,
     ``newton_step`` and their Hessian images describe the direction split
-    computed after the step was taken. ``collapsed`` marks iterations whose
-    rebuilt approximation used a single spanning column, ``exhausted`` marks
+    computed after the step was taken. ``collapsed`` marks iterations after
+    which the memory holds at most one direction. ``exhausted`` marks
     iterations where the new conjugate direction vanished because the
-    generated subspace was already complete.
+    generated subspace was already complete; they build no approximation, as
+    every later direction is the stored restricted Newton step.
     """
 
     k: int
@@ -76,42 +84,36 @@ class IterateRecord:
     exhausted: bool | None = None
 
     def to_dict(self):
-        return {
+        d = {
             "k": self.k,
-            "x": _vec_b64(self.x),
-            "g": _vec_b64(self.g),
-            "p": _vec_b64(self.p),
             "alpha": float(self.alpha),
             "grad_norm": float(self.grad_norm),
-            "h_p": _vec_b64(self.h_p),
-            "q": _vec_b64(self.q),
-            "pN": _vec_b64(self.newton_step),
-            "h_q": _vec_b64(self.h_q),
-            "h_pN": _vec_b64(self.h_newton_step),
             "sigma": None if self.sigma is None else float(self.sigma),
             # plain bool: numpy's bool type is not JSON serializable
             "collapsed": None if self.collapsed is None else bool(self.collapsed),
             "exhausted": None if self.exhausted is None else bool(self.exhausted),
         }
+        d.update(zip(_RECORD_VECTORS.values(), map(_vec_b64, _record_vectors(self))))
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            k=int(d["k"]),
-            x=_vec(d["x"]),
-            g=_vec(d["g"]),
-            p=_vec(d["p"]),
-            alpha=float(d["alpha"]),
-            grad_norm=float(d["grad_norm"]),
-            h_p=_vec(d.get("h_p")),
-            q=_vec(d.get("q")),
-            newton_step=_vec(d.get("pN")),
-            h_q=_vec(d.get("h_q")),
-            h_newton_step=_vec(d.get("h_pN")),
-            sigma=d.get("sigma"),
-            collapsed=d.get("collapsed"),
-            exhausted=d.get("exhausted"),
-        )
+        """Inverse of :meth:`to_dict`; ValueError if ``d`` is not of its form."""
+        try:
+            rec = cls(
+                k=int(d["k"]),
+                alpha=float(d["alpha"]),
+                grad_norm=float(d["grad_norm"]),
+                sigma=d.get("sigma"),
+                collapsed=d.get("collapsed"),
+                exhausted=d.get("exhausted"),
+                **{attr: _vec(d.get(key)) for attr, key in _RECORD_VECTORS.items()},
+            )
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed iteration record: {exc}") from None
+        if rec.x is None or rec.g is None or rec.p is None:
+            raise ValueError(f"record {rec.k} lacks x, g or p")
+        return rec
 
 
 @dataclass
@@ -147,7 +149,7 @@ class IterateTrace:
         """
         vectors = [self.final_x]
         for r in self.records:
-            vectors += (r.x, r.g, r.p, r.h_p, r.q, r.newton_step, r.h_q, r.h_newton_step)
+            vectors += _record_vectors(r)
         shapes = {v.shape for v in vectors if v is not None}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise ValueError(f"vectors are not 1-D of one length: {sorted(shapes)}")
@@ -180,18 +182,22 @@ class IterateTrace:
 
     @classmethod
     def from_dict(cls, d):
-        status = d["status"]
-        final = d.get("final", {})
-        trace = cls(
-            records=[IterateRecord.from_dict(r) for r in d["iterations"]],
-            status=status["kind"],
-            iterations=int(status["iterations"]),
-            reason=status.get("reason") or "",
-            final_x=_vec(final.get("x")),
-            final_grad_norm=final.get("grad_norm"),
-            meta=d.get("meta", {}),
-            warnings=list(d.get("warnings", [])),
-        )
+        """Inverse of :meth:`to_dict`; ValueError if ``d`` is not of its form."""
+        try:
+            status = d["status"]
+            final = d.get("final", {})
+            trace = cls(
+                records=[IterateRecord.from_dict(r) for r in d["iterations"]],
+                status=status["kind"],
+                iterations=int(status["iterations"]),
+                reason=status.get("reason") or "",
+                final_x=_vec(final.get("x")),
+                final_grad_norm=final.get("grad_norm"),
+                meta={**d.get("meta", {})},  # TypeError unless an object
+                warnings=list(d.get("warnings", [])),
+            )
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed trace: {exc}") from None
         trace.dimension()  # rejects vectors of mixed lengths
         return trace
 

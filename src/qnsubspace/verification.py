@@ -7,14 +7,14 @@ The checks take those references from one :class:`KrylovOracle` of the
 problem and start point, which every trace of that problem can share.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.linalg import norm
 
 from .algorithm import SigmaPolicy
 from .problem import ILL_CONDITIONED, KrylovOracle
-from .trace import CONVERGED, DirectionHistory
+from .trace import CONVERGED, DirectionHistory, IterateRecord
 from .util import direction_angle
 
 # |alpha - 1| below this counts as a deliberate unit step.
@@ -327,67 +327,48 @@ def check_conjugate_baseline(trace, oracle):
     return report
 
 
-_VECTOR_FIELDS = ("x", "g", "p", "h_p", "q", "newton_step", "h_q",
-                  "h_newton_step")
-_SCALAR_FIELDS = ("alpha", "grad_norm", "sigma")
-_FLAG_FIELDS = ("collapsed", "exhausted")
+def _field_mismatch(name, a, b, rtol):
+    """How one field differs between two traces, or None when it matches.
+
+    Integers and flags (unset reads as False) must be equal; numbers and
+    vectors must agree to ``rtol`` relative to the larger magnitude.
+    """
+    flag = isinstance(a, (bool, np.bool_)) or isinstance(b, (bool, np.bool_))
+    if flag or isinstance(a, int):
+        same = bool(a) == bool(b) if flag else a == b
+        return None if same else f"{name} {a} vs {b}"
+    if a is None or b is None:
+        return None if a is b else f"{name} present in only one trace"
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    size = abs if a.ndim == 0 else norm
+    d = float(size(a - b) / (1.0 + max(size(a), size(b))))
+    return None if d <= rtol else f"{name} differs by {d:.3e}"
 
 
 def traces_match(a, b, rtol=1e-6):
     """Field-by-field comparison of two traces of the same run.
 
     Returns (matched, mismatches) where mismatches is a list of strings
-    locating every field that differs by more than rtol relative to the
-    larger magnitude.
+    locating every field of every record, and of the terminal state, that
+    differs by more than rtol relative to the larger magnitude.
     """
     mismatches = []
     if a.status != b.status:
         mismatches.append(f"status: {a.status} vs {b.status}")
     if a.iterations != b.iterations:
         mismatches.append(f"iterations: {a.iterations} vs {b.iterations}")
+    if a.reason != b.reason:
+        mismatches.append(f"reason: {a.reason!r} vs {b.reason!r}")
     if len(a.records) != len(b.records):
         mismatches.append(
             f"record count: {len(a.records)} vs {len(b.records)}"
         )
 
-    def vec_diff(u, v):
-        return norm(u - v) / (1.0 + max(norm(u), norm(v)))
-
-    for ra, rb in zip(a.records, b.records):
-        where = f"record {ra.k}"
-        if ra.k != rb.k:
-            mismatches.append(f"{where}: k {ra.k} vs {rb.k}")
-        for name in _VECTOR_FIELDS:
-            va, vb = getattr(ra, name), getattr(rb, name)
-            if va is None and vb is None:
-                continue
-            if (va is None) != (vb is None):
-                mismatches.append(f"{where}: {name} present in only one trace")
-                continue
-            d = vec_diff(np.asarray(va), np.asarray(vb))
-            if d > rtol:
-                mismatches.append(f"{where}: {name} differs by {d:.3e}")
-        for name in _SCALAR_FIELDS:
-            va, vb = getattr(ra, name), getattr(rb, name)
-            if va is None and vb is None:
-                continue
-            if (va is None) != (vb is None):
-                mismatches.append(f"{where}: {name} present in only one trace")
-                continue
-            d = abs(va - vb) / (1.0 + max(abs(va), abs(vb)))
-            if d > rtol:
-                mismatches.append(f"{where}: {name} differs by {d:.3e}")
-        for name in _FLAG_FIELDS:
-            va, vb = getattr(ra, name), getattr(rb, name)
-            if bool(va) != bool(vb):
-                mismatches.append(f"{where}: {name} {va} vs {vb}")
-
-    if a.final_x is not None and b.final_x is not None:
-        d = vec_diff(a.final_x, b.final_x)
-        if d > rtol:
-            mismatches.append(f"final x differs by {d:.3e}")
-    elif (a.final_x is None) != (b.final_x is None):
-        mismatches.append("final x present in only one trace")
+    pairs = [(f"record {ra.k}: {f.name}", getattr(ra, f.name), getattr(rb, f.name))
+             for ra, rb in zip(a.records, b.records) for f in fields(IterateRecord)]
+    pairs += [("final x", a.final_x, b.final_x),
+              ("final grad_norm", a.final_grad_norm, b.final_grad_norm)]
+    mismatches += filter(None, (_field_mismatch(*pair, rtol) for pair in pairs))
     return (not mismatches, mismatches)
 
 

@@ -7,6 +7,7 @@ import pytest
 from numpy.linalg import norm
 
 from qnsubspace import (
+    BREAKDOWN,
     CONVERGED,
     MATRIX_FREE,
     MAX_ITER,
@@ -215,6 +216,65 @@ def test_one_alignment_per_two_vector_build(monkeypatch):
     built = [rec for rec in trace.records if rec.sigma is not None and not rec.exhausted]
     assert any(rec.exhausted for rec in trace.records)
     assert len(calls) == len(built) > 0
+
+
+def test_no_operator_is_built_or_solved_once_the_span_is_exhausted(monkeypatch):
+    calls = {"SpanApprox": 0, "build_two_vector": 0, "solve_direction": 0}
+    for name in calls:
+        original = getattr(algorithm, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithm, name, counted)
+    prob, x0 = generate_problem(12, 6, cond=20.0, seed=97)
+    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.uniform(), tol=1e-9,
+                              max_iter=10, seed=3)
+    exhausted = [rec.k for rec in trace.records if rec.exhausted]
+    assert exhausted and exhausted == list(range(exhausted[0], trace.iterations))
+    assert trace.records[-2].exhausted and trace.records[-2].sigma is not None
+    built = [rec for rec in trace.records if rec.sigma is not None and not rec.exhausted]
+    # the starting identity, one build per non-exhausted iteration, and one
+    # solve per iteration up to and including the first exhausted one
+    assert calls == {"SpanApprox": 1, "build_two_vector": len(built),
+                     "solve_direction": exhausted[0] + 1}
+
+
+def test_a_dependent_memory_past_exhaustion_no_longer_raises():
+    # a one-column operator built from the stored Newton step on exhausted
+    # iterations raises DegenerateBasisError here; the solver builds none
+    trace = subspace_qn_solve(*generate_problem(12, 6, cond=1e3, seed=6),
+                              steps=StepPolicy.uniform(), mode=ORACLE,
+                              max_iter=36, seed=0)
+    assert trace.status == MAX_ITER and trace.iterations == 36
+    assert sum(rec.exhausted for rec in trace.records) == 27
+    assert all(rec.collapsed for rec in trace.records if rec.exhausted)
+
+
+@pytest.mark.parametrize("mode", [ORACLE, MATRIX_FREE])
+def test_a_non_finite_gradient_is_a_breakdown(mode):
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=98)
+    start = x0.copy()
+    start[2] = np.nan
+    trace = subspace_qn_solve(prob, start, mode=mode)
+    assert (trace.status, trace.iterations) == (BREAKDOWN, 0)
+    assert trace.reason == "gradient is not finite at iterate 0"
+
+    # the start scaling is not asked for at an infinite gradient
+    start[2] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = subspace_qn_solve(prob, start, sigmas=SigmaPolicy.newton_at(-1),
+                                  mode=mode)
+    assert (trace.status, trace.iterations) == (BREAKDOWN, 0)
+    assert trace.reason == "gradient is not finite at iterate 0"
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = subspace_qn_solve(prob, x0, steps=StepPolicy.constant(1e308),
+                                  mode=mode)
+    assert (trace.status, trace.iterations) == (BREAKDOWN, 1)
+    assert trace.reason == "gradient is not finite at iterate 1"
+    assert not np.isfinite(trace.final_grad_norm)
 
 
 def test_learned_action_reproduces_hessian_images():

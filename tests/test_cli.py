@@ -414,16 +414,65 @@ def test_non_finite_problem_files_exit_with_usage_code(tmp_path, capsys, field, 
     payload[field][0] = "@"
     doctored = tmp_path / "doctored.json"
     doctored.write_text(json.dumps(payload).replace('"@"', text))
-    capsys.readouterr()
+    assert_problem_rejected(tmp_path, capsys, trace_path, doctored)
 
-    code = main(["verify", "--trace", str(trace_path), "--problem", str(doctored)])
+
+def assert_problem_rejected(tmp_path, capsys, trace_path, problem_path):
+    """``verify`` and a ``run`` spec naming the file both exit 2 on it."""
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace_path), "--problem", str(problem_path)])
     assert code == EXIT_USAGE
     assert "cannot load problem" in capsys.readouterr().err
     spec = write_spec(tmp_path / "from_file.json", {
-        "problems": [{"path": str(doctored)}], "methods": [{"kind": "cg"}]})
+        "problems": [{"path": str(problem_path)}], "methods": [{"kind": "cg"}]})
     code = main(["run", "--spec", spec, "--out-dir", str(tmp_path / "again")])
     assert code == EXIT_USAGE
     assert "cannot load" in capsys.readouterr().err
+
+
+def doctored_copy(tmp_path, path, doctor):
+    """Write ``doctor`` applied to the JSON of ``path`` into ``tmp_path``; return it."""
+    doctored = tmp_path / f"doctored_{path.name}"
+    doctored.write_text(json.dumps(doctor(json.loads(path.read_text()))))
+    return doctored
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda d: [1, 2],
+    lambda d: {**d, "n": None},
+    lambda d: {**d, "H": 5},
+    lambda d: {**d, "c": {"a": 1}},
+], ids=["list", "null-n", "number-H", "object-c"])
+def test_problem_files_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys,
+                                                                doctor):
+    trace_path, problem_path = run_one_cg(tmp_path)
+    assert_problem_rejected(tmp_path, capsys, trace_path,
+                            doctored_copy(tmp_path, problem_path, doctor))
+
+
+def with_record(d, i, record):
+    d["iterations"][i] = record(d["iterations"][i])
+    return d
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda d: [d],
+    lambda d: {**d, "status": "x"},
+    lambda d: {**d, "iterations": None},
+    lambda d: with_record(d, 1, lambda rec: list(rec.values())),
+    lambda d: with_record(d, 1, lambda rec: {**rec, "k": None}),
+    lambda d: with_record(d, 1, lambda rec: {**rec, "x": None}),
+    lambda d: {**d, "final": None},
+    lambda d: {**d, "meta": []},
+], ids=["list", "text-status", "null-iterations", "list-record", "null-k",
+        "null-x", "null-final", "list-meta"])
+def test_traces_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys, doctor):
+    trace_path, problem_path = run_one_cg(tmp_path)
+    doctored = doctored_copy(tmp_path, trace_path, doctor)
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(doctored), "--problem", str(problem_path)])
+    assert code == EXIT_USAGE
+    assert "cannot load trace" in capsys.readouterr().err
 
 
 def test_missing_spec_file_exits_with_usage_code(tmp_path, capsys):

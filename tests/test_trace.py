@@ -2,6 +2,7 @@
 
 import base64
 import json
+from dataclasses import fields
 
 import numpy as np
 import orjson
@@ -163,6 +164,25 @@ def test_record_vectors_round_trip_bit_for_bit(tmp_path):
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # keeps -0.0 and subnormals
             assert got.dtype == np.float64 and got.flags.writeable
+
+
+def test_every_record_field_survives_a_json_round_trip():
+    values = {"k": 7, "alpha": -0.375, "grad_norm": 2.5, "sigma": 1.75,
+              "collapsed": True, "exhausted": False}
+    for i, attr in enumerate(RECORD_VECTORS.values()):
+        values[attr] = np.arange(5.0) + 10.0 * i
+    names = {f.name for f in fields(IterateRecord)}
+    assert set(values) == names
+    assert all(values[f.name] != f.default for f in fields(IterateRecord)
+               if not isinstance(values[f.name], np.ndarray))
+    rec = IterateRecord(**values)
+    loaded = IterateRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+    for name in names:
+        want, got = getattr(rec, name), getattr(loaded, name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert type(got) is type(want) and got == want, name
 
 
 def test_record_vectors_are_base64_and_final_x_is_numbers(tmp_path):

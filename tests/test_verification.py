@@ -1,5 +1,7 @@
 """Trace checks: they pass on honest runs and catch doctored ones."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.linalg import norm
@@ -7,6 +9,7 @@ from numpy.linalg import norm
 from qnsubspace import (
     MATRIX_FREE,
     ORACLE,
+    IterateRecord,
     IterateTrace,
     KrylovOracle,
     SigmaPolicy,
@@ -184,6 +187,27 @@ def test_traces_match_reports_field_level_differences():
     d.status = "breakdown"
     same, mismatches = traces_match(a, d)
     assert any(m.startswith("status:") for m in mismatches)
+
+    def perturbed(value):
+        if isinstance(value, bool):
+            return not value
+        return value + 1 if isinstance(value, int) else value + 1.0
+
+    assert all(getattr(a.records[1], f.name) is not None for f in fields(IterateRecord))
+    for f in fields(IterateRecord):
+        e = copy_trace(a)
+        setattr(e.records[1], f.name, perturbed(getattr(e.records[1], f.name)))
+        same, mismatches = traces_match(a, e)
+        assert not same and len(mismatches) == 1, (f.name, mismatches)
+        assert mismatches[0].startswith(f"record 1: {f.name} ")
+
+    e = copy_trace(a)
+    e.final_grad_norm += 1.0
+    assert traces_match(a, e)[1] == [
+        f"final grad_norm differs by {1.0 / (2.0 + a.final_grad_norm):.3e}"]
+    e = copy_trace(a)
+    e.reason = "stopped early"
+    assert traces_match(a, e)[1] == ["reason: '' vs 'stopped early'"]
 
 
 # the seven method columns of the benchmark's CLI grid, with the CLI's budget
