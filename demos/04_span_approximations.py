@@ -4,7 +4,8 @@ The approximation B acts as H on span(P) and as sigma times the identity
 on the orthogonal complement. Built from the method's own direction pairs
 it turns the next quasi-Newton solve into a restricted Newton step plus
 one new scaled conjugate direction, and a specific sigma makes that solve
-a full Newton step onto the next Krylov minimizer.
+a full Newton step onto the next Krylov minimizer. The solver uses that
+split as a closed form and never builds the operator.
 """
 
 import numpy as np
@@ -56,13 +57,27 @@ h_q2 = prob.hessian_action(q2)
 coef = float(g3 @ h_q2) / float(q2 @ h_q2)
 q_up = -g3 + coef * q2
 sigma_star = newton_sigma(q_up, prob.hessian_action(q_up), g3)
-p = solve_direction(B3.with_sigma(sigma_star), g3)
+p = B3.with_sigma(sigma_star).solve(-g3)
 miss = np.linalg.norm(x3 + p - oracle.minimizer(4))
 print(f"\ntuned sigma {sigma_star:.4f}: one solve from minimizer(3) "
       f"misses minimizer(4) by {miss:.2e}")
 
 # any other sigma still moves along the right ray, just the wrong length
-p_generic = solve_direction(B3, g3)
+p_generic = B3.solve(-g3)
 cos = abs(p_generic @ p) / (np.linalg.norm(p_generic) * np.linalg.norm(p))
 print(f"generic sigma 1.0: same direction (cos angle {cos:.12f}), "
       f"length ratio {np.linalg.norm(p_generic) / np.linalg.norm(p):.4f}")
+
+# the solver's two-vector memory: the restricted Newton step from a point of
+# the current Krylov space and the latest conjugate direction. Its solve is
+# that Newton step plus the upcoming conjugate direction over sigma, which
+# solve_direction computes without building B
+Q3 = np.column_stack([oracle.conjugate_direction(k) for k in range(3)])
+x = x0 + Q3 @ [0.5, 1.2, 0.8]
+g = prob.gradient(x)
+newton = oracle.minimizer(3) - x
+P2 = np.column_stack([newton, q2])
+B2 = SpanApprox(P2, prob.H @ P2, sigma=1.5)
+closed = solve_direction(g, newton, prob.H @ newton, q2, h_q2, 1.5)
+print(f"closed-form direction vs operator solve: "
+      f"|difference| = {np.linalg.norm(closed - B2.solve(-g)):.2e}")

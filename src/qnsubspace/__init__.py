@@ -4,8 +4,9 @@ The package provides strictly convex quadratic test problems with exact
 Krylov-space references (:mod:`~qnsubspace.problem`), classical
 conjugate-direction baselines (:mod:`~qnsubspace.baselines`), restricted
 Newton steps and their rank-one extension (:mod:`~qnsubspace.subspace`),
-low-rank Hessian approximations that copy curvature on a chosen span
-(:mod:`~qnsubspace.approximation`), the arbitrary-step quasi-Newton solver
+the reference Hessian approximations that copy curvature on a chosen span
+(:mod:`~qnsubspace.approximation`), the arbitrary-step quasi-Newton solver,
+whose direction is that approximation's in closed form
 (:mod:`~qnsubspace.algorithm`), and independent checks of its termination
 claims (:mod:`~qnsubspace.verification`).
 """
@@ -17,6 +18,7 @@ from .algorithm import (
     SigmaPolicy,
     StepPolicy,
     learn_h_action,
+    solve_direction,
     subspace_qn_solve,
 )
 from .approximation import (
@@ -25,7 +27,6 @@ from .approximation import (
     build_two_vector,
     delta_factor,
     newton_sigma,
-    solve_direction,
 )
 from .baselines import (
     bfgs_update,

@@ -1,12 +1,12 @@
 """Quasi-Newton subspace iteration with arbitrary nonzero step sizes.
 
-Each iteration solves B p = -g, moves by any nonzero step length alpha along
-p, then rebuilds B to copy the Hessian on the two directions that matter: the
-newest conjugate direction q (the part of p outside the previous restricted
-Newton step) and the updated restricted Newton step itself. Both the Newton
-step and its Hessian image obey closed-form recursions, so each iteration
-needs one new Hessian image, that of the step: from H itself, or matrix-free
-from the gradient difference the step produces.
+Each iteration moves by any nonzero step length alpha along the direction
+of the approximation that copies the Hessian on the newest conjugate
+direction q and the restricted Newton step pN, and is sigma I elsewhere. That
+direction is pN plus the upcoming conjugate direction over sigma, so no
+operator is built. pN, q and their Hessian images obey closed-form
+recursions, so each iteration needs one new Hessian image, that of the step:
+from H itself, or matrix-free from the gradient difference the step produces.
 
 Finite termination does not need exact line search: once the generated
 subspace reaches its grade r, every direction is the full Newton step, and
@@ -22,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import norm
 
-from .approximation import (
-    COLLAPSE_WARN_BAND,
-    SpanApprox,
-    build_two_vector,
-    newton_sigma,
-    solve_direction,
-)
+from .approximation import COLLAPSE_WARN_BAND, newton_sigma, span_collapses
+# unused here: the traced benchmark wraps these names on this module
+from .approximation import SpanApprox, build_two_vector  # noqa: F401
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
 from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, IterateTrace
 from .util import cosine_alignment
@@ -39,18 +35,13 @@ MATRIX_FREE = "matrix-free"
 # Steps sampled at random keep away from zero by at least this much.
 MIN_RANDOM_STEP = 0.05
 
-# ||p - newton_prev|| below this fraction of the trajectory scale means the
-# generated subspace is complete: the solve returned the restricted Newton
-# step itself and any leftover difference is rounding noise. The scale must
-# be the overall trajectory's, not the current step's: near the end both p
-# and the Newton step are tiny while the noise floor of their difference is
-# set by the problem-sized quantities they were computed from. The floor
-# sits between that noise ceiling (the solve amplifies the correction's
-# accumulated rounding by the top curvature over sigma, observed up to 2e-9
-# of scale at condition 1e2 on long random-step runs) and the smallest
-# genuine direction a resolvable spectrum produces (1e-3 of scale and up).
-# Missing the trigger is far costlier than firing one step early: a noise
-# direction admitted to memory pollutes every later solve.
+# ||p - newton_prev|| below this fraction of ||p|| + ||newton_prev|| means
+# the generated subspace is complete: the direction is the restricted Newton
+# step itself and the difference is rounding noise. An absolute term in the
+# scale, such as 1 + ||x||, fires while |g| is still above tolerance: at
+# cond 10, grade 16, n = 512 it fired at relative |g| 4.5e-9, and the unit
+# step along the stale Newton step raised |g| to 1.7e-8, a breakdown. The
+# same fraction of the terms of the upcoming direction marks it as noise.
 EXHAUSTED_RTOL = 1e-8
 
 # Relative floor for q'Hq against ||q|| ||Hq||; below it the curvature along
@@ -87,7 +78,6 @@ class _SigmaContext:
 
     q: np.ndarray
     h_q: np.ndarray
-    newton_step: np.ndarray
     h_newton_step: np.ndarray
     g_next: np.ndarray
     h_probe: object
@@ -96,27 +86,21 @@ class _SigmaContext:
     def newton_value(self):
         """The unique scaling that makes the next solve a full Newton step.
 
-        Reconstructs the gradient at the current constrained minimizer from
-        tracked state (g_hat = g_next + H pN), forms the upcoming conjugate
-        direction with unit coefficient on -g_hat, and applies the closed
-        form -q'Hq / q'g at the new point. Before the first step there is no
-        previous direction and the upcoming one is -g itself.
+        Applies the closed form -q'Hq / q'g to the upcoming conjugate
+        direction q. DegenerateBasisError when q is rounding noise: the span
+        is complete, though exhaustion is not yet flagged.
         """
         if self.exhausted:
             raise DegenerateBasisError(
                 "subspace already complete: no scaling changes the step"
             )
         g_hat = self.g_next + self.h_newton_step
-        if norm(self.q) == 0.0:
-            q_up = -g_hat
-            h_q_up = -self.h_probe(g_hat)
-        else:
-            q_h_q = float(self.q @ self.h_q)
-            if q_h_q <= 0.0:
-                raise NotPositiveDefiniteError("degenerate curvature along q")
-            coef = float(g_hat @ self.h_q) / q_h_q
-            q_up = -g_hat + coef * self.q
-            h_q_up = -self.h_probe(g_hat) + coef * self.h_q
+        coef, q_up = _upcoming_direction(g_hat, self.q, self.h_q)
+        floor = EXHAUSTED_RTOL * (norm(self.g_next) + norm(self.h_newton_step))
+        if norm(q_up) <= floor:
+            raise DegenerateBasisError(f"upcoming direction {norm(q_up):.3e} is "
+                                       f"below the exhaustion floor {floor:.3e}")
+        h_q_up = -self.h_probe(g_hat) + coef * self.h_q
         return newton_sigma(q_up, h_q_up, self.g_next)
 
 
@@ -354,8 +338,8 @@ def learn_h_action(g_next, g_curr, alpha, h_newton_prev, q):
 
     On a quadratic the step from x to x + alpha p gives Hp exactly as
     (g_next - g_curr) / alpha. The images of q and of the updated restricted
-    Newton step then follow from the recursion the solver runs in both
-    modes. Returns the images together with the recursion coefficient.
+    Newton step then follow from the solver's recursion, with the slope g'q
+    at the current point. Returns them with the recursion coefficient.
     """
     alpha = float(alpha)
     if alpha == 0.0:
@@ -367,7 +351,7 @@ def learn_h_action(g_next, g_curr, alpha, h_newton_prev, q):
                              g_curr, alpha)
 
 
-def _conjugate_images(h_p, h_newton_prev, q, g_curr, alpha):
+def _conjugate_images(h_p, h_newton_prev, q, g_slope, alpha):
     """The two-term recursion on Hessian images, shared by both modes.
 
     Linearity gives Hq = Hp - H pN_prev for the new conjugate direction
@@ -375,6 +359,12 @@ def _conjugate_images(h_p, h_newton_prev, q, g_curr, alpha):
     follows the same recursion as the step itself:
 
         H pN_next = (1 - alpha) H pN_prev - (g'q / q'Hq + alpha) Hq
+
+    with g = ``g_slope``. The gradients at the current point and at the
+    restricted minimizer, g + H pN_prev, give the same slope in exact
+    arithmetic. The solver takes the second, the exact line minimizer along
+    q; with the first, rounding in pN_prev'Hq enters scaled by ||H pN_prev||,
+    and half the uniform-step runs at grades to 16 diverged, to |g| 1e67.
 
     Returns the images together with the shared recursion coefficient, or
     raises NotPositiveDefiniteError when q'Hq is not positive relative to
@@ -384,13 +374,31 @@ def _conjugate_images(h_p, h_newton_prev, q, g_curr, alpha):
     q_h_q = float(q @ h_q)
     if q_h_q <= CURVATURE_RTOL * norm(q) * norm(h_q):
         raise NotPositiveDefiniteError(f"degenerate curvature q'Hq = {q_h_q:.3e}")
-    coef = float(g_curr @ q) / q_h_q + alpha
+    coef = float(g_slope @ q) / q_h_q + alpha
     h_newton_next = (1.0 - alpha) * h_newton_prev - coef * h_q
     return LearnedAction(h_p, h_q, h_newton_next, coef)
 
 
-def _identity_approx(n, sigma):
-    return SpanApprox(np.zeros((n, 0)), np.zeros((n, 0)), sigma)
+def _upcoming_direction(g_hat, q, h_q):
+    """(c, -g_hat + c q): the next conjugate direction from the gradient
+    g_hat at the restricted minimizer, with c = g_hat'Hq / q'Hq; c = 0 while
+    q = 0, before the first step and once the span is exhausted."""
+    q_h_q = float(q @ h_q)
+    coef = float(g_hat @ h_q) / q_h_q if q_h_q > 0.0 else 0.0
+    return coef, -g_hat + coef * q
+
+
+def solve_direction(g, newton_step, h_newton_step, q, h_q, sigma):
+    """The p solving B p = -g for the two-vector approximation, in closed form.
+
+    B copies H on P = [newton_step, q] and is sigma I on the complement of
+    span(P) (``approximation.SpanApprox``, never built here). The gradient at
+    the restricted minimizer, g_hat = g + H newton_step, is orthogonal to
+    span(P), and B sends the upcoming conjugate direction to -sigma g_hat, so
+
+        p = newton_step + (-g_hat + c q) / sigma,   c = g_hat'Hq / q'Hq.
+    """
+    return newton_step + _upcoming_direction(g + h_newton_step, q, h_q)[1] / sigma
 
 
 def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
@@ -451,15 +459,13 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     threshold = tol * (1.0 + g0_norm)
 
     n = prob.n
-    newton_step = np.zeros(n)
-    h_newton = np.zeros(n)
+    newton_step, h_newton, q, h_q = (np.zeros(n) for _ in range(4))
 
     sigma_init = 1.0 if initial_sigma is None else float(initial_sigma)
     if sigmas.at == -1 and 0.0 < g0_norm < math.inf:
         start_ctx = _SigmaContext(
-            q=np.zeros(n), h_q=np.zeros(n), newton_step=newton_step,
-            h_newton_step=h_newton, g_next=g, h_probe=h_probe_at(x, g),
-            exhausted=False,
+            q=q, h_q=h_q, h_newton_step=h_newton, g_next=g,
+            h_probe=h_probe_at(x, g), exhausted=False,
         )
         sigma_init = sigmas.sigma(-1, start_ctx, rng_sigma)
     if sigma_init <= 0.0:
@@ -482,19 +488,17 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     if g0_norm <= threshold:
         return trace.finish(CONVERGED, x, g0_norm)
 
-    # None once the span is exhausted
-    B = _identity_approx(n, sigma_init)
+    sigma = sigma_init
+    exhausted = False
 
     for k in range(max_iter):
-        if B is None:
-            # With the span complete every direction is the stored restricted
-            # Newton step, so no operator is kept. Solving through one would
-            # also push the step's tiny directional error through its
-            # off-span part, scaled by the top curvature over sigma at every
-            # pass; the stored value's error only contracts from here.
+        if exhausted:
+            # exhausted last iteration, so the span is complete: the closed
+            # form would add its rounding noise over sigma at every pass,
+            # while the stored Newton step's error only contracts
             p = newton_step.copy()
         else:
-            p = solve_direction(B, g)
+            p = solve_direction(g, newton_step, h_newton, q, h_q, sigma)
         ctx = _StepContext(g=g, p=p, h_probe=h_probe_at(x, g))
         alpha = steps.alpha(k, ctx, rng_step)
         x_next = x + alpha * p
@@ -502,8 +506,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         g_next_norm = norm(g_next)
 
         q_raw = p - newton_step
-        trajectory_scale = 1.0 + norm(x) + norm(p) + norm(newton_step)
-        exhausted = bool(norm(q_raw) <= EXHAUSTED_RTOL * trajectory_scale)
+        exhausted = bool(norm(q_raw) <= EXHAUSTED_RTOL * (norm(p) + norm(newton_step)))
 
         # the mode decides only where Hp comes from; everything below runs
         # the same recursion on it
@@ -524,11 +527,11 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                                 f"gradient is not finite at iterate {k + 1}")
 
         if exhausted:
-            # the solve reproduced the restricted Newton step: the subspace
-            # is complete and no new conjugate direction exists. Updating by
-            # the move actually taken (rather than scaling the stored value
-            # by 1 - alpha, identical in exact arithmetic) keeps the solve's
-            # one-time rounding out of the stored correction.
+            # the direction reproduced the restricted Newton step: the
+            # subspace is complete and no new conjugate direction exists.
+            # Updating by the move actually taken (rather than scaling the
+            # stored value by 1 - alpha, identical in exact arithmetic) keeps
+            # the direction's one-time rounding out of the stored correction.
             q = np.zeros(n)
             h_q = np.zeros(n)
             newton_next = newton_step - alpha * p
@@ -536,7 +539,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         else:
             q = q_raw
             try:
-                act = _conjugate_images(h_p, h_newton, q, g, alpha)
+                act = _conjugate_images(h_p, h_newton, q, g + h_newton, alpha)
             except NotPositiveDefiniteError as exc:
                 if g_next_norm <= threshold:
                     record.q = q
@@ -556,7 +559,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             return trace.finish(CONVERGED, x_next, g_next_norm)
 
         sigma_ctx = _SigmaContext(
-            q=q, h_q=h_q, newton_step=newton_next, h_newton_step=h_newton_next,
+            q=q, h_q=h_q, h_newton_step=h_newton_next,
             g_next=g_next, h_probe=h_probe_at(x_next, g_next),
             exhausted=exhausted,
         )
@@ -573,7 +576,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                 return trace.finish(BREAKDOWN, x_next, g_next_norm,
                                     "no direction information left while the "
                                     "gradient is above tolerance")
-            B = None
+            record.collapsed = True
         else:
             align_gap = 1.0 - cosine_alignment(newton_next, q)
             if COLLAPSE_WARN_BAND[0] <= align_gap <= COLLAPSE_WARN_BAND[1]:
@@ -581,9 +584,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                     f"iteration {k}: Newton step and conjugate direction are "
                     f"nearly parallel (1 - |cos| = {align_gap:.3e})"
                 )
-            B = build_two_vector(newton_next, h_newton_next, q, h_q, sigma,
-                                 align_gap=align_gap)
-        record.collapsed = B is None or bool(B.rank == 1)
+            record.collapsed = span_collapses(newton_next, align_gap)
         record.sigma = sigma
 
         x, g = x_next, g_next

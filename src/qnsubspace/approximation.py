@@ -11,9 +11,11 @@ B P = HP exactly, and with P drawn from the method's direction recursion its
 inverse applied to the negative gradient extends the current restricted
 Newton step by one scaled conjugate direction.
 
-B is never formed. With m spanning columns it is sigma I plus a correction
-of rank at most 2m, so products and solves cost O(n m) each: the solve
-applies the Woodbury identity and factors only a 2m x 2m capacitance matrix.
+The solver takes this direction in closed form (``algorithm.solve_direction``);
+the operator here is its reference. B is never formed: with m spanning
+columns it is sigma I plus a correction of rank at most 2m, so products and
+solves cost O(n m) each, the solve by the Woodbury identity on a 2m x 2m
+capacitance matrix.
 """
 
 import numpy as np
@@ -21,7 +23,6 @@ from numpy.linalg import norm
 from scipy.linalg import lapack
 
 from .errors import DegenerateBasisError
-from .trace import DirectionHistory
 from .util import cosine_alignment
 
 # Two spanning vectors closer than this (in 1 - |cos|) collapse to one column.
@@ -120,12 +121,25 @@ class SpanApprox:
         return self.sigma * (v - proj) + curv
 
     def solve(self, rhs):
-        """Solve B p = rhs by the Woodbury identity, in O(n m).
+        """Solve B p = rhs by the Woodbury identity, in O(n m), refined once.
 
         B^-1 rhs = (rhs - U S^-1 U' rhs / sigma) / sigma, with S the 2m x 2m
         capacitance factored at construction; no n x n matrix is formed.
         """
         rhs = np.asarray(rhs, dtype=float)
+        p = self._woodbury(rhs)
+        # one step of iterative refinement. The Woodbury form subtracts two
+        # terms of size ||rhs|| / sigma and alone leaves residuals near
+        # 1e-14 ||rhs|| on n = 512, cond 100 spans, where a dense Cholesky
+        # solve reaches 7e-16; the refined residual is about 1e-16
+        p += self._woodbury(rhs - self.matvec(p))
+        res = norm(self.matvec(p) - rhs)
+        if res > SOLVE_RESIDUAL_RTOL * max(norm(rhs), 1e-300):
+            raise DegenerateBasisError(f"direction solve residual {res:.3e} exceeds "
+                                       f"{SOLVE_RESIDUAL_RTOL:.0e} * ||rhs||")
+        return p
+
+    def _woodbury(self, rhs):
         if self.rank == 0:
             return rhs / self.sigma
         corr = self._U @ lapack.dgetrs(self._cap_lu, self._cap_piv, self._U.T @ rhs)[0]
@@ -148,14 +162,17 @@ def build_full_memory(history, sigma):
     return SpanApprox(P, HP, sigma)
 
 
-def build_two_vector(newton_step, h_newton_step, q, h_q, sigma, align_gap=None):
-    """Approximation spanned by the current restricted Newton step and the
-    latest conjugate direction.
+def span_collapses(newton_step, align_gap):
+    """Whether the two-vector span drops to the single column q: the Newton
+    step is zero, or ``align_gap = 1 - cosine_alignment(newton_step, q)`` is
+    within COLLAPSE_TOL. The operator is unchanged by the drop."""
+    return bool(norm(newton_step) == 0.0 or align_gap <= COLLAPSE_TOL)
 
-    When the two vectors are parallel within COLLAPSE_TOL (or the Newton step
-    is zero) the span collapses to the single column q; the operator is
-    unchanged by the drop. A zero q is an error. ``align_gap`` is
-    ``1 - cosine_alignment(newton_step, q)`` when the caller already has it.
+
+def build_two_vector(newton_step, h_newton_step, q, h_q, sigma):
+    """Approximation spanned by the current restricted Newton step and the
+    latest conjugate direction, or by q alone where the span collapses.
+    A zero q is an error.
     """
     q = np.asarray(q, dtype=float)
     h_q = np.asarray(h_q, dtype=float)
@@ -163,33 +180,13 @@ def build_two_vector(newton_step, h_newton_step, q, h_q, sigma, align_gap=None):
         raise DegenerateBasisError("conjugate direction is zero")
     newton_step = np.asarray(newton_step, dtype=float)
     h_newton_step = np.asarray(h_newton_step, dtype=float)
-    if align_gap is None:
-        align_gap = 1.0 - cosine_alignment(newton_step, q)
-    if norm(newton_step) == 0.0 or align_gap <= COLLAPSE_TOL:
+    if span_collapses(newton_step, 1.0 - cosine_alignment(newton_step, q)):
         return SpanApprox(q[:, None], h_q[:, None], sigma)
     return SpanApprox(
         np.column_stack([newton_step, q]),
         np.column_stack([h_newton_step, h_q]),
         sigma,
     )
-
-
-def solve_direction(B, g):
-    """Quasi-Newton direction p solving B p = -g, with a residual guarantee."""
-    g = np.asarray(g, dtype=float)
-    p = B.solve(-g)
-    # one step of iterative refinement. The Woodbury form subtracts two terms
-    # of size ||g|| / sigma and alone leaves residuals near 1e-14 ||g|| on
-    # n = 512, cond 100 runs, where a dense Cholesky solve reaches 7e-16;
-    # the refined residual is about 1e-16, and fewer runs converge without it
-    p -= B.solve(B.matvec(p) + g)
-    res = norm(B.matvec(p) + g)
-    if res > SOLVE_RESIDUAL_RTOL * max(norm(g), 1e-300):
-        raise DegenerateBasisError(
-            f"direction solve residual {res:.3e} exceeds "
-            f"{SOLVE_RESIDUAL_RTOL:.0e} * ||g||"
-        )
-    return p
 
 
 def newton_sigma(q, h_q, g):

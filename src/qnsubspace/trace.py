@@ -64,8 +64,8 @@ class IterateRecord:
     computed after the step was taken. ``collapsed`` marks iterations after
     which the memory holds at most one direction. ``exhausted`` marks
     iterations where the new conjugate direction vanished because the
-    generated subspace was already complete; they build no approximation, as
-    every later direction is the stored restricted Newton step.
+    generated subspace was already complete; from then on every direction is
+    the stored restricted Newton step.
     """
 
     k: int

@@ -28,7 +28,6 @@ from qnsubspace import (
     generate_problem,
     newton_scaling,
     qn_exact_ls_solve,
-    solve_direction,
     subspace_qn_solve,
     traces_match,
 )
@@ -203,7 +202,7 @@ def test_criterion_4_memory_equivalence():
         newton_prev = np.zeros(prob.n)
         for k, rec in enumerate(trace.records):
             scale = 1.0 + norm(rec.p)
-            full = solve_direction(build_full_memory(hist, sigma_prev), rec.g)
+            full = build_full_memory(hist, sigma_prev).solve(-rec.g)
             worst_agree = max(worst_agree, norm(full - rec.p) / scale)
 
             # reconstruct the step split from reference quantities alone:

@@ -9,6 +9,7 @@ from numpy.linalg import norm
 from qnsubspace import (
     BREAKDOWN,
     CONVERGED,
+    KrylovOracle,
     MATRIX_FREE,
     MAX_ITER,
     ORACLE,
@@ -17,6 +18,8 @@ from qnsubspace import (
     QuadraticProblem,
     SigmaPolicy,
     StepPolicy,
+    cg_solve,
+    check_newton_onset,
     generate_problem,
     learn_h_action,
     subspace_qn_solve,
@@ -234,10 +237,9 @@ def test_no_operator_is_built_or_solved_once_the_span_is_exhausted(monkeypatch):
     exhausted = [rec.k for rec in trace.records if rec.exhausted]
     assert exhausted and exhausted == list(range(exhausted[0], trace.iterations))
     assert trace.records[-2].exhausted and trace.records[-2].sigma is not None
-    built = [rec for rec in trace.records if rec.sigma is not None and not rec.exhausted]
-    # the starting identity, one build per non-exhausted iteration, and one
-    # solve per iteration up to and including the first exhausted one
-    assert calls == {"SpanApprox": 1, "build_two_vector": len(built),
+    # no operator at all, and one closed-form direction per iteration up to
+    # and including the first exhausted one
+    assert calls == {"SpanApprox": 0, "build_two_vector": 0,
                      "solve_direction": exhausted[0] + 1}
 
 
@@ -247,9 +249,48 @@ def test_a_dependent_memory_past_exhaustion_no_longer_raises():
     trace = subspace_qn_solve(*generate_problem(12, 6, cond=1e3, seed=6),
                               steps=StepPolicy.uniform(), mode=ORACLE,
                               max_iter=36, seed=0)
-    assert trace.status == MAX_ITER and trace.iterations == 36
-    assert sum(rec.exhausted for rec in trace.records) == 27
-    assert all(rec.collapsed for rec in trace.records if rec.exhausted)
+    assert trace.status == CONVERGED and trace.iterations == 23
+    exhausted = [rec for rec in trace.records if rec.exhausted]
+    assert len(exhausted) == 12 and exhausted[-1] is trace.records[-1]
+    # the converging record keeps no memory, so it records no collapse
+    assert [rec.collapsed for rec in exhausted] == [True] * 11 + [None]
+
+
+@pytest.mark.parametrize("mode", [ORACLE, MATRIX_FREE])
+def test_a_vanishing_upcoming_direction_falls_back_to_the_default_sigma(mode):
+    # at k = 3 = grade - 1 the span is complete, so the upcoming direction
+    # the termination scaling needs is rounding noise (2e-13 to 4e-13 of the
+    # terms it is formed from); the scaling computed from it is 3e-10 to
+    # 4e-10, and the directions from the grade on then miss the solution
+    # by 5e-3 to 1e-2 relative
+    prob, x0 = generate_problem(128, 4, cond=100.0, seed=[11, 28])
+    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.constant(0.5),
+                              sigmas=SigmaPolicy.newton_at(3), mode=mode)
+    assert [w.split(":")[0] for w in trace.warnings] == ["iteration 3"]
+    assert "sigma policy fell back to 1" in trace.warnings[0]
+    assert trace.records[3].sigma == 1.0
+    report = check_newton_onset(trace, KrylovOracle(prob, x0))
+    onset = [f for f in report.findings
+             if f.name == "full Newton step from the grade onward"]
+    assert len(onset) == 1 and onset[0].passed
+
+
+@pytest.mark.parametrize("mode", [ORACLE, MATRIX_FREE])
+@pytest.mark.parametrize("newton_at", [False, True])
+def test_unit_steps_converge_within_twice_cg(mode, newton_at):
+    # unit steps outside the exact-arithmetic envelope: grades to 16 and
+    # conditions to 1e3 on n = 2r, where finite termination is lost to
+    # rounding but convergence must not be
+    worst = 0.0
+    for r in range(1, 17):
+        sigmas = SigmaPolicy.newton_at(r - 2) if newton_at else SigmaPolicy.constant()
+        for cond in (10.0, 100.0, 1e3):
+            prob, x0 = generate_problem(2 * r, r, cond=cond, seed=r)
+            trace = subspace_qn_solve(prob, x0, sigmas=sigmas, mode=mode,
+                                      max_iter=6 * r)
+            assert trace.status == CONVERGED, (r, cond, trace.status, trace.reason)
+            worst = max(worst, trace.iterations / cg_solve(prob, x0).iterations)
+    assert worst <= 2.0
 
 
 @pytest.mark.parametrize("mode", [ORACLE, MATRIX_FREE])

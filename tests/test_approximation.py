@@ -121,7 +121,7 @@ def test_solve_direction_residual():
     prob, P, HP = sample_span(seed=10)
     B = SpanApprox(P, HP, 0.9)
     g = np.linspace(1, 7, 7)
-    p = solve_direction(B, g)
+    p = B.solve(-g)
     assert norm(B.matvec(p) + g) <= 1e-9 * norm(g)
 
 
@@ -151,7 +151,7 @@ def test_low_rank_solve_matches_the_dense_operator_at_n512():
             assert B.rank == P.shape[1]
             ref = oracles.span_approx_dense(P, prob.H @ P, sigma)
             for g in rhs:
-                p = solve_direction(B, g)
+                p = B.solve(-g)
                 assert norm(ref @ p + g) <= SOLVE_RESIDUAL_RTOL * norm(g)
                 assert norm(p - np.linalg.solve(ref, -g)) <= 1e-9 * norm(p)
 
@@ -183,6 +183,28 @@ def test_applied_to_upcoming_direction_gives_scaled_subspace_gradient():
             assert norm(got - want) <= 1e-9 * (1 + norm(want))
 
 
+def test_closed_form_direction_solves_the_two_vector_approximation():
+    # From a point of the current Krylov space the restricted Newton step
+    # and the latest conjugate direction span the memory, and the closed
+    # form is the dense two-vector approximation's quasi-Newton direction.
+    prob, x0 = generate_problem(9, 6, cond=25.0, seed=16)
+    oracle = KrylovOracle(prob, x0)
+    rng = np.random.default_rng(16)
+    for k in (1, 2, 3):
+        Q = np.column_stack([oracle.conjugate_direction(j) for j in range(k)])
+        x = x0 + Q @ rng.uniform(0.2, 1.5, k)
+        g = prob.gradient(x)
+        newton = oracle.minimizer(k) - x
+        q_prev = Q[:, -1]
+        # at k = 1 the Newton step is parallel to q and the span is q alone
+        P = Q if k == 1 else np.column_stack([newton, q_prev])
+        for sigma in (0.6, 1.0, 2.5):
+            got = solve_direction(g, newton, prob.hessian_action(newton),
+                                  q_prev, prob.hessian_action(q_prev), sigma)
+            want = np.linalg.solve(oracles.span_approx_dense(P, prob.H @ P, sigma), -g)
+            assert norm(got - want) <= 1e-9 * (1 + norm(want))
+
+
 def test_newton_sigma_lands_on_the_next_restricted_minimizer():
     prob, x0 = generate_problem(6, 4, cond=12.0, seed=12)
     oracle = KrylovOracle(prob, x0)
@@ -196,7 +218,7 @@ def test_newton_sigma_lands_on_the_next_restricted_minimizer():
     sigma = newton_sigma(q_up, prob.hessian_action(q_up), g)
     assert sigma > 0.0
     B = SpanApprox(q_prev[:, None], h_q[:, None], sigma)
-    p = solve_direction(B, g)
+    p = B.solve(-g)
     # the solve must land on the next constrained minimizer exactly
     ref = oracle.minimizer(k + 1)
     assert norm(x + p - ref) <= 1e-9 * (1 + norm(ref))
