@@ -27,12 +27,10 @@ oracle = KrylovOracle(prob, x0)
 P = np.column_stack([oracle.conjugate_direction(k) for k in range(2)])
 B = SpanApprox(P, prob.H @ P, sigma=3.0)
 
-# B is never formed; its matrix, column by column, is only for display
-B_matrix = np.column_stack([B.matvec(e) for e in np.eye(prob.n)])
-eigs = np.linalg.eigvalsh(B_matrix)
+eigs = np.linalg.eigvalsh(B.matrix)
 print(f"eigenvalues of B: {np.round(eigs, 6)}")
 print(f"reproduces curvature on the span: |BP - HP| = "
-      f"{np.abs(B_matrix @ P - prob.H @ P).max():.2e}")
+      f"{np.abs(B.matrix @ P - prob.H @ P).max():.2e}")
 
 v = np.array([1.0, -2.0, 0.5, 0.0, 1.0, 0.0, -1.0])
 W = np.column_stack([P, prob.H @ P])

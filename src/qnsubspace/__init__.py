@@ -3,8 +3,8 @@
 The package provides strictly convex quadratic test problems with exact
 Krylov-space references (:mod:`~qnsubspace.problem`), classical
 conjugate-direction baselines (:mod:`~qnsubspace.baselines`), restricted
-Newton steps and their rank-one extension (:mod:`~qnsubspace.subspace`),
-the reference Hessian approximations that copy curvature on a chosen span
+Newton steps with their rank-one extension and the reference Hessian
+approximations, formed as matrices, that copy curvature on a chosen span
 (:mod:`~qnsubspace.approximation`), the arbitrary-step quasi-Newton solver,
 whose direction is that approximation's in closed form
 (:mod:`~qnsubspace.algorithm`), and independent checks of its termination
@@ -23,10 +23,15 @@ from .algorithm import (
 )
 from .approximation import (
     SpanApprox,
+    StepExtension,
+    SubspaceNewtonStep,
     build_full_memory,
     build_two_vector,
     delta_factor,
+    extend_step,
+    newton_scaling,
     newton_sigma,
+    subspace_newton_general,
 )
 from .baselines import (
     bfgs_update,
@@ -51,13 +56,6 @@ from .problem import (
     problem_from_dict,
     problem_to_dict,
     save_problem,
-)
-from .subspace import (
-    StepExtension,
-    SubspaceNewtonStep,
-    extend_step,
-    newton_scaling,
-    subspace_newton_general,
 )
 from .trace import (
     BREAKDOWN,

@@ -338,8 +338,9 @@ def learn_h_action(g_next, g_curr, alpha, h_newton_prev, q):
 
     On a quadratic the step from x to x + alpha p gives Hp exactly as
     (g_next - g_curr) / alpha. The images of q and of the updated restricted
-    Newton step then follow from the solver's recursion, with the slope g'q
-    at the current point. Returns them with the recursion coefficient.
+    Newton step then follow from the solver's recursion, with the slope
+    g_hat'q at the restricted minimizer, g_hat = g_curr + H pN_prev, as the
+    solver takes it. Returns them with the recursion coefficient.
     """
     alpha = float(alpha)
     if alpha == 0.0:
@@ -348,7 +349,7 @@ def learn_h_action(g_next, g_curr, alpha, h_newton_prev, q):
     h_p = (np.asarray(g_next, dtype=float) - g_curr) / alpha
     h_newton_prev = np.asarray(h_newton_prev, dtype=float)
     return _conjugate_images(h_p, h_newton_prev, np.asarray(q, dtype=float),
-                             g_curr, alpha)
+                             g_curr + h_newton_prev, alpha)
 
 
 def _conjugate_images(h_p, h_newton_prev, q, g_slope, alpha):

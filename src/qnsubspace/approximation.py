@@ -1,4 +1,10 @@
-"""Positive definite approximations that copy the Hessian on a chosen span.
+"""Restricted Newton steps, and the operators that copy the Hessian on a span.
+
+For a basis S of a subspace, the restricted Newton step from x solves
+(S'HS) b = -S'g(x) and moves by S b. Over a set of mutually H-conjugate
+directions the system diagonalizes and each coefficient reduces to the
+one-dimensional scaling -g'q / q'Hq. :func:`extend_step` grows a restricted
+Newton step by one direction in closed form, without refactoring anything.
 
 A :class:`SpanApprox` acts as sigma times identity on the orthogonal
 complement of span(P) and as H on span(P) itself:
@@ -12,17 +18,17 @@ inverse applied to the negative gradient extends the current restricted
 Newton step by one scaled conjugate direction.
 
 The solver takes this direction in closed form (``algorithm.solve_direction``);
-the operator here is its reference. B is never formed: with m spanning
-columns it is sigma I plus a correction of rank at most 2m, so products and
-solves cost O(n m) each, the solve by the Woodbury identity on a 2m x 2m
-capacitance matrix.
+the operator here is its reference, so B is formed as the n x n matrix of the
+formula above and solved densely.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import norm
-from scipy.linalg import lapack
+from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DegenerateBasisError
+from .errors import DegenerateBasisError, NotPositiveDefiniteError
 from .util import cosine_alignment
 
 # Two spanning vectors closer than this (in 1 - |cos|) collapse to one column.
@@ -31,7 +37,109 @@ COLLAPSE_TOL = 1e-10
 # Near-threshold band around COLLAPSE_TOL worth surfacing to callers.
 COLLAPSE_WARN_BAND = (1e-12, 1e-8)
 
-SOLVE_RESIDUAL_RTOL = 1e-9
+# Relative floor for the 2x2 determinant in extend_step; below it the new
+# gradient is (numerically) inside the current span.
+EXTEND_DET_RTOL = 1e-14
+
+
+def newton_scaling(g, q, h_q):
+    """Coefficient b = -g'q / q'Hq making x + b q stationary along q."""
+    curv = float(q @ h_q)
+    if curv <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"direction has nonpositive curvature q'Hq = {curv:.3e}"
+        )
+    return -float(g @ q) / curv
+
+
+class SubspaceNewtonStep(NamedTuple):
+    """Restricted Newton step: the move itself plus its basis coefficients."""
+
+    step: np.ndarray
+    scalings: np.ndarray
+
+
+def subspace_newton_general(basis, prob, x):
+    """Newton step from x restricted to span(basis).
+
+    Parameters
+    ----------
+    basis : sequence of ndarray
+        Linearly independent spanning vectors; may be empty (zero step).
+        ``scalings[i]`` pairs with ``basis[i]``.
+    prob : QuadraticProblem
+        Supplies the gradient and the Hessian action; H is never factored.
+    x : ndarray
+        Point the step is taken from.
+    """
+    cols = [np.asarray(v, dtype=float) for v in basis]
+    x = np.asarray(x, dtype=float)
+    if not cols:
+        return SubspaceNewtonStep(np.zeros_like(x), np.zeros(0))
+    S = np.column_stack(cols)
+    HS = np.column_stack([prob.hessian_action(v) for v in cols])
+    G = S.T @ HS
+    G = 0.5 * (G + G.T)
+    try:
+        factor = cho_factor(G, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateBasisError(
+            "basis is linearly dependent (projected Hessian is singular)"
+        ) from exc
+    b = cho_solve(factor, -(S.T @ prob.gradient(x)))
+    return SubspaceNewtonStep(S @ b, b)
+
+
+class StepExtension(NamedTuple):
+    """Result of growing a restricted Newton step by one direction.
+
+    ``direction`` is the increment beta * g_hat + gamma * q_prev: the next
+    conjugate direction, already scaled so that adding it to the previous
+    constrained minimizer lands exactly on the next one.
+    """
+
+    step: np.ndarray
+    beta: float
+    gamma: float
+    direction: np.ndarray
+
+
+def extend_step(newton_prev, q_prev, g_hat, h_action):
+    """Extend a restricted Newton step across one more direction, in closed form.
+
+    Given the Newton step ``newton_prev`` over the current span from some
+    point x, the most recent conjugate direction ``q_prev``, and the gradient
+    ``g_hat`` at the minimizer over that span, returns the Newton step from x
+    over the span grown by g_hat. The 2x2 system in (g_hat, q_prev) is solved
+    with the explicit adjugate:
+
+        D     = (g'Hg)(q'Hq) - (g'Hq)^2
+        beta  = -(g'g)(q'Hq) / D
+        gamma =  (g'g)(q'Hg) / D
+
+    beta and the product gamma * q_prev do not depend on the scaling of
+    q_prev. A determinant at or below the relative floor means the span
+    cannot grow: the minimizer over it is already stationary (or the inputs
+    are degenerate), reported as :class:`DegenerateBasisError`.
+    """
+    newton_prev = np.asarray(newton_prev, dtype=float)
+    q_prev = np.asarray(q_prev, dtype=float)
+    g_hat = np.asarray(g_hat, dtype=float)
+    h_g = np.asarray(h_action(g_hat), dtype=float)
+    h_q = np.asarray(h_action(q_prev), dtype=float)
+    gg = float(g_hat @ g_hat)
+    g_h_g = float(g_hat @ h_g)
+    q_h_q = float(q_prev @ h_q)
+    g_h_q = float(g_hat @ h_q)
+    det = g_h_g * q_h_q - g_h_q**2
+    if det <= EXTEND_DET_RTOL * gg * q_h_q:
+        raise DegenerateBasisError(
+            "new gradient adds no direction: converged or degenerate state"
+        )
+    beta = -gg * q_h_q / det
+    gamma = gg * g_h_q / det
+    direction = beta * g_hat + gamma * q_prev
+    return StepExtension(newton_prev + direction, beta, gamma, direction)
 
 
 class SpanApprox:
@@ -40,7 +148,8 @@ class SpanApprox:
     Parameters
     ----------
     P : ndarray (n, m)
-        Independent spanning columns; m = 0 gives B = sigma * I.
+        Independent spanning columns; m = 0 gives B = sigma * I of any
+        dimension.
     HP : ndarray (n, m)
         Hessian images of the columns of P.
     sigma : float
@@ -71,12 +180,9 @@ class SpanApprox:
         self.HP = HP
         self.n = P.shape[0]
         self.rank = P.shape[1]
+        self.matrix = sigma * np.eye(self.n)
         if self.rank:
-            m = self.rank
-            U = np.hstack([P, HP])
-            UtU = U.T @ U
-            gram = UtU[:m, :m]
-            cross = UtU[:m, m:]
+            cross = P.T @ HP
             asym = np.abs(cross - cross.T).max()
             # catches mismatched or wrong-operator images, which are off by
             # order one; kept loose because images learned from gradient
@@ -87,63 +193,29 @@ class SpanApprox:
                     "HP is inconsistent with P: P'HP is not symmetric "
                     f"(defect {asym:.3e})"
                 )
-            cross = 0.5 * (cross + cross.T)
-            # LAPACK is called directly throughout: on these 2m x 2m systems
-            # the scipy.linalg wrappers' input checks cost about ten times
-            # the factorization or solve itself
-            self._gram_chol, info_gram = lapack.dpotrf(gram, lower=1)
-            self._cross_chol, info_cross = lapack.dpotrf(cross, lower=1)
-            if info_gram or info_cross:
+            try:
+                gram_chol = cho_factor(P.T @ P, lower=True)
+                cross_chol = cho_factor(0.5 * (cross + cross.T), lower=True)
+            except np.linalg.LinAlgError as exc:
                 raise DegenerateBasisError(
                     "spanning columns are dependent or have lost conjugacy"
-                )
-            # B = sigma I + U C U' with U = [P, HP] and
-            # C = diag(-sigma (P'P)^-1, (P'HP)^-1), so by the Woodbury
-            # identity only the capacitance C^-1 + U'U / sigma needs a
-            # factor. It is symmetric but indefinite, hence LU.
-            cap = UtU / sigma
-            cap[:m, :m] -= gram / sigma
-            cap[m:, m:] += cross
-            self._cap_lu, self._cap_piv, info = lapack.dgetrf(cap)
-            if info:
-                raise DegenerateBasisError(
-                    "capacitance matrix of the low-rank solve is singular"
-                )
-            self._U = U
+                ) from exc
+            self.matrix -= sigma * P @ cho_solve(gram_chol, P.T)
+            self.matrix += HP @ cho_solve(cross_chol, HP.T)
 
     def matvec(self, v):
-        """Bv without materializing B."""
+        """Bv."""
         v = np.asarray(v, dtype=float)
         if self.rank == 0:
             return self.sigma * v
-        proj = self.P @ lapack.dpotrs(self._gram_chol, self.P.T @ v, lower=1)[0]
-        curv = self.HP @ lapack.dpotrs(self._cross_chol, self.HP.T @ v, lower=1)[0]
-        return self.sigma * (v - proj) + curv
+        return self.matrix @ v
 
     def solve(self, rhs):
-        """Solve B p = rhs by the Woodbury identity, in O(n m), refined once.
-
-        B^-1 rhs = (rhs - U S^-1 U' rhs / sigma) / sigma, with S the 2m x 2m
-        capacitance factored at construction; no n x n matrix is formed.
-        """
+        """The p solving B p = rhs."""
         rhs = np.asarray(rhs, dtype=float)
-        p = self._woodbury(rhs)
-        # one step of iterative refinement. The Woodbury form subtracts two
-        # terms of size ||rhs|| / sigma and alone leaves residuals near
-        # 1e-14 ||rhs|| on n = 512, cond 100 spans, where a dense Cholesky
-        # solve reaches 7e-16; the refined residual is about 1e-16
-        p += self._woodbury(rhs - self.matvec(p))
-        res = norm(self.matvec(p) - rhs)
-        if res > SOLVE_RESIDUAL_RTOL * max(norm(rhs), 1e-300):
-            raise DegenerateBasisError(f"direction solve residual {res:.3e} exceeds "
-                                       f"{SOLVE_RESIDUAL_RTOL:.0e} * ||rhs||")
-        return p
-
-    def _woodbury(self, rhs):
         if self.rank == 0:
             return rhs / self.sigma
-        corr = self._U @ lapack.dgetrs(self._cap_lu, self._cap_piv, self._U.T @ rhs)[0]
-        return (rhs - corr / self.sigma) / self.sigma
+        return np.linalg.solve(self.matrix, rhs)
 
     def with_sigma(self, sigma):
         """Same span data under a different complement scaling."""

@@ -331,11 +331,31 @@ def test_learned_action_reproduces_hessian_images():
     act = learn_h_action(g_next, g, alpha, prob.H @ newton_prev, q)
     assert np.allclose(act.h_p, prob.H @ p, atol=1e-10 * (1 + norm(prob.H @ p)))
     assert np.allclose(act.h_q, prob.H @ q, atol=1e-9 * (1 + norm(prob.H @ q)))
-    coef = float(g @ q) / float(q @ prob.H @ q) + alpha
+    # the slope is taken at the restricted minimizer, g + H pN, as in the solver
+    coef = float((g + prob.H @ newton_prev) @ q) / float(q @ prob.H @ q) + alpha
     assert act.coef == pytest.approx(coef, rel=1e-9)
     target = (1.0 - alpha) * newton_prev - coef * q
     assert np.allclose(act.h_newton_next, prob.H @ target,
                        atol=1e-9 * (1 + norm(prob.H @ target)))
+
+
+def test_learned_action_replays_the_matrix_free_solver():
+    prob, x0 = generate_problem(12, 8, cond=50.0, seed=5)
+    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.uniform(),
+                              sigmas=SigmaPolicy.uniform(), mode=MATRIX_FREE,
+                              seed=2, max_iter=20)
+    recs = trace.records
+    g_after = [rec.g for rec in recs[1:]] + [prob.gradient(trace.final_x)]
+    h_newton = np.zeros(prob.n)
+    replayed = 0
+    for rec, g_next in zip(recs, g_after):
+        if not rec.exhausted:
+            act = learn_h_action(g_next, rec.g, rec.alpha, h_newton, rec.q)
+            assert np.array_equal(act.h_q, rec.h_q)
+            assert np.array_equal(act.h_newton_next, rec.h_newton_step)
+            replayed += 1
+        h_newton = rec.h_newton_step
+    assert replayed > 0
 
 
 def test_learned_action_guards():
