@@ -34,10 +34,10 @@ from .approximation import (
     subspace_newton_general,
 )
 from .baselines import (
-    bfgs_update,
+    bfgs_inverse_update,
     cg_solve,
     exact_line_search,
-    memoryless_bfgs_update,
+    memoryless_bfgs_inverse_action,
     qn_exact_ls_solve,
 )
 from .errors import (
@@ -101,7 +101,7 @@ __all__ = [
     "StepExtension",
     "StepPolicy",
     "SubspaceNewtonStep",
-    "bfgs_update",
+    "bfgs_inverse_update",
     "build_full_memory",
     "build_two_vector",
     "cg_solve",
@@ -117,7 +117,7 @@ __all__ = [
     "krylov_minimizer",
     "learn_h_action",
     "load_problem",
-    "memoryless_bfgs_update",
+    "memoryless_bfgs_inverse_action",
     "newton_scaling",
     "newton_sigma",
     "problem_from_dict",

@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import norm
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
 from .util import cosine_alignment
@@ -81,12 +80,12 @@ def subspace_newton_general(basis, prob, x):
     G = S.T @ HS
     G = 0.5 * (G + G.T)
     try:
-        factor = cho_factor(G, lower=True)
+        np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise DegenerateBasisError(
             "basis is linearly dependent (projected Hessian is singular)"
         ) from exc
-    b = cho_solve(factor, -(S.T @ prob.gradient(x)))
+    b = np.linalg.solve(G, -(S.T @ prob.gradient(x)))
     return SubspaceNewtonStep(S @ b, b)
 
 
@@ -193,15 +192,17 @@ class SpanApprox:
                     "HP is inconsistent with P: P'HP is not symmetric "
                     f"(defect {asym:.3e})"
                 )
+            gram = P.T @ P
+            cross = 0.5 * (cross + cross.T)
             try:
-                gram_chol = cho_factor(P.T @ P, lower=True)
-                cross_chol = cho_factor(0.5 * (cross + cross.T), lower=True)
+                np.linalg.cholesky(gram)
+                np.linalg.cholesky(cross)
             except np.linalg.LinAlgError as exc:
                 raise DegenerateBasisError(
                     "spanning columns are dependent or have lost conjugacy"
                 ) from exc
-            self.matrix -= sigma * P @ cho_solve(gram_chol, P.T)
-            self.matrix += HP @ cho_solve(cross_chol, HP.T)
+            self.matrix -= sigma * P @ np.linalg.solve(gram, P.T)
+            self.matrix += HP @ np.linalg.solve(cross, HP.T)
 
     def matvec(self, v):
         """Bv."""

@@ -9,7 +9,6 @@ the arbitrary-step method is audited against.
 
 import numpy as np
 from numpy.linalg import norm
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
 from .trace import BREAKDOWN, CONVERGED, IterateRecord, IterateTrace
@@ -31,45 +30,52 @@ def exact_line_search(prob, x, p):
     return -float(prob.gradient(x) @ p) / curv
 
 
-def bfgs_update(B, p, h_p):
-    """Dense BFGS update of B along direction p with curvature image h_p = Hp.
+def bfgs_inverse_update(M, p, h_p):
+    """BFGS update of an inverse approximation M along p with image h_p = Hp.
 
-    B+ = B - (Bp)(Bp)'/(p'Bp) + (Hp)(Hp)'/(p'Hp). On a quadratic the update
-    is invariant to the step length taken along p, so p itself serves as the
-    difference pair.
+    M+ = (I - rho p(Hp)')M(I - rho (Hp)p') + rho pp', rho = 1/p'Hp, formed
+    with two outer products in O(n^2). It keeps M symmetric positive definite
+    and gives M+ Hp = p. On a quadratic the update is invariant to the step
+    length taken along p, so p itself serves as the difference pair.
     """
-    B = np.asarray(B, dtype=float)
+    M = np.asarray(M, dtype=float)
     p = np.asarray(p, dtype=float)
     h_p = np.asarray(h_p, dtype=float)
-    Bp = B @ p
-    pBp = float(p @ Bp)
     pHp = float(p @ h_p)
-    if pBp <= 0.0 or pHp <= 0.0:
+    if pHp <= 0.0:
         raise NotPositiveDefiniteError(
-            f"update curvatures must be positive: p'Bp = {pBp:.3e}, p'Hp = {pHp:.3e}"
+            f"direction has nonpositive curvature p'Hp = {pHp:.3e}"
         )
-    B_next = B - np.outer(Bp, Bp) / pBp + np.outer(h_p, h_p) / pHp
-    return 0.5 * (B_next + B_next.T)
+    rho = 1.0 / pHp
+    m_y = M @ h_p
+    cross = np.outer(p, m_y)
+    scale = rho * (1.0 + rho * float(h_p @ m_y))
+    return M - rho * (cross + cross.T) + scale * np.outer(p, p)
 
 
-def memoryless_bfgs_update(p, h_p):
-    """BFGS update applied to the identity: keeps only the latest pair.
+def memoryless_bfgs_inverse_action(p, h_p, v):
+    """Mv for the BFGS inverse update of the identity along the latest pair.
 
-    B+ = I - pp'/(p'p) + (Hp)(Hp)'/(p'Hp).
+    M = (I - rho p(Hp)')(I - rho (Hp)p') + rho pp', rho = 1/p'Hp, applied
+    without forming it:
+
+        Mv = v - rho [(p'v) Hp + ((Hp)'v) p] + rho (1 + rho (Hp)'Hp)(p'v) p.
     """
     p = np.asarray(p, dtype=float)
     h_p = np.asarray(h_p, dtype=float)
-    pp = float(p @ p)
-    if pp == 0.0:
+    v = np.asarray(v, dtype=float)
+    if not p.any():
         raise DegenerateBasisError("direction is zero")
     pHp = float(p @ h_p)
     if pHp <= 0.0:
         raise NotPositiveDefiniteError(
             f"direction has nonpositive curvature p'Hp = {pHp:.3e}"
         )
-    n = p.shape[0]
-    B_next = np.eye(n) - np.outer(p, p) / pp + np.outer(h_p, h_p) / pHp
-    return 0.5 * (B_next + B_next.T)
+    rho = 1.0 / pHp
+    pv = float(p @ v)
+    yv = float(h_p @ v)
+    return (v - rho * (pv * h_p + yv * p)
+            + rho * (1.0 + rho * float(h_p @ h_p)) * pv * p)
 
 
 def cg_solve(prob, x0, tol=1e-9, max_iter=None):
@@ -108,15 +114,17 @@ def cg_solve(prob, x0, tol=1e-9, max_iter=None):
 
 
 def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
-    """Quasi-Newton solve under exact line search with a dense approximation.
+    """Quasi-Newton solve under exact line search with an inverse approximation.
 
     variant
-        "bfgs": the approximation accumulates every update from B0 = I.
-        "memoryless": the approximation is rebuilt from the identity and the
-        latest direction pair only.
+        "bfgs": the inverse approximation M, kept as a dense n x n matrix,
+        accumulates every update from M0 = I.
+        "memoryless": M is the update of the identity by the latest
+        direction pair only, applied from that pair with no n x n array.
 
-    The approximation is kept dense and refactored each iteration; no factor
-    updating. Termination matches :func:`cg_solve`.
+    The direction is p = -Mg, so no system is solved. A direction that is
+    not a descent direction (g'p >= 0) means M lost positive definiteness
+    and ends the run. Termination matches :func:`cg_solve`.
     """
     if variant not in ("bfgs", "memoryless"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -125,13 +133,18 @@ def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
     threshold = tol * (1.0 + norm(g))
     trace = IterateTrace(meta={"method": variant, "tol": tol})
     cap = max_iter if max_iter is not None else prob.n + 1
-    B = np.eye(prob.n)
+    M = np.eye(prob.n) if variant == "bfgs" else None
+    pair = None
     for k in range(cap):
         if norm(g) <= threshold:
             return trace.finish(CONVERGED, x, norm(g))
-        try:
-            p = cho_solve(cho_factor(B, lower=True), -g)
-        except np.linalg.LinAlgError:
+        if M is not None:
+            p = -(M @ g)
+        elif pair is not None:
+            p = -memoryless_bfgs_inverse_action(*pair, g)
+        else:
+            p = -g
+        if float(g @ p) >= 0.0:
             return trace.finish(BREAKDOWN, x, norm(g),
                                 reason="approximation lost positive definiteness")
         h_p = prob.hessian_action(p)
@@ -145,10 +158,10 @@ def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
         ))
         x = x + alpha * p
         g = prob.gradient(x)
-        if variant == "bfgs":
-            B = bfgs_update(B, p, h_p)
+        if M is not None:
+            M = bfgs_inverse_update(M, p, h_p)
         else:
-            B = memoryless_bfgs_update(p, h_p)
+            pair = (p, h_p)
     if norm(g) <= threshold:
         return trace.finish(CONVERGED, x, norm(g))
     return trace.finish(BREAKDOWN, x, norm(g),

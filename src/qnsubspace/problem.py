@@ -13,7 +13,6 @@ from functools import cached_property
 import numpy as np
 import orjson
 from numpy.linalg import norm
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
@@ -34,8 +33,7 @@ class QuadraticProblem:
 
     H and c are copied, checked finite and frozen at construction. Symmetry
     is enforced by averaging with the transpose after a tolerance check, and
-    positive definiteness is verified with a Cholesky factorization whose
-    factor is cached for :meth:`solution`.
+    positive definiteness is verified with a Cholesky factorization.
     """
 
     def __init__(self, H, c):
@@ -59,7 +57,7 @@ class QuadraticProblem:
             raise ValueError(f"H is not symmetric (max asymmetry {asym:.3e})")
         H = 0.5 * (H + H.T)
         try:
-            self._chol = cho_factor(H, lower=True)
+            np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 "H is not positive definite"
@@ -105,13 +103,13 @@ class QuadraticProblem:
         return self._H @ v
 
     def solution(self):
-        """The unique minimizer, solving Hx + c = 0 via the cached Cholesky factor.
+        """The unique minimizer, solving Hx + c = 0 densely.
 
         One step of iterative refinement keeps the residual well below
         1e-10 * (1 + ||c||) even for poorly scaled spectra.
         """
-        x = cho_solve(self._chol, -self._c)
-        x += cho_solve(self._chol, -(self._H @ x + self._c))
+        x = np.linalg.solve(self._H, -self._c)
+        x += np.linalg.solve(self._H, -(self._H @ x + self._c))
         return x
 
     def condition_number(self):
@@ -190,19 +188,6 @@ class KrylovOracle:
         self.basis.setflags(write=False)
 
     @cached_property
-    def _projected(self):
-        """Cholesky factor L of A = Z'diag(mu)Z over the whole power basis Z,
-        and L^-1 b for b = -Z'w.
-
-        The projected matrix of the first k basis vectors is the leading k x k
-        block of A, so its factor is the leading block of L and its
-        forward-solved right side is the first k entries of L^-1 b.
-        """
-        Z = self._power
-        L = cholesky(Z.T @ (self._mu[:, None] * Z), lower=True)
-        return L, solve_triangular(L, -(Z.T @ self._w), lower=True)
-
-    @cached_property
     def solution(self):
         """The problem's unique minimizer, solved once for every check."""
         x = self.problem.solution()
@@ -213,16 +198,29 @@ class KrylovOracle:
         """Minimizer of f over x0 + span of the first k basis vectors."""
         if not 0 <= k <= self.grade:
             raise ValueError(f"k must lie in [0, {self.grade}], got {k}")
-        if k == 0:
-            return self.origin.copy()
-        L, z = self._projected
-        y = solve_triangular(L[:k, :k], z[:k], lower=True, trans="T")
-        return self.origin + self._axes @ (self._power[:, :k] @ y)
+        return self.minimizers[:, k].copy()
 
     @cached_property
     def minimizers(self):
-        """(n, grade + 1) array whose column k is ``minimizer(k)``."""
-        X = np.column_stack([self.minimizer(k) for k in range(self.grade + 1)])
+        """(n, grade + 1) array whose column k is ``minimizer(k)``.
+
+        With the whole power basis Z, the projected matrix of the first k
+        basis vectors is the leading k x k block of A = Z'diag(mu)Z. For
+        A = LL' and the upper triangular W = L'^-1, the inverse of that block
+        is W_k W_k' with W_k the leading block of W, and W_k' b_k is the first
+        k entries of z = W'b for b = -Z'w. So the coefficients of minimizer k
+        are the running sum of the first k columns of W scaled by z, and one
+        factorization and one inverse give every k at once.
+        """
+        Z = self._power
+        L = np.linalg.cholesky(Z.T @ (self._mu[:, None] * Z))
+        # L' is upper triangular, so gesv does not pivot and W stays upper
+        # triangular exactly
+        W = np.linalg.inv(L.T)
+        z = -(W.T @ (Z.T @ self._w))
+        Y = np.zeros((self.grade, self.grade + 1))
+        Y[:, 1:] = np.cumsum(W * z, axis=1)
+        X = self.origin[:, None] + self._axes @ (Z @ Y)
         X.setflags(write=False)
         return X
 

@@ -190,6 +190,23 @@ def span_approx_dense(P, HP, sigma):
     return sigma * (np.eye(n) - proj) + curv
 
 
+def bfgs_update_dense(B, p, h_p):
+    """The BFGS update of B itself along p with h_p = Hp:
+
+    B+ = B - (Bp)(Bp)'/(p'Bp) + (Hp)(Hp)'/(p'Hp).
+    """
+    Bp = B @ p
+    return B - np.outer(Bp, Bp) / (p @ Bp) + np.outer(h_p, h_p) / (p @ h_p)
+
+
+def memoryless_bfgs_dense(p, h_p):
+    """The BFGS update of the identity along the latest pair only:
+
+    B+ = I - pp'/(p'p) + (Hp)(Hp)'/(p'Hp).
+    """
+    return bfgs_update_dense(np.eye(len(p)), p, h_p)
+
+
 def operator_matrix(matvec, n):
     """The n x n matrix of a linear operator, one unit vector at a time."""
     return np.column_stack([matvec(e) for e in np.eye(n)])

@@ -13,11 +13,11 @@ from qnsubspace import (
     KrylovOracle,
     NotPositiveDefiniteError,
     QuadraticProblem,
-    bfgs_update,
+    bfgs_inverse_update,
     cg_solve,
     exact_line_search,
     generate_problem,
-    memoryless_bfgs_update,
+    memoryless_bfgs_inverse_action,
     qn_exact_ls_solve,
 )
 
@@ -95,21 +95,23 @@ def test_cg_iteration_cap_reports_breakdown():
 def test_bfgs_update_secant_property_is_hereditary():
     prob, x0 = generate_problem(7, 7, cond=30.0, seed=35)
     oracle = KrylovOracle(prob, x0)
-    B = np.eye(7)
+    M = np.eye(7)
     dirs = [oracle.conjugate_direction(k) for k in range(4)]
     for p in dirs:
-        B = bfgs_update(B, p, prob.hessian_action(p))
-    assert np.allclose(B, B.T)
-    assert np.linalg.eigvalsh(B).min() > 0.0
+        M = bfgs_inverse_update(M, p, prob.hessian_action(p))
+    assert np.allclose(M, M.T)
+    assert np.linalg.eigvalsh(M).min() > 0.0
     # conjugacy of the update directions preserves every earlier secant pair
     for p in dirs:
         h_p = prob.hessian_action(p)
-        assert np.allclose(B @ p, h_p, atol=1e-9 * (1.0 + norm(h_p)))
+        assert np.allclose(M @ h_p, p, atol=1e-9 * (1.0 + norm(p)))
 
 
 def test_bfgs_update_rejects_nonpositive_curvature():
     with pytest.raises(NotPositiveDefiniteError):
-        bfgs_update(np.eye(3), np.ones(3), -np.ones(3))
+        bfgs_inverse_update(np.eye(3), np.ones(3), -np.ones(3))
+    with pytest.raises(NotPositiveDefiniteError):
+        bfgs_inverse_update(np.eye(3), np.zeros(3), np.zeros(3))
 
 
 def test_memoryless_update_secant_and_guards():
@@ -117,14 +119,33 @@ def test_memoryless_update_secant_and_guards():
     prob, _ = generate_problem(5, 5, cond=9.0, seed=36)
     p = rng.standard_normal(5)
     h_p = prob.hessian_action(p)
-    B = memoryless_bfgs_update(p, h_p)
-    assert np.allclose(B, B.T)
-    assert np.linalg.eigvalsh(B).min() > 0.0
-    assert np.allclose(B @ p, h_p, atol=1e-12 * norm(h_p))
+    M = oracles.operator_matrix(lambda v: memoryless_bfgs_inverse_action(p, h_p, v), 5)
+    assert np.allclose(M, M.T)
+    assert np.linalg.eigvalsh(M).min() > 0.0
+    assert np.allclose(memoryless_bfgs_inverse_action(p, h_p, h_p), p,
+                       atol=1e-12 * norm(p))
     with pytest.raises(DegenerateBasisError):
-        memoryless_bfgs_update(np.zeros(5), np.zeros(5))
+        memoryless_bfgs_inverse_action(np.zeros(5), np.zeros(5), p)
     with pytest.raises(NotPositiveDefiniteError):
-        memoryless_bfgs_update(p, -h_p)
+        memoryless_bfgs_inverse_action(p, -h_p, p)
+
+
+def test_inverse_updates_invert_the_dense_references():
+    prob, x0 = generate_problem(10, 10, cond=50.0, seed=37)
+    trace = qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-8)
+    assert trace.iterations == 10
+    B = M = np.eye(10)
+    for rec in trace.records:
+        B = oracles.bfgs_update_dense(B, rec.p, rec.h_p)
+        M = bfgs_inverse_update(M, rec.p, rec.h_p)
+        assert np.abs(M @ B - np.eye(10)).max() <= 1e-10
+
+    trace = qn_exact_ls_solve(prob, x0, variant="memoryless", tol=1e-8)
+    assert trace.iterations == 10
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        B = oracles.memoryless_bfgs_dense(prev.p, prev.h_p)
+        ref = -np.linalg.solve(B, rec.g)
+        assert norm(rec.p - ref) <= 1e-10 * norm(ref)
 
 
 @pytest.mark.parametrize("variant", ["bfgs", "memoryless"])

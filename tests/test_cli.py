@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qnsubspace import KrylovOracle, load_problem, problem
+from qnsubspace import load_problem, problem
 from qnsubspace.cli import (
     EXIT_BREAKDOWN,
     EXIT_CHECK_FAIL,
@@ -278,21 +278,14 @@ GRID_METHODS = [
 
 def count_reference_work(monkeypatch):
     """Call counters on the eigensolvers the problem module reaches, on the
-    Krylov minimizer and on the exact solve."""
-    counts = {"eigh": 0, "eigvalsh": 0, "minimizer": 0, "solution": 0}
-    for name in ("eigh", "eigvalsh"):
+    inverse behind each batch of Krylov minimizers and on the exact solve."""
+    counts = {"eigh": 0, "eigvalsh": 0, "inv": 0, "solution": 0}
+    for name in ("eigh", "eigvalsh", "inv"):
         def counted(*args, _fn=getattr(problem.np.linalg, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(problem.np.linalg, name, counted)
-    minimizer = KrylovOracle.minimizer
-
-    def counted_minimizer(self, k):
-        counts["minimizer"] += 1
-        return minimizer(self, k)
-
-    monkeypatch.setattr(KrylovOracle, "minimizer", counted_minimizer)
     solution = problem.QuadraticProblem.solution
 
     def counted_solution(self):
@@ -315,7 +308,7 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
     rows = read_rows(out / "summary.csv")
     assert len(rows) == 7
     assert counts["eigh"] + counts["eigvalsh"] == 1
-    assert 0 < counts["minimizer"] <= int(rows[0]["grade"]) + 1
+    assert counts["inv"] == 1
     assert counts["solution"] == 1
 
     traces = sorted((out / "traces").iterdir())
@@ -323,7 +316,45 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
         main(["verify", "--trace", str(trace_path),
               "--problem", str(out / "problems" / "p000.json")])
     assert counts["eigh"] + counts["eigvalsh"] == 1 + len(traces)
+    assert counts["inv"] == 1 + len(traces)
     assert counts["solution"] == 1 + len(traces)
+
+
+# Runs CLI commands, given as a JSON list of argument lists, in an interpreter
+# where any import of scipy raises, and prints their exit codes as JSON.
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+from qnsubspace.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(codes))
+"""
+
+
+def test_generate_run_and_verify_need_no_scipy(tmp_path):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 5,
+        "problems": [{"n": 8, "r": 4, "cond": 10.0}],
+        "methods": GRID_METHODS,
+    })
+
+    def commands(out):
+        return [
+            ["generate", "--spec", spec, "--out-dir", str(out / "gen")],
+            ["run", "--spec", spec, "--out-dir", str(out / "run")],
+            ["verify", "--trace", str(out / "run" / "traces" / "p000__m01_bfgs.json"),
+             "--problem", str(out / "run" / "problems" / "p000.json")],
+        ]
+
+    unguarded = [main(argv) for argv in commands(tmp_path / "unguarded")]
+    assert unguarded == [EXIT_PASS] * 3
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED,
+         json.dumps(commands(tmp_path / "guarded"))],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == unguarded
 
 
 @pytest.mark.parametrize("payload,fragment", [
