@@ -20,14 +20,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import norm
 
 from .approximation import COLLAPSE_WARN_BAND, newton_sigma, span_collapses
 # unused here: the traced benchmark wraps these names on this module
 from .approximation import SpanApprox, build_two_vector  # noqa: F401
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
 from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, IterateTrace
-from .util import cosine_alignment
+from .util import cosine_alignment, norm
 
 ORACLE = "oracle"
 MATRIX_FREE = "matrix-free"
@@ -491,6 +490,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
 
     sigma = sigma_init
     exhausted = False
+    g_norm = g0_norm
 
     for k in range(max_iter):
         if exhausted:
@@ -519,7 +519,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             h_p = prob.hessian_action(p)
 
         record = IterateRecord(
-            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=float(norm(g)),
+            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm,
             h_p=h_p, exhausted=exhausted,
         )
         trace.records.append(record)
@@ -588,7 +588,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             record.collapsed = span_collapses(newton_next, align_gap)
         record.sigma = sigma
 
-        x, g = x_next, g_next
+        x, g, g_norm = x_next, g_next, g_next_norm
         newton_step, h_newton = newton_next, h_newton_next
 
-    return trace.finish(MAX_ITER, x, norm(g))
+    return trace.finish(MAX_ITER, x, g_norm)

@@ -25,10 +25,9 @@ formula above and solved densely.
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import norm
 
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
-from .util import cosine_alignment
+from .util import cosine_alignment, norm
 
 # Two spanning vectors closer than this (in 1 - |cos|) collapse to one column.
 COLLAPSE_TOL = 1e-10

@@ -8,10 +8,10 @@ the arbitrary-step method is audited against.
 """
 
 import numpy as np
-from numpy.linalg import norm
 
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
 from .trace import BREAKDOWN, CONVERGED, IterateRecord, IterateTrace
+from .util import norm
 
 
 def exact_line_search(prob, x, p):
@@ -87,29 +87,31 @@ def cg_solve(prob, x0, tol=1e-9, max_iter=None):
     """
     x = prob._check_vector(x0, name="x0")
     g = prob.gradient(x)
-    threshold = tol * (1.0 + norm(g))
+    g_norm = norm(g)
+    threshold = tol * (1.0 + g_norm)
     trace = IterateTrace(meta={"method": "cg", "tol": tol})
     cap = max_iter if max_iter is not None else prob.n + 1
     p = -g
     for k in range(cap):
-        if norm(g) <= threshold:
-            return trace.finish(CONVERGED, x, norm(g))
+        if g_norm <= threshold:
+            return trace.finish(CONVERGED, x, g_norm)
         h_p = prob.hessian_action(p)
         curv = float(p @ h_p)
         if curv <= 0.0:
-            return trace.finish(BREAKDOWN, x, norm(g),
+            return trace.finish(BREAKDOWN, x, g_norm,
                                 reason="nonpositive curvature along search direction")
         alpha = -float(g @ p) / curv
         trace.records.append(IterateRecord(
-            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=float(norm(g)), h_p=h_p,
+            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm, h_p=h_p,
         ))
         x = x + alpha * p
         g_next = prob.gradient(x)
         p = -g_next + (float(g_next @ h_p) / curv) * p
         g = g_next
-    if norm(g) <= threshold:
-        return trace.finish(CONVERGED, x, norm(g))
-    return trace.finish(BREAKDOWN, x, norm(g),
+        g_norm = norm(g)
+    if g_norm <= threshold:
+        return trace.finish(CONVERGED, x, g_norm)
+    return trace.finish(BREAKDOWN, x, g_norm,
                         reason=f"no convergence within {cap} iterations")
 
 
@@ -130,14 +132,15 @@ def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
         raise ValueError(f"unknown variant {variant!r}")
     x = prob._check_vector(x0, name="x0")
     g = prob.gradient(x)
-    threshold = tol * (1.0 + norm(g))
+    g_norm = norm(g)
+    threshold = tol * (1.0 + g_norm)
     trace = IterateTrace(meta={"method": variant, "tol": tol})
     cap = max_iter if max_iter is not None else prob.n + 1
     M = np.eye(prob.n) if variant == "bfgs" else None
     pair = None
     for k in range(cap):
-        if norm(g) <= threshold:
-            return trace.finish(CONVERGED, x, norm(g))
+        if g_norm <= threshold:
+            return trace.finish(CONVERGED, x, g_norm)
         if M is not None:
             p = -(M @ g)
         elif pair is not None:
@@ -145,24 +148,25 @@ def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
         else:
             p = -g
         if float(g @ p) >= 0.0:
-            return trace.finish(BREAKDOWN, x, norm(g),
+            return trace.finish(BREAKDOWN, x, g_norm,
                                 reason="approximation lost positive definiteness")
         h_p = prob.hessian_action(p)
         curv = float(p @ h_p)
         if curv <= 0.0:
-            return trace.finish(BREAKDOWN, x, norm(g),
+            return trace.finish(BREAKDOWN, x, g_norm,
                                 reason="nonpositive curvature along search direction")
         alpha = -float(g @ p) / curv
         trace.records.append(IterateRecord(
-            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=float(norm(g)), h_p=h_p,
+            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm, h_p=h_p,
         ))
         x = x + alpha * p
         g = prob.gradient(x)
+        g_norm = norm(g)
         if M is not None:
             M = bfgs_inverse_update(M, p, h_p)
         else:
             pair = (p, h_p)
-    if norm(g) <= threshold:
-        return trace.finish(CONVERGED, x, norm(g))
-    return trace.finish(BREAKDOWN, x, norm(g),
+    if g_norm <= threshold:
+        return trace.finish(CONVERGED, x, g_norm)
+    return trace.finish(BREAKDOWN, x, g_norm,
                         reason=f"no convergence within {cap} iterations")

@@ -13,12 +13,11 @@ spec error, 3 solver breakdown.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
 from pathlib import Path
-
-from numpy.linalg import norm
 
 from .algorithm import (
     MATRIX_FREE,
@@ -39,6 +38,7 @@ from .problem import (
     save_problem,
 )
 from .trace import BREAKDOWN, IterateTrace
+from .util import norm
 from .verification import verify_trace
 
 EXIT_PASS = 0
@@ -359,7 +359,10 @@ def cmd_verify(args):
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it cost a quarter of a small ``verify``."""
     parser = argparse.ArgumentParser(
         prog="qnsubspace",
         description="Generate, run, and verify quadratic solver experiments.",

@@ -11,14 +11,25 @@ costs a fraction of writing each float's decimal repr. Scalars, flags,
 ``meta``, ``warnings``, ``status`` and ``final.x`` stay plain JSON numbers.
 Vectors given as number lists, as in ``qnsubspace-trace-v1`` files, load the
 same way.
+
+A trace file is one line of sorted-key JSON. Its top level is the text of
+``json.dumps``, separators included, so readers can find ``"final": `` in it.
+Each iteration record is the compact text of orjson, except a record with a
+non-finite scalar, which keeps ``json.dumps``'s ``NaN`` and ``Infinity`` where
+orjson would write ``null``. Files load with ``json.load``, which reads both
+spellings of a float to the same bits and, unlike orjson, accepts those
+literals, as in the ``final.grad_norm`` of a trace that broke down on a
+non-finite gradient.
 """
 
-import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
+import orjson
 
 CONVERGED = "converged"
 MAX_ITER = "max-iter"
@@ -32,7 +43,8 @@ def _vec(x):
     if x is None:
         return None
     if isinstance(x, str):
-        raw = base64.b64decode(x, validate=True)
+        # what base64.b64decode(x, validate=True) calls
+        raw = binascii.a2b_base64(x, strict_mode=True)
         return np.frombuffer(raw, dtype="<f8").astype(float)
     return np.asarray(x, dtype=float)
 
@@ -42,7 +54,7 @@ def _vec_b64(x):
     if x is None:
         return None
     raw = np.asarray(x, dtype="<f8").ravel().tobytes()
-    return base64.b64encode(raw).decode("ascii")
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
 
 
 def _vec_list(x):
@@ -114,6 +126,19 @@ class IterateRecord:
         if rec.x is None or rec.g is None or rec.p is None:
             raise ValueError(f"record {rec.k} lacks x, g or p")
         return rec
+
+
+def _record_json(rec):
+    """File text of one record, as bytes.
+
+    orjson writes NaN and infinities as null, which would load as a malformed
+    record, so a record with a non-finite scalar keeps the stdlib text.
+    """
+    d = rec.to_dict()
+    if (math.isfinite(d["alpha"]) and math.isfinite(d["grad_norm"])
+            and (d["sigma"] is None or math.isfinite(d["sigma"]))):
+        return orjson.dumps(d, option=orjson.OPT_SORT_KEYS)
+    return json.dumps(d, sort_keys=True).encode()
 
 
 @dataclass
@@ -202,28 +227,31 @@ class IterateTrace:
         return trace
 
     def save(self, path):
-        """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline.
+        """Write the trace as one line of sorted-key JSON and a newline.
 
-        The text goes out one field and one record at a time, so the whole
-        document never exists as one string. ``json.dumps`` without an indent
-        runs the C encoder; ``json.dump`` to a file never does.
+        The text is ``json.dumps(self.to_dict(), sort_keys=True)`` except
+        inside the records, each of which is ``orjson.dumps`` with sorted keys
+        (compact, and written several times faster) unless a scalar of it is
+        not finite; see the module docstring. The text goes out one field and
+        one record at a time, so the whole document never exists as one
+        string.
         """
         fields = self._fields()
-        with open(path, "w") as fh:
-            sep = "{"
+        with open(path, "wb") as fh:
+            sep = b"{"
             for key in sorted([*fields, "iterations"]):
-                fh.write(f"{sep}{json.dumps(key)}: ")
-                sep = ", "
+                fh.write(b"%s%s: " % (sep, json.dumps(key).encode()))
+                sep = b", "
                 if key != "iterations":
-                    fh.write(json.dumps(fields[key], sort_keys=True))
+                    fh.write(json.dumps(fields[key], sort_keys=True).encode())
                     continue
-                fh.write("[")
+                fh.write(b"[")
                 for i, rec in enumerate(self.records):
                     if i:
-                        fh.write(", ")
-                    fh.write(json.dumps(rec.to_dict(), sort_keys=True))
-                fh.write("]")
-            fh.write("}\n")
+                        fh.write(b", ")
+                    fh.write(_record_json(rec))
+                fh.write(b"]")
+            fh.write(b"}\n")
 
     @classmethod
     def load(cls, path):

@@ -1,11 +1,25 @@
 """Small vector helpers used across modules."""
 
+import math
+
 import numpy as np
+
+
+def norm(v):
+    """Euclidean norm of a 1-D vector, bit for bit ``np.linalg.norm(v)``.
+
+    ``np.linalg.norm`` takes ``sqrt(x.dot(x))`` of ``x = v.ravel(order="K")``,
+    a contiguous copy when ``v`` is strided; this does the same without its
+    argument dispatch, which costs more than the product at the sizes here.
+    Returns a Python float.
+    """
+    v = np.asarray(v).ravel()
+    return math.sqrt(v.dot(v))
 
 
 def unit(v):
     """Return v / ||v||. Raises on the zero vector."""
-    nv = np.linalg.norm(v)
+    nv = norm(v)
     if nv == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / nv
@@ -13,8 +27,8 @@ def unit(v):
 
 def cosine_alignment(u, v):
     """|cos(angle(u, v))| for nonzero u, v; 0.0 if either is zero."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    nu = norm(u)
+    nv = norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return min(1.0, abs(float(u @ v)) / (nu * nv))
@@ -31,5 +45,5 @@ def direction_angle(u, v):
     vv = unit(np.asarray(v, dtype=float))
     if uu @ vv < 0.0:
         vv = -vv
-    chord = np.linalg.norm(uu - vv)
+    chord = norm(uu - vv)
     return 2.0 * np.arcsin(min(1.0, 0.5 * chord))

@@ -10,12 +10,11 @@ problem and start point, which every trace of that problem can share.
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.linalg import norm
 
 from .algorithm import SigmaPolicy
 from .problem import ILL_CONDITIONED, KrylovOracle
 from .trace import CONVERGED, DirectionHistory, IterateRecord
-from .util import direction_angle
+from .util import direction_angle, norm
 
 # |alpha - 1| below this counts as a deliberate unit step.
 UNIT_STEP_ATOL = 1e-12
@@ -172,7 +171,11 @@ def check_newton_onset(trace, oracle):
                                  for rec in tracked])
         G_hat = prob.H @ X_hat + prob.c[:, None]
         Q = oracle.conjugate_directions
-        scaled = np.abs(G_hat.T @ Q) / (g0_norm * norm(Q, axis=0))
+        # a reference column is exactly zero once the minimizers stop moving;
+        # its component |g'0| is 0, so it scales to 0 and no NaN is formed
+        denom = g0_norm * np.linalg.norm(Q, axis=0)
+        scaled = np.divide(np.abs(G_hat.T @ Q), denom, where=denom > 0.0,
+                           out=np.zeros((len(tracked), Q.shape[1])))
         ks = np.array([rec.k for rec in tracked])
         mask = np.arange(r)[None, :] < np.minimum(ks + 1, r)[:, None]
         pairs = int(mask.sum())
@@ -299,7 +302,8 @@ def check_conjugate_baseline(trace, oracle):
         grads = [rec.g for rec in trace.records]
         if trace.final_x is not None:
             grads.append(prob.gradient(trace.final_x))
-        scaled = np.abs(np.column_stack(grads).T @ D) / (g0_norm * norm(D, axis=0))
+        scaled = (np.abs(np.column_stack(grads).T @ D)
+                  / (g0_norm * np.linalg.norm(D, axis=0)))
         earlier = np.tril(np.ones(scaled.shape, dtype=bool), k=-1)
         if earlier.any():
             worst_orth = float(scaled[earlier].max())

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qnsubspace import load_problem, problem
+from qnsubspace import cli, load_problem, problem
 from qnsubspace.cli import (
     EXIT_BREAKDOWN,
     EXIT_CHECK_FAIL,
@@ -214,6 +214,59 @@ def test_verify_subcommand(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert code == EXIT_CHECK_FAIL
     assert "FAIL" in printed
+
+
+def test_verify_of_a_trace_with_an_infinite_final_gradient_exits_3(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2,
+        "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "qn-subspace",
+                     "step": {"kind": "constant", "value": 1e308}}],
+    })
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):  # the step overflows the gradient
+        assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_BREAKDOWN
+    trace_path = next((out / "traces").glob("*.json"))
+    assert '"final": {"grad_norm": Infinity, ' in trace_path.read_text()
+    capsys.readouterr()
+
+    code = main(["verify", "--trace", str(trace_path),
+                 "--problem", str(out / "problems" / "p000.json")])
+    assert code == EXIT_BREAKDOWN
+    assert "gradient is not finite at iterate 1" in capsys.readouterr().out
+
+
+def test_the_shared_parser_behaves_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "cg"}, {"kind": "qn-subspace"}],
+    })
+    out = tmp_path / "out"
+    commands = [
+        ["run", "--spec", spec, "--out-dir", str(out), "--tol", "1e-10"],
+        ["verify", "--trace", "missing-problem.json"],  # --problem is required
+        ["verify", "--trace", str(out / "traces" / "p000__m01_qn-subspace.json"),
+         "--problem", str(out / "problems" / "p000.json")],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            printed = capsys.readouterr()
+            seen.append((code, printed.out, printed.err))
+        return seen
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = outcomes()
+    assert [code for code, _, _ in shared] == [EXIT_PASS, EXIT_USAGE, EXIT_PASS]
+    assert "the following arguments are required: --problem" in shared[1][2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert outcomes() == shared
 
 
 # Each case edits record 1 or the final state of a 6-dimensional trace.

@@ -42,16 +42,53 @@ def sample_traces():
     return run, breakdown
 
 
+def trace_text(trace):
+    """File text of a trace: ``json.dumps`` of its sorted top-level fields,
+    each record in them ``orjson.dumps`` with sorted keys."""
+    payload = trace.to_dict()
+    records = ", ".join(orjson.dumps(rec, option=orjson.OPT_SORT_KEYS).decode()
+                        for rec in payload["iterations"])
+    payload["iterations"] = None
+    text = json.dumps(payload, sort_keys=True)
+    return text.replace('"iterations": null', f'"iterations": [{records}]', 1) + "\n"
+
+
+# One record of length 1: the top level keeps the stdlib's separators and
+# spelling (1e-05), the record is compact orjson text (0.00001).
+TINY_TRACE_TEXT = (
+    '{"final": {"grad_norm": 0.0, "x": [2.0]}, "iterations": [{"alpha":2.0,'
+    '"collapsed":true,"exhausted":false,"g":"AAAAAAAA4L8=","grad_norm":0.5,'
+    '"h_p":null,"h_pN":null,"h_q":null,"k":0,"p":"AAAAAAAA4D8=","pN":null,'
+    '"q":null,"sigma":0.00001,"x":"AAAAAAAA8D8="}], "meta": {"method": "cg", '
+    '"tol": 1e-05}, "schema": "qnsubspace-trace-v2", "status": {"iterations": '
+    '1, "kind": "converged", "reason": null}, "warnings": []}\n'
+)
+
+
+def tiny_trace():
+    rec = IterateRecord(k=0, x=np.array([1.0]), g=np.array([-0.5]),
+                        p=np.array([0.5]), alpha=2.0, grad_norm=0.5, sigma=1e-05,
+                        collapsed=True, exhausted=False)
+    return IterateTrace(records=[rec], meta={"method": "cg", "tol": 1e-05}).finish(
+        "converged", np.array([2.0]), 0.0)
+
+
 def test_trace_file_is_one_line_of_sorted_json(tmp_path):
     run, breakdown = sample_traces()
     assert len(run.records) > 1 and not breakdown.records
-    for i, trace in enumerate((run, breakdown)):
+    for i, (trace, want) in enumerate([(run, trace_text(run)),
+                                       (breakdown, trace_text(breakdown)),
+                                       (tiny_trace(), TINY_TRACE_TEXT)]):
         path = tmp_path / f"t{i}.json"
         trace.save(path)
         text = path.read_text()
-        assert text == one_line(trace.to_dict())
+        assert text == want
         assert text.count("\n") == 1
+        # the benchmark finds the final state by this text
+        assert '"final": ' in text
         assert IterateTrace.load(path).to_dict() == trace.to_dict()
+        with open(path) as fh:
+            assert json.load(fh) == json.loads(one_line(trace.to_dict()))
 
 
 def test_indented_trace_files_still_load(tmp_path):
@@ -164,6 +201,44 @@ def test_record_vectors_round_trip_bit_for_bit(tmp_path):
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # keeps -0.0 and subnormals
             assert got.dtype == np.float64 and got.flags.writeable
+
+
+def test_record_scalars_round_trip_bit_for_bit(tmp_path):
+    records = []
+    for k, value in enumerate(AWKWARD):
+        rec = awkward_record(3)
+        rec.k, rec.alpha, rec.grad_norm, rec.sigma = k, value, -value, value
+        records.append(rec)
+    trace = IterateTrace(records=records, final_x=records[0].x, final_grad_norm=0.0)
+    path = tmp_path / "scalars.json"
+    trace.save(path)
+    loaded = IterateTrace.load(path).records
+    for rec, got in zip(records, loaded, strict=True):
+        for name in ("alpha", "grad_norm", "sigma"):
+            assert type(getattr(got, name)) is float
+            assert same_bits(getattr(got, name), getattr(rec, name)), name
+
+
+def test_a_record_with_non_finite_scalars_keeps_the_stdlib_text(tmp_path):
+    odd = awkward_record(2)
+    odd.k, odd.alpha, odd.grad_norm, odd.sigma = 1, np.nan, np.inf, -np.inf
+    plain = awkward_record(2)
+    trace = IterateTrace(records=[plain, odd], final_x=odd.x,
+                         final_grad_norm=np.inf)
+    path = tmp_path / "non_finite.json"
+    trace.save(path)
+    text = path.read_text()
+    assert orjson.dumps(plain.to_dict(), option=orjson.OPT_SORT_KEYS).decode() in text
+    assert json.dumps(odd.to_dict(), sort_keys=True) in text
+    assert '"alpha": NaN' in text and '"grad_norm": Infinity' in text
+    assert '"sigma": -Infinity' in text
+    assert '"final": {"grad_norm": Infinity' in text
+    loaded = IterateTrace.load(path)
+    got = loaded.records[1]
+    assert np.isnan(got.alpha)
+    assert got.grad_norm == np.inf and got.sigma == -np.inf
+    assert loaded.final_grad_norm == np.inf
+    assert loaded.to_dict()["iterations"][0] == plain.to_dict()
 
 
 def test_every_record_field_survives_a_json_round_trip():

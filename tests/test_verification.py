@@ -2,6 +2,8 @@
 
 from dataclasses import fields
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.linalg import norm
@@ -27,7 +29,7 @@ from qnsubspace import (
     verify_trace,
 )
 from qnsubspace import verification as V
-from qnsubspace.util import cosine_alignment, direction_angle, unit
+from qnsubspace.util import cosine_alignment, direction_angle, norm, unit
 
 import oracles
 
@@ -47,6 +49,41 @@ def test_direction_angle_basics():
     assert cosine_alignment(e1, np.zeros(2)) == 0.0
     with pytest.raises(ValueError):
         unit(np.zeros(3))
+
+
+def test_norm_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(6)
+    matrix = rng.standard_normal((9, 4))
+    vectors = [
+        rng.standard_normal(37),
+        matrix[:, 2],  # a strided column
+        np.array([5e-324, -2.2250738585072014e-308 / 3, 1e-310]),  # subnormals
+        np.array([-0.0]),
+        np.array([-0.0, -0.0, 0.0]),
+        np.array([1e200, -3e200, 2.0]),  # the squared norm overflows to inf
+    ]
+    assert not matrix[:, 2].flags.c_contiguous
+    for v in vectors:
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(v)
+            got = norm(v)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), v
+    assert got == np.inf
+
+
+def test_newton_onset_check_raises_no_warning_on_a_zero_reference_column():
+    prob, x0 = generate_problem(128, 128, cond=100.0, seed=0)
+    oracle = KrylovOracle(prob, x0)
+    # the minimizers stop moving before the grade: a reference column is zero
+    assert not np.linalg.norm(oracle.conjugate_directions, axis=0).all()
+    trace = subspace_qn_solve(prob, x0, seed=1, max_iter=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = verify_trace(trace, prob, x0)
+    onset = reports[0].findings[-1]
+    assert onset.name == "restricted Newton step reaches the subspace minimizer"
+    assert np.isfinite(onset.value)
 
 
 def test_baseline_check_passes_on_an_honest_run():
