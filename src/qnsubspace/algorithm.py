@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import COLLAPSE_WARN_BAND, newton_sigma, span_collapses
+from .approximation import (COLLAPSE_WARN_BAND, _upcoming_direction, newton_scaling,
+                            newton_sigma, span_collapses)
 # unused here: the traced benchmark wraps these names on this module
 from .approximation import SpanApprox, build_two_vector  # noqa: F401
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
@@ -63,12 +64,7 @@ class _StepContext:
 
     def exact_step(self):
         self.h_p = self.h_probe(self.p)
-        curv = float(self.p @ self.h_p)
-        if curv <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"search direction has nonpositive curvature p'Hp = {curv:.3e}"
-            )
-        return -float(self.g @ self.p) / curv
+        return newton_scaling(self.g, self.p, self.h_p)
 
 
 @dataclass
@@ -377,15 +373,6 @@ def _conjugate_images(h_p, h_newton_prev, q, g_slope, alpha):
     coef = float(g_slope @ q) / q_h_q + alpha
     h_newton_next = (1.0 - alpha) * h_newton_prev - coef * h_q
     return LearnedAction(h_p, h_q, h_newton_next, coef)
-
-
-def _upcoming_direction(g_hat, q, h_q):
-    """(c, -g_hat + c q): the next conjugate direction from the gradient
-    g_hat at the restricted minimizer, with c = g_hat'Hq / q'Hq; c = 0 while
-    q = 0, before the first step and once the span is exhausted."""
-    q_h_q = float(q @ h_q)
-    coef = float(g_hat @ h_q) / q_h_q if q_h_q > 0.0 else 0.0
-    return coef, -g_hat + coef * q
 
 
 def solve_direction(g, newton_step, h_newton_step, q, h_q, sigma):

@@ -50,6 +50,15 @@ def newton_scaling(g, q, h_q):
     return -float(g @ q) / curv
 
 
+def _upcoming_direction(g_hat, q, h_q):
+    """(c, -g_hat + c q): the next direction conjugate to q from the gradient
+    g_hat at the minimizer along q, c = g_hat'Hq / q'Hq, or 0 while q = 0 (the
+    solver's q before its first step and once its span is exhausted)."""
+    q_h_q = float(q @ h_q)
+    coef = float(g_hat @ h_q) / q_h_q if q_h_q > 0.0 else 0.0
+    return coef, -g_hat + coef * q
+
+
 class SubspaceNewtonStep(NamedTuple):
     """Restricted Newton step: the move itself plus its basis coefficients."""
 

@@ -5,10 +5,18 @@ strictly convex quadratic in exactly as many steps as the grade of the
 gradient-generated subspace, walking the same constrained minimizers with
 mutually conjugate (and pairwise parallel) directions. They are the reference
 the arbitrary-step method is audited against.
+
+All three run :func:`_exact_line_search_loop` and differ only in the next
+direction they form from the new gradient g and the last pair (p, Hp): CG
+takes -g + c p, the solver's conjugate-direction rule, and the quasi-Newton
+variants -Mg, with M an inverse approximation updated by the pair.
 """
+
+import math
 
 import numpy as np
 
+from .approximation import _upcoming_direction, newton_scaling
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
 from .trace import BREAKDOWN, CONVERGED, IterateRecord, IterateTrace
 from .util import norm
@@ -21,13 +29,7 @@ def exact_line_search(prob, x, p):
     nonpositive curvature p'Hp is not and raises.
     """
     p = np.asarray(p, dtype=float)
-    h_p = prob.hessian_action(p)
-    curv = float(p @ h_p)
-    if curv <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"line search direction has nonpositive curvature p'Hp = {curv:.3e}"
-        )
-    return -float(prob.gradient(x) @ p) / curv
+    return newton_scaling(prob.gradient(x), p, prob.hessian_action(p))
 
 
 def bfgs_inverse_update(M, p, h_p):
@@ -78,95 +80,75 @@ def memoryless_bfgs_inverse_action(p, h_p, v):
             + rho * (1.0 + rho * float(h_p @ h_p)) * pv * p)
 
 
-def cg_solve(prob, x0, tol=1e-9, max_iter=None):
-    """Conjugate gradients with exact line search.
+def _exact_line_search_loop(prob, x0, method, tol, max_iter, next_direction):
+    """Exact line search from x0 along -g, then along ``next_direction(g, p,
+    h_p)`` of the gradient and the last direction with its image Hp.
 
-    Stops when ||g|| <= tol * (1 + ||g0||). Needing more than n + 1
-    iterations on an exact quadratic signals numerical breakdown and is
-    reported in the trace status, never retried.
+    Converges once ||g|| <= tol * (1 + ||g0||). Breakdowns are reported in
+    the trace, never retried: a gradient that is not finite; a direction that
+    does not descend (g'p >= 0), so the approximation it comes from lost
+    positive definiteness; curvature p'Hp <= 0; and more than ``max_iter``
+    iterations, default n + 1, which an exact quadratic never needs.
     """
     x = prob._check_vector(x0, name="x0")
     g = prob.gradient(x)
     g_norm = norm(g)
     threshold = tol * (1.0 + g_norm)
-    trace = IterateTrace(meta={"method": "cg", "tol": tol})
+    trace = IterateTrace(meta={"method": method, "tol": tol})
     cap = max_iter if max_iter is not None else prob.n + 1
-    p = -g
-    for k in range(cap):
-        if g_norm <= threshold:
-            return trace.finish(CONVERGED, x, g_norm)
-        h_p = prob.hessian_action(p)
-        curv = float(p @ h_p)
-        if curv <= 0.0:
+    for k in range(cap + 1):
+        if not math.isfinite(g_norm):
             return trace.finish(BREAKDOWN, x, g_norm,
-                                reason="nonpositive curvature along search direction")
-        alpha = -float(g @ p) / curv
-        trace.records.append(IterateRecord(
-            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm, h_p=h_p,
-        ))
-        x = x + alpha * p
-        g_next = prob.gradient(x)
-        p = -g_next + (float(g_next @ h_p) / curv) * p
-        g = g_next
-        g_norm = norm(g)
-    if g_norm <= threshold:
-        return trace.finish(CONVERGED, x, g_norm)
-    return trace.finish(BREAKDOWN, x, g_norm,
-                        reason=f"no convergence within {cap} iterations")
-
-
-def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
-    """Quasi-Newton solve under exact line search with an inverse approximation.
-
-    variant
-        "bfgs": the inverse approximation M, kept as a dense n x n matrix,
-        accumulates every update from M0 = I.
-        "memoryless": M is the update of the identity by the latest
-        direction pair only, applied from that pair with no n x n array.
-
-    The direction is p = -Mg, so no system is solved. A direction that is
-    not a descent direction (g'p >= 0) means M lost positive definiteness
-    and ends the run. Termination matches :func:`cg_solve`.
-    """
-    if variant not in ("bfgs", "memoryless"):
-        raise ValueError(f"unknown variant {variant!r}")
-    x = prob._check_vector(x0, name="x0")
-    g = prob.gradient(x)
-    g_norm = norm(g)
-    threshold = tol * (1.0 + g_norm)
-    trace = IterateTrace(meta={"method": variant, "tol": tol})
-    cap = max_iter if max_iter is not None else prob.n + 1
-    M = np.eye(prob.n) if variant == "bfgs" else None
-    pair = None
-    for k in range(cap):
+                                f"gradient is not finite at iterate {k}")
         if g_norm <= threshold:
             return trace.finish(CONVERGED, x, g_norm)
-        if M is not None:
-            p = -(M @ g)
-        elif pair is not None:
-            p = -memoryless_bfgs_inverse_action(*pair, g)
-        else:
-            p = -g
+        if k == cap:
+            return trace.finish(BREAKDOWN, x, g_norm,
+                                f"no convergence within {cap} iterations")
+        p = -g if k == 0 else next_direction(g, p, h_p)
         if float(g @ p) >= 0.0:
             return trace.finish(BREAKDOWN, x, g_norm,
-                                reason="approximation lost positive definiteness")
+                                "approximation lost positive definiteness")
         h_p = prob.hessian_action(p)
-        curv = float(p @ h_p)
-        if curv <= 0.0:
+        try:
+            alpha = newton_scaling(g, p, h_p)
+        except NotPositiveDefiniteError:
             return trace.finish(BREAKDOWN, x, g_norm,
-                                reason="nonpositive curvature along search direction")
-        alpha = -float(g @ p) / curv
-        trace.records.append(IterateRecord(
-            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm, h_p=h_p,
-        ))
+                                "nonpositive curvature along search direction")
+        trace.records.append(IterateRecord(k=k, x=x, g=g, p=p, alpha=alpha,
+                                           grad_norm=g_norm, h_p=h_p))
         x = x + alpha * p
         g = prob.gradient(x)
         g_norm = norm(g)
-        if M is not None:
+
+
+def cg_solve(prob, x0, tol=1e-9, max_iter=None):
+    """Conjugate gradients with exact line search: the next direction is
+    -g + c p, c = g'Hp / p'Hp, conjugate to p. Stops as
+    :func:`_exact_line_search_loop` does."""
+    return _exact_line_search_loop(
+        prob, x0, "cg", tol, max_iter,
+        lambda g, p, h_p: _upcoming_direction(g, p, h_p)[1])
+
+
+def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
+    """Quasi-Newton solve under exact line search along -Mg.
+
+    variant "bfgs" keeps the inverse approximation M as a dense n x n matrix
+    that accumulates every update from M0 = I; "memoryless" applies the update
+    of the identity by the latest direction pair, with no n x n array. Stops
+    as :func:`cg_solve` does.
+    """
+    if variant == "bfgs":
+        M = np.eye(prob.n)
+
+        def next_direction(g, p, h_p):
+            nonlocal M
             M = bfgs_inverse_update(M, p, h_p)
-        else:
-            pair = (p, h_p)
-    if g_norm <= threshold:
-        return trace.finish(CONVERGED, x, g_norm)
-    return trace.finish(BREAKDOWN, x, g_norm,
-                        reason=f"no convergence within {cap} iterations")
+            return -(M @ g)
+    elif variant == "memoryless":
+        def next_direction(g, p, h_p):
+            return -memoryless_bfgs_inverse_action(p, h_p, g)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _exact_line_search_loop(prob, x0, variant, tol, max_iter, next_direction)

@@ -39,7 +39,7 @@ from .problem import (
 )
 from .trace import BREAKDOWN, IterateTrace
 from .util import norm
-from .verification import verify_trace
+from .verification import METHODS, verify_trace
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
@@ -150,8 +150,7 @@ class _Method:
         _require(isinstance(mspec, dict), where, "must be an object")
         self.idx = idx
         self.kind = mspec.get("kind")
-        _require(self.kind in ("cg", "bfgs", "memoryless", "qn-subspace"),
-                 where, f"unknown method kind {self.kind!r}")
+        _require(self.kind in METHODS, where, f"unknown method kind {self.kind!r}")
         if self.kind == "qn-subspace":
             try:
                 self.step = StepPolicy.from_spec(mspec.get("step", {}))

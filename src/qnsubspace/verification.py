@@ -16,6 +16,9 @@ from .problem import ILL_CONDITIONED, KrylovOracle
 from .trace import CONVERGED, DirectionHistory, IterateRecord
 from .util import direction_angle, norm
 
+# Every method a trace can come from, the baselines first.
+METHODS = ("cg", "bfgs", "memoryless", "qn-subspace")
+
 # |alpha - 1| below this counts as a deliberate unit step.
 UNIT_STEP_ATOL = 1e-12
 
@@ -390,7 +393,7 @@ def verify_trace(trace, prob, x0, oracle=None):
     CheckReport.
     """
     method = trace.meta.get("method", "")
-    if method not in ("cg", "bfgs", "memoryless", "qn-subspace"):
+    if method not in METHODS:
         raise ValueError(f"no checks registered for method {method!r}")
     if oracle is None:
         oracle = KrylovOracle(prob, x0)

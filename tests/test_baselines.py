@@ -1,5 +1,6 @@
 """Conjugate-direction baselines: line search, updates, and r-step runs."""
 
+import functools
 import json
 
 import numpy as np
@@ -84,12 +85,49 @@ def test_cg_terminates_in_grade_iterations(seed, n, r):
     assert norm(trace.final_x - prob.solution()) <= 1e-8 * (1.0 + norm(prob.solution()))
 
 
-def test_cg_iteration_cap_reports_breakdown():
+def baseline(method):
+    """The solve function of one baseline, called as f(prob, x0, **kwargs)."""
+    if method == "cg":
+        return cg_solve
+    return functools.partial(qn_exact_ls_solve, variant=method)
+
+
+@pytest.mark.parametrize("method", ["cg", "bfgs", "memoryless"])
+def test_cg_iteration_cap_reports_breakdown(method):
     prob, x0 = generate_problem(8, 5, cond=20.0, seed=34)
-    trace = cg_solve(prob, x0, tol=1e-10, max_iter=2)
+    trace = baseline(method)(prob, x0, tol=1e-10, max_iter=2)
     assert trace.status == BREAKDOWN
     assert "2 iterations" in trace.reason
     assert trace.iterations == 2
+
+
+class GradientOverflowsAfterOneStep(QuadraticProblem):
+    """A quadratic whose gradient has an infinite entry from its second call on."""
+
+    calls = 0
+
+    def gradient(self, x):
+        self.calls += 1
+        g = super().gradient(x)
+        if self.calls >= 2:
+            g[0] = np.inf
+        return g
+
+
+@pytest.mark.parametrize("method", ["cg", "bfgs", "memoryless"])
+def test_a_non_finite_gradient_ends_the_run_as_a_breakdown(method):
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=98)
+    far = x0.copy()
+    far[2] = 1e308  # g0 overflows, so the tolerance tol * (1 + |g0|) is inf too
+    with np.errstate(over="ignore"):
+        trace = baseline(method)(prob, far)
+    assert (trace.status, trace.iterations) == (BREAKDOWN, 0)
+    assert trace.reason == "gradient is not finite at iterate 0"
+    assert trace.final_grad_norm == np.inf
+
+    trace = baseline(method)(GradientOverflowsAfterOneStep(prob.H, prob.c), x0)
+    assert (trace.status, trace.iterations) == (BREAKDOWN, 1)
+    assert trace.reason == "gradient is not finite at iterate 1"
 
 
 def test_bfgs_update_secant_property_is_hereditary():
