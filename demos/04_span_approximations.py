@@ -13,12 +13,10 @@ import numpy as np
 from qnsubspace import (
     KrylovOracle,
     SpanApprox,
-    build_full_memory,
     generate_problem,
     newton_sigma,
     solve_direction,
 )
-from qnsubspace.trace import DirectionHistory
 
 prob, x0 = generate_problem(n=7, grade=5, cond=20.0, seed=11)
 oracle = KrylovOracle(prob, x0)
@@ -38,12 +36,9 @@ v -= W @ np.linalg.lstsq(W, v, rcond=None)[0]  # project out span(P) + span(HP)
 print(f"acts as sigma*I off the span and its image: |Bv - 3v| = "
       f"{np.linalg.norm(B.matvec(v) - 3.0 * v):.2e}")
 
-# full-memory variant from a direction history
-hist = DirectionHistory()
-for k in range(3):
-    q = oracle.conjugate_direction(k)
-    hist.append(q, prob.hessian_action(q))
-B3 = build_full_memory(hist, sigma=1.0)
+# full-memory variant: span every conjugate direction so far
+Q3 = np.column_stack([oracle.conjugate_direction(k) for k in range(3)])
+H_Q3 = prob.H @ Q3
 x3 = oracle.minimizer(3)
 
 # with the tuned sigma, solving B p = -g from the third minimizer lands
@@ -55,13 +50,13 @@ h_q2 = prob.hessian_action(q2)
 coef = float(g3 @ h_q2) / float(q2 @ h_q2)
 q_up = -g3 + coef * q2
 sigma_star = newton_sigma(q_up, prob.hessian_action(q_up), g3)
-p = B3.with_sigma(sigma_star).solve(-g3)
+p = SpanApprox(Q3, H_Q3, sigma_star).solve(-g3)
 miss = np.linalg.norm(x3 + p - oracle.minimizer(4))
 print(f"\ntuned sigma {sigma_star:.4f}: one solve from minimizer(3) "
       f"misses minimizer(4) by {miss:.2e}")
 
 # any other sigma still moves along the right ray, just the wrong length
-p_generic = B3.solve(-g3)
+p_generic = SpanApprox(Q3, H_Q3, sigma=1.0).solve(-g3)
 cos = abs(p_generic @ p) / (np.linalg.norm(p_generic) * np.linalg.norm(p))
 print(f"generic sigma 1.0: same direction (cos angle {cos:.12f}), "
       f"length ratio {np.linalg.norm(p_generic) / np.linalg.norm(p):.4f}")
@@ -70,7 +65,6 @@ print(f"generic sigma 1.0: same direction (cos angle {cos:.12f}), "
 # the current Krylov space and the latest conjugate direction. Its solve is
 # that Newton step plus the upcoming conjugate direction over sigma, which
 # solve_direction computes without building B
-Q3 = np.column_stack([oracle.conjugate_direction(k) for k in range(3)])
 x = x0 + Q3 @ [0.5, 1.2, 0.8]
 g = prob.gradient(x)
 newton = oracle.minimizer(3) - x

@@ -4,7 +4,7 @@ The package provides strictly convex quadratic test problems with exact
 Krylov-space references (:mod:`~qnsubspace.problem`), classical
 conjugate-direction baselines (:mod:`~qnsubspace.baselines`), restricted
 Newton steps with their rank-one extension and the reference Hessian
-approximations, formed as matrices, that copy curvature on a chosen span
+approximation, formed as a matrix, that copies curvature on a chosen span
 (:mod:`~qnsubspace.approximation`), the arbitrary-step quasi-Newton solver,
 whose direction is that approximation's in closed form
 (:mod:`~qnsubspace.algorithm`), and independent checks of its termination
@@ -14,10 +14,8 @@ claims (:mod:`~qnsubspace.verification`).
 from .algorithm import (
     MATRIX_FREE,
     ORACLE,
-    LearnedAction,
     SigmaPolicy,
     StepPolicy,
-    learn_h_action,
     solve_direction,
     subspace_qn_solve,
 )
@@ -25,9 +23,7 @@ from .approximation import (
     SpanApprox,
     StepExtension,
     SubspaceNewtonStep,
-    build_full_memory,
     build_two_vector,
-    delta_factor,
     extend_step,
     newton_scaling,
     newton_sigma,
@@ -51,7 +47,6 @@ from .problem import (
     QuadraticProblem,
     generate_problem,
     krylov_grade,
-    krylov_minimizer,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -61,7 +56,6 @@ from .trace import (
     BREAKDOWN,
     CONVERGED,
     MAX_ITER,
-    DirectionHistory,
     IterateRecord,
     IterateTrace,
 )
@@ -84,12 +78,10 @@ __all__ = [
     "CheckReport",
     "DegenerateBasisError",
     "DimensionMismatchError",
-    "DirectionHistory",
     "Finding",
     "IterateRecord",
     "IterateTrace",
     "KrylovOracle",
-    "LearnedAction",
     "MATRIX_FREE",
     "MAX_ITER",
     "NotPositiveDefiniteError",
@@ -102,20 +94,16 @@ __all__ = [
     "StepPolicy",
     "SubspaceNewtonStep",
     "bfgs_inverse_update",
-    "build_full_memory",
     "build_two_vector",
     "cg_solve",
     "check_conjugate_baseline",
     "check_exact_search_count",
     "check_newton_onset",
     "check_unit_step_counts",
-    "delta_factor",
     "exact_line_search",
     "extend_step",
     "generate_problem",
     "krylov_grade",
-    "krylov_minimizer",
-    "learn_h_action",
     "load_problem",
     "memoryless_bfgs_inverse_action",
     "newton_scaling",

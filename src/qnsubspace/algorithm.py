@@ -318,35 +318,6 @@ class SigmaPolicy(_TablePolicy):
         return s
 
 
-@dataclass
-class LearnedAction:
-    """Hessian images of one iteration, derived from the step's image Hp."""
-
-    h_p: np.ndarray
-    h_q: np.ndarray
-    h_newton_next: np.ndarray
-    coef: float
-
-
-def learn_h_action(g_next, g_curr, alpha, h_newton_prev, q):
-    """Recover Hessian images from gradients alone, for one iteration.
-
-    On a quadratic the step from x to x + alpha p gives Hp exactly as
-    (g_next - g_curr) / alpha. The images of q and of the updated restricted
-    Newton step then follow from the solver's recursion, with the slope
-    g_hat'q at the restricted minimizer, g_hat = g_curr + H pN_prev, as the
-    solver takes it. Returns them with the recursion coefficient.
-    """
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise PolicyError("cannot learn from a zero step")
-    g_curr = np.asarray(g_curr, dtype=float)
-    h_p = (np.asarray(g_next, dtype=float) - g_curr) / alpha
-    h_newton_prev = np.asarray(h_newton_prev, dtype=float)
-    return _conjugate_images(h_p, h_newton_prev, np.asarray(q, dtype=float),
-                             g_curr + h_newton_prev, alpha)
-
-
 def _conjugate_images(h_p, h_newton_prev, q, g_slope, alpha):
     """The two-term recursion on Hessian images, shared by both modes.
 
@@ -362,9 +333,9 @@ def _conjugate_images(h_p, h_newton_prev, q, g_slope, alpha):
     q; with the first, rounding in pN_prev'Hq enters scaled by ||H pN_prev||,
     and half the uniform-step runs at grades to 16 diverged, to |g| 1e67.
 
-    Returns the images together with the shared recursion coefficient, or
-    raises NotPositiveDefiniteError when q'Hq is not positive relative to
-    ||q|| ||Hq||.
+    Returns (Hq, H pN_next, coef), the images with the shared recursion
+    coefficient, or raises NotPositiveDefiniteError when q'Hq is not positive
+    relative to ||q|| ||Hq||.
     """
     h_q = h_p - h_newton_prev
     q_h_q = float(q @ h_q)
@@ -372,7 +343,7 @@ def _conjugate_images(h_p, h_newton_prev, q, g_slope, alpha):
         raise NotPositiveDefiniteError(f"degenerate curvature q'Hq = {q_h_q:.3e}")
     coef = float(g_slope @ q) / q_h_q + alpha
     h_newton_next = (1.0 - alpha) * h_newton_prev - coef * h_q
-    return LearnedAction(h_p, h_q, h_newton_next, coef)
+    return h_q, h_newton_next, coef
 
 
 def solve_direction(g, newton_step, h_newton_step, q, h_q, sigma):
@@ -386,6 +357,17 @@ def solve_direction(g, newton_step, h_newton_step, q, h_q, sigma):
         p = newton_step + (-g_hat + c q) / sigma,   c = g_hat'Hq / q'Hq.
     """
     return newton_step + _upcoming_direction(g + h_newton_step, q, h_q)[1] / sigma
+
+
+def _sigma_or_default(sigmas, k, ctx, rng, warnings):
+    """The policy's sigma at iteration k or, where its Newton value does not
+    exist, its default, with a warning appended to ``warnings``."""
+    try:
+        return sigmas.sigma(k, ctx, rng)
+    except DegenerateBasisError as exc:
+        warnings.append(f"iteration {k}: sigma policy fell back to "
+                        f"{sigmas.default:g} ({exc})")
+        return sigmas.default
 
 
 def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
@@ -448,13 +430,14 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     n = prob.n
     newton_step, h_newton, q, h_q = (np.zeros(n) for _ in range(4))
 
+    warnings = []
     sigma_init = 1.0 if initial_sigma is None else float(initial_sigma)
     if sigmas.at == -1 and 0.0 < g0_norm < math.inf:
         start_ctx = _SigmaContext(
             q=q, h_q=h_q, h_newton_step=h_newton, g_next=g,
             h_probe=h_probe_at(x, g), exhausted=False,
         )
-        sigma_init = sigmas.sigma(-1, start_ctx, rng_sigma)
+        sigma_init = _sigma_or_default(sigmas, -1, start_ctx, rng_sigma, warnings)
     if sigma_init <= 0.0:
         raise PolicyError("initial sigma must be positive")
 
@@ -467,7 +450,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         "step_policy": steps.spec(),
         "sigma_policy": sigmas.spec(),
         "initial_sigma": sigma_init,
-    })
+    }, warnings=warnings)
 
     if not math.isfinite(g0_norm):
         return trace.finish(BREAKDOWN, x, g0_norm,
@@ -488,7 +471,11 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         else:
             p = solve_direction(g, newton_step, h_newton, q, h_q, sigma)
         ctx = _StepContext(g=g, p=p, h_probe=h_probe_at(x, g))
-        alpha = steps.alpha(k, ctx, rng_step)
+        try:
+            alpha = steps.alpha(k, ctx, rng_step)
+        except NotPositiveDefiniteError:  # from the exact step
+            return trace.finish(BREAKDOWN, x, g_norm,
+                                "nonpositive curvature along search direction")
         x_next = x + alpha * p
         g_next = prob.gradient(x_next)
         g_next_norm = norm(g_next)
@@ -527,7 +514,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         else:
             q = q_raw
             try:
-                act = _conjugate_images(h_p, h_newton, q, g + h_newton, alpha)
+                h_q, h_newton_next, coef = _conjugate_images(
+                    h_p, h_newton, q, g + h_newton, alpha)
             except NotPositiveDefiniteError as exc:
                 if g_next_norm <= threshold:
                     record.q = q
@@ -535,8 +523,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                     return trace.finish(CONVERGED, x_next, g_next_norm)
                 return trace.finish(BREAKDOWN, x_next, g_next_norm,
                                     reason=f"{exc} with gradient above tolerance")
-            h_q, h_newton_next = act.h_q, act.h_newton_next
-            newton_next = (1.0 - alpha) * newton_step - act.coef * q
+            newton_next = (1.0 - alpha) * newton_step - coef * q
 
         record.q = q
         record.h_q = h_q
@@ -551,13 +538,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             g_next=g_next, h_probe=h_probe_at(x_next, g_next),
             exhausted=exhausted,
         )
-        try:
-            sigma = sigmas.sigma(k, sigma_ctx, rng_sigma)
-        except DegenerateBasisError as exc:
-            sigma = sigmas.default
-            trace.warnings.append(
-                f"iteration {k}: sigma policy fell back to {sigma:g} ({exc})"
-            )
+        sigma = _sigma_or_default(sigmas, k, sigma_ctx, rng_sigma, warnings)
 
         if exhausted:
             if norm(newton_next) == 0.0:

@@ -226,22 +226,6 @@ class SpanApprox:
             return rhs / self.sigma
         return np.linalg.solve(self.matrix, rhs)
 
-    def with_sigma(self, sigma):
-        """Same span data under a different complement scaling."""
-        return SpanApprox(self.P, self.HP, sigma)
-
-
-def build_full_memory(history, sigma):
-    """Approximation spanned by a whole conjugate direction history.
-
-    An empty history gives sigma * I. Columns must be independent (they are
-    whenever the directions are genuinely conjugate).
-    """
-    if len(history) == 0:
-        return SpanApprox(np.zeros((0, 0)), np.zeros((0, 0)), sigma)
-    P, HP = history.matrices()
-    return SpanApprox(P, HP, sigma)
-
 
 def span_collapses(newton_step, align_gap):
     """Whether the two-vector span drops to the single column q: the Newton
@@ -276,7 +260,8 @@ def newton_sigma(q, h_q, g):
     For the upcoming conjugate direction q (normalized with unit coefficient
     on the negated subspace gradient) and the current gradient g, the unique
     value is sigma = -q'Hq / q'g. It is the reciprocal of the Newton scaling
-    of q at the same point, hence positive in any consistent state.
+    of q at the same point, hence positive in any consistent state; where
+    rounding makes it nonpositive or not finite, DegenerateBasisError.
     """
     q = np.asarray(q, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -285,29 +270,8 @@ def newton_sigma(q, h_q, g):
         raise DegenerateBasisError(
             "q'g vanishes: the point is already optimal over the extended span"
         )
-    return -float(q @ np.asarray(h_q, dtype=float)) / slope
-
-
-def delta_factor(g_hat, q_prev, b_action, h_action):
-    """Correction ratio comparing true curvature with approximated curvature
-    along the subspace gradient:
-
-        delta = [ (g'Hg)(q'Hq) - (g'Hq)^2 ] / [ (g'Bg)(q'Hq) - (g'Hq)^2 ]
-
-    Diagnostic only: scaling the next conjugate direction by delta repairs a
-    step computed with a stale approximation B in place of H.
-    """
-    g_hat = np.asarray(g_hat, dtype=float)
-    q_prev = np.asarray(q_prev, dtype=float)
-    h_g = np.asarray(h_action(g_hat), dtype=float)
-    h_q = np.asarray(h_action(q_prev), dtype=float)
-    b_g = np.asarray(b_action(g_hat), dtype=float)
-    q_h_q = float(q_prev @ h_q)
-    g_h_q = float(g_hat @ h_q)
-    num = float(g_hat @ h_g) * q_h_q - g_h_q**2
-    den = float(g_hat @ b_g) * q_h_q - g_h_q**2
-    if num <= 0.0 or den <= 0.0:
-        raise DegenerateBasisError(
-            f"delta factor undefined: numerator {num:.3e}, denominator {den:.3e}"
-        )
-    return num / den
+    sigma = -float(q @ np.asarray(h_q, dtype=float)) / slope
+    if not 0.0 < sigma < np.inf:
+        raise DegenerateBasisError(f"Newton scaling {sigma:.4g} is not a finite "
+                                   "positive number")
+    return sigma

@@ -231,10 +231,6 @@ class KrylovOracle:
         Q.setflags(write=False)
         return Q
 
-    def minimizer_gradient(self, k):
-        """Gradient at :meth:`minimizer`; orthogonal to the first k basis vectors."""
-        return self.problem.gradient(self.minimizer(k))
-
     def conjugate_direction(self, k):
         """Difference of consecutive constrained minimizers, for 0 <= k < grade.
 
@@ -249,11 +245,6 @@ class KrylovOracle:
 def krylov_grade(prob, x0=None):
     """Grade of the space generated by the initial gradient: first k where it stops growing."""
     return KrylovOracle(prob, x0).grade
-
-
-def krylov_minimizer(prob, x0, k):
-    """Minimizer of f over x0 + (k-dimensional gradient-generated span)."""
-    return KrylovOracle(prob, x0).minimizer(k)
 
 
 def _haar_orthogonal(n, rng):

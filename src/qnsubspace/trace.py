@@ -1,4 +1,4 @@
-"""Per-iteration run records, direction histories, and their JSON form.
+"""Per-iteration run records and their JSON form.
 
 Every solver in the package returns an :class:`IterateTrace`. Fields that a
 particular solver does not produce (for example sigma for the conjugate
@@ -257,40 +257,3 @@ class IterateTrace:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-@dataclass
-class DirectionHistory:
-    """An ordered set of directions together with their Hessian images."""
-
-    directions: list = field(default_factory=list)
-    h_images: list = field(default_factory=list)
-
-    def append(self, p, h_p):
-        p = np.asarray(p, dtype=float)
-        h_p = np.asarray(h_p, dtype=float)
-        if p.shape != h_p.shape:
-            raise ValueError("direction and Hessian image must have equal shapes")
-        self.directions.append(p)
-        self.h_images.append(h_p)
-
-    def __len__(self):
-        return len(self.directions)
-
-    def matrices(self):
-        """Stack into (P, HP) with one column per direction."""
-        if not self.directions:
-            return None, None
-        return np.column_stack(self.directions), np.column_stack(self.h_images)
-
-    def conjugacy_defect(self):
-        """max over i != j of |p_i^T H p_j| / (||H p_i|| ||p_j||); 0.0 if < 2 directions."""
-        if len(self.directions) < 2:
-            return 0.0
-        P, HP = self.matrices()
-        denom = np.outer(np.linalg.norm(HP, axis=0), np.linalg.norm(P, axis=0))
-        keep = denom != 0.0
-        np.fill_diagonal(keep, False)
-        if not keep.any():
-            return 0.0
-        return float(np.max(np.abs(HP.T @ P)[keep] / denom[keep]))

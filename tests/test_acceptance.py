@@ -17,12 +17,11 @@ from qnsubspace import (
     MATRIX_FREE,
     MAX_ITER,
     ORACLE,
-    DirectionHistory,
     KrylovOracle,
     QuadraticProblem,
     SigmaPolicy,
+    SpanApprox,
     StepPolicy,
-    build_full_memory,
     cg_solve,
     extend_step,
     generate_problem,
@@ -197,19 +196,19 @@ def test_criterion_4_memory_equivalence():
             prob, x0, steps=StepPolicy.uniform(), sigmas=SigmaPolicy.uniform(),
             mode=ORACLE, tol=RUN_TOL, max_iter=r + 4, seed=10_000 + i,
         )
-        hist = DirectionHistory()
+        P = HP = np.zeros((prob.n, 0))  # the full memory, one column per direction
         sigma_prev = trace.meta["initial_sigma"]
         newton_prev = np.zeros(prob.n)
         for k, rec in enumerate(trace.records):
             scale = 1.0 + norm(rec.p)
-            full = build_full_memory(hist, sigma_prev).solve(-rec.g)
+            full = SpanApprox(P, HP, sigma_prev).solve(-rec.g)
             worst_agree = max(worst_agree, norm(full - rec.p) / scale)
 
             # reconstruct the step split from reference quantities alone:
             # the upcoming direction with unit coefficient on the negated
             # subspace gradient, which does not depend on the iterate
             if k < r:
-                g_hat = oracle.minimizer_gradient(k)
+                g_hat = prob.gradient(oracle.minimizer(k))
                 if k == 0:
                     q_up = -g_hat
                 else:
@@ -222,7 +221,7 @@ def test_criterion_4_memory_equivalence():
             worst_split = max(worst_split, norm(split - rec.p) / scale)
 
             if rec.q is not None and norm(rec.q) > 0.0:
-                hist.append(rec.q, rec.h_q)
+                P, HP = np.column_stack([P, rec.q]), np.column_stack([HP, rec.h_q])
             sigma_prev = rec.sigma
             newton_prev = rec.newton_step
     passed = worst_agree <= MEMORY_AGREE_LIMIT and worst_split <= SPLIT_LIMIT

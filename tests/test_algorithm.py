@@ -21,7 +21,6 @@ from qnsubspace import (
     cg_solve,
     check_newton_onset,
     generate_problem,
-    learn_h_action,
     subspace_qn_solve,
     traces_match,
 )
@@ -275,6 +274,64 @@ def test_a_vanishing_upcoming_direction_falls_back_to_the_default_sigma(mode):
     assert len(onset) == 1 and onset[0].passed
 
 
+@pytest.mark.parametrize("r, at, steps, mode", [
+    (10, 9, StepPolicy.constant(0.5), ORACLE),
+    (10, 9, StepPolicy.constant(0.5), MATRIX_FREE),
+    (10, 10, StepPolicy.uniform(), MATRIX_FREE),
+    (10, 10, StepPolicy.constant(0.5), ORACLE),
+    (10, 10, StepPolicy.constant(0.5), MATRIX_FREE),
+    (12, 12, StepPolicy.uniform(), ORACLE),
+    (16, 16, StepPolicy.constant(0.5), ORACLE),
+    (18, 18, StepPolicy.constant(0.5), ORACLE),
+    (18, 18, StepPolicy.constant(0.5), MATRIX_FREE),
+    (20, 20, StepPolicy.constant(0.5), ORACLE),
+])
+def test_a_nonpositive_newton_scaling_falls_back_to_the_default_sigma(r, at, steps, mode):
+    # at cond 1e2 rounding makes -q'Hq / q'g negative at iteration ``at``
+    # (-48.57 for the first case), which no sigma policy may emit
+    prob, x0 = generate_problem(2 * r, r, cond=100.0, seed=r)
+    trace = subspace_qn_solve(prob, x0, steps=steps, sigmas=SigmaPolicy.newton_at(at),
+                              mode=mode, max_iter=4 * r, seed=1)
+    assert trace.status == CONVERGED, (trace.status, trace.reason)
+    assert any(w.startswith(f"iteration {at}: sigma policy fell back to 1 (Newton "
+                            "scaling -") for w in trace.warnings), trace.warnings
+    assert trace.records[at].sigma == 1.0
+
+
+class _NegatedCurvature(QuadraticProblem):
+    """H's action negated; gradients stay those of the convex problem."""
+
+    def hessian_action(self, v):
+        return -super().hessian_action(v)
+
+
+def test_a_nonpositive_exact_step_is_a_breakdown():
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=1)
+    prob = _NegatedCurvature(prob.H, prob.c)
+    cg = cg_solve(prob, x0)
+    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.exact_line_search(),
+                              mode=ORACLE)
+    assert (trace.status, trace.iterations, trace.reason) == (
+        cg.status, cg.iterations, cg.reason) == (
+        BREAKDOWN, 0, "nonpositive curvature along search direction")
+    # matrix-free mode takes Hp from gradient differences, never from H
+    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.exact_line_search(),
+                              mode=MATRIX_FREE)
+    assert (trace.status, trace.iterations) == (CONVERGED, 3)
+
+
+def test_a_nonpositive_start_scaling_falls_back_to_the_default_sigma():
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=1)
+    prob = _NegatedCurvature(prob.H, prob.c)
+    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.exact_line_search(),
+                              sigmas=SigmaPolicy.newton_at(-1, default=2.0))
+    assert trace.meta["initial_sigma"] == 2.0
+    assert len(trace.warnings) == 1
+    assert trace.warnings[0].startswith(
+        "iteration -1: sigma policy fell back to 2 (Newton scaling -")
+    assert trace.status == BREAKDOWN
+
+
 @pytest.mark.parametrize("mode", [ORACLE, MATRIX_FREE])
 @pytest.mark.parametrize("newton_at", [False, True])
 def test_unit_steps_converge_within_twice_cg(mode, newton_at):
@@ -328,14 +385,18 @@ def test_learned_action_reproduces_hessian_images():
     alpha = 0.7
     g = prob.gradient(x)
     g_next = prob.gradient(x + alpha * p)
-    act = learn_h_action(g_next, g, alpha, prob.H @ newton_prev, q)
-    assert np.allclose(act.h_p, prob.H @ p, atol=1e-10 * (1 + norm(prob.H @ p)))
-    assert np.allclose(act.h_q, prob.H @ q, atol=1e-9 * (1 + norm(prob.H @ q)))
-    # the slope is taken at the restricted minimizer, g + H pN, as in the solver
+    # the matrix-free image of the step, and the slope at the restricted
+    # minimizer, g + H pN, as the solver takes them
+    h_p = (g_next - g) / alpha
+    h_newton_prev = prob.H @ newton_prev
+    h_q, h_newton_next, got_coef = algorithm._conjugate_images(
+        h_p, h_newton_prev, q, g + h_newton_prev, alpha)
+    assert np.allclose(h_p, prob.H @ p, atol=1e-10 * (1 + norm(prob.H @ p)))
+    assert np.allclose(h_q, prob.H @ q, atol=1e-9 * (1 + norm(prob.H @ q)))
     coef = float((g + prob.H @ newton_prev) @ q) / float(q @ prob.H @ q) + alpha
-    assert act.coef == pytest.approx(coef, rel=1e-9)
+    assert got_coef == pytest.approx(coef, rel=1e-9)
     target = (1.0 - alpha) * newton_prev - coef * q
-    assert np.allclose(act.h_newton_next, prob.H @ target,
+    assert np.allclose(h_newton_next, prob.H @ target,
                        atol=1e-9 * (1 + norm(prob.H @ target)))
 
 
@@ -350,20 +411,20 @@ def test_learned_action_replays_the_matrix_free_solver():
     replayed = 0
     for rec, g_next in zip(recs, g_after):
         if not rec.exhausted:
-            act = learn_h_action(g_next, rec.g, rec.alpha, h_newton, rec.q)
-            assert np.array_equal(act.h_q, rec.h_q)
-            assert np.array_equal(act.h_newton_next, rec.h_newton_step)
+            h_p = (g_next - rec.g) / rec.alpha
+            h_q, h_newton_next, _ = algorithm._conjugate_images(
+                h_p, h_newton, rec.q, rec.g + h_newton, rec.alpha)
+            assert np.array_equal(h_q, rec.h_q)
+            assert np.array_equal(h_newton_next, rec.h_newton_step)
             replayed += 1
         h_newton = rec.h_newton_step
     assert replayed > 0
 
 
 def test_learned_action_guards():
-    with pytest.raises(PolicyError):
-        learn_h_action(np.ones(3), np.zeros(3), 0.0, np.zeros(3), np.ones(3))
     q = np.array([1.0, 0.0, 0.0])
     with pytest.raises(NotPositiveDefiniteError):
-        learn_h_action(-q, np.zeros(3), 1.0, np.zeros(3), q)
+        algorithm._conjugate_images(-q, np.zeros(3), q, np.zeros(3), 1.0)
 
 
 def test_step_policy_validation():

@@ -4,12 +4,9 @@ from numpy.linalg import norm
 
 from qnsubspace import (
     DegenerateBasisError,
-    DirectionHistory,
     KrylovOracle,
     SpanApprox,
-    build_full_memory,
     build_two_vector,
-    delta_factor,
     generate_problem,
     newton_sigma,
     solve_direction,
@@ -90,7 +87,7 @@ def test_rejects_images_that_lost_conjugacy():
 def test_with_sigma_changes_only_the_complement():
     prob, P, HP = sample_span(seed=7)
     B1 = SpanApprox(P, HP, 1.0)
-    B2 = B1.with_sigma(4.0)
+    B2 = SpanApprox(P, HP, 4.0)
     for j in range(P.shape[1]):
         assert np.allclose(B2.matvec(P[:, j]), HP[:, j], atol=1e-9 * norm(HP[:, j]))
     v = np.linalg.qr(np.column_stack([P, np.ones(7)]))[0][:, -1]  # orthogonal to P
@@ -111,15 +108,13 @@ def test_two_vector_collapse_rules():
 
 def test_full_memory_equals_direct_construction():
     prob, P, HP = sample_span(n=6, m=3, seed=9)
-    hist = DirectionHistory()
-    for j in range(3):
-        hist.append(P[:, j], HP[:, j])
-    assert np.allclose(oracles.operator_matrix(build_full_memory(hist, 1.1).matvec, 6),
-                       oracles.operator_matrix(SpanApprox(P, HP, 1.1).matvec, 6),
-                       atol=1e-10)
-    empty = build_full_memory(DirectionHistory(), 3.0)
+    ref = oracles.span_approx_dense(P, HP, 1.1)
+    assert np.allclose(oracles.operator_matrix(SpanApprox(P, HP, 1.1).matvec, 6),
+                       ref, atol=1e-10 * norm(ref))
+    empty = SpanApprox(np.zeros((6, 0)), np.zeros((6, 0)), 3.0)
     assert empty.rank == 0
     assert empty.sigma == 3.0
+    assert np.array_equal(oracles.operator_matrix(empty.matvec, 6), 3.0 * np.eye(6))
 
 
 def test_solve_direction_residual():
@@ -140,9 +135,6 @@ def test_low_rank_solve_matches_the_dense_operator_at_n512():
     HQ = prob.H @ Q
     newton = oracle.minimizer(2) - x0
     NQ = np.column_stack([newton, Q[:, 2]])
-    hist = DirectionHistory()
-    for j in range(8):
-        hist.append(Q[:, j], HQ[:, j])
     rhs = [prob.gradient(oracle.minimizer(2)),
            np.random.default_rng(14).standard_normal(512)]
     for sigma in (0.5, 1.0, 30.0):
@@ -150,7 +142,7 @@ def test_low_rank_solve_matches_the_dense_operator_at_n512():
             (build_two_vector(np.zeros(512), np.zeros(512), Q[:, 0], HQ[:, 0], sigma),
              Q[:, :1]),
             (build_two_vector(newton, prob.H @ newton, Q[:, 2], HQ[:, 2], sigma), NQ),
-            (build_full_memory(hist, sigma), Q),
+            (SpanApprox(Q, HQ, sigma), Q),
         ]
         for B, P in cases:
             assert B.rank == P.shape[1]
@@ -169,7 +161,7 @@ def test_applied_to_upcoming_direction_gives_scaled_subspace_gradient():
     oracle = KrylovOracle(prob, x0)
     for k in (1, 2, 3):
         q_prev = oracle.conjugate_direction(k - 1)
-        ghat = oracle.minimizer_gradient(k)
+        ghat = prob.gradient(oracle.minimizer(k))
         h_q = prob.hessian_action(q_prev)
         coef = float(ghat @ h_q) / float(q_prev @ h_q)
         q_up = -ghat + coef * q_prev
@@ -226,16 +218,5 @@ def test_newton_sigma_degenerate_guard():
     h_q = np.array([2.0, 0.0])
     with pytest.raises(DegenerateBasisError):
         newton_sigma(q, h_q, np.array([0.0, 1.0]))  # q'g = 0
-
-
-def test_delta_factor_identity_and_guard():
-    prob, x0 = generate_problem(6, 4, cond=10.0, seed=13)
-    oracle = KrylovOracle(prob, x0)
-    ghat = oracle.minimizer_gradient(1)
-    q = oracle.conjugate_direction(0)
-    assert delta_factor(ghat, q, prob.hessian_action, prob.hessian_action) \
-        == pytest.approx(1.0, rel=1e-9)
-    half = lambda v: 0.5 * prob.hessian_action(v)
-    assert delta_factor(ghat, q, half, prob.hessian_action) > 1.0
-    with pytest.raises(DegenerateBasisError):
-        delta_factor(np.zeros(6), q, prob.hessian_action, prob.hessian_action)
+    with pytest.raises(DegenerateBasisError, match="not a finite positive"):
+        newton_sigma(q, h_q, np.array([1.0, 0.0]))  # -q'Hq / q'g = -2

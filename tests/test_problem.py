@@ -11,7 +11,6 @@ from qnsubspace import (
     QuadraticProblem,
     generate_problem,
     krylov_grade,
-    krylov_minimizer,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -80,12 +79,12 @@ def test_minimizer_matches_brute_force():
         prob, x0 = generate_problem(7, 5, cond=20.0, seed=trial)
         for k in range(6):
             ref = oracles.brute_krylov_minimizer(prob.H, prob.c, x0, k)
-            got = krylov_minimizer(prob, x0, k)
+            got = KrylovOracle(prob, x0).minimizer(k)
             assert norm(got - ref) <= 1e-8 * (1 + norm(ref))
         x0b = rng.standard_normal(7)  # start points other than the origin
         gr = krylov_grade(prob, x0b)
         ref = oracles.brute_krylov_minimizer(prob.H, prob.c, x0b, gr)
-        assert norm(krylov_minimizer(prob, x0b, gr) - ref) <= 1e-8 * (1 + norm(ref))
+        assert norm(KrylovOracle(prob, x0b).minimizer(gr) - ref) <= 1e-8 * (1 + norm(ref))
 
 
 def reference_cases():
@@ -132,7 +131,7 @@ def test_minimizer_gradient_orthogonality():
     oracle = KrylovOracle(prob, x0)
     g0n = norm(prob.gradient(x0))
     for k in range(1, 6):
-        ghat = oracle.minimizer_gradient(k)
+        ghat = prob.gradient(oracle.minimizer(k))
         K = oracles.krylov_matrix(prob.H, prob.gradient(x0), k)
         assert np.abs(K.T @ ghat).max() <= 1e-9 * g0n
 

@@ -95,7 +95,7 @@ def test_extend_step_composes_to_minimizers():
 def test_extend_step_direction_is_scale_invariant():
     prob, x0 = generate_problem(6, 4, cond=15.0, seed=6)
     oracle = KrylovOracle(prob, x0)
-    ghat = oracle.minimizer_gradient(1)
+    ghat = prob.gradient(oracle.minimizer(1))
     q = oracle.conjugate_direction(0)
     a = extend_step(np.zeros(6), q, ghat, prob.hessian_action)
     b = extend_step(np.zeros(6), 3.7 * q, ghat, prob.hessian_action)
