@@ -397,20 +397,24 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     seed : int or tuple of int
         Seeds the policies' random draws; fully determines the run.
     initial_sigma : float, optional
-        Scale of the identity the run starts from. A newton-at(-1) sigma
-        policy overrides this with the computed value.
+        Finite positive scale of the identity the run starts from, default
+        1. A newton-at(-1) sigma policy overrides this with the computed value.
 
     Returns
     -------
     IterateTrace
         One record per step plus the terminal status: converged(iterations),
-        max-iter, or breakdown(reason).
+        max-iter, or breakdown(reason). Only invalid arguments raise, before
+        the first iteration; a policy that fails later ends it as a breakdown.
     """
     steps = steps if steps is not None else StepPolicy.unit()
     sigmas = sigmas if sigmas is not None else SigmaPolicy.constant(1.0)
     if mode not in (ORACLE, MATRIX_FREE):
         raise ValueError(f"unknown mode {mode!r}")
     x = prob._check_vector(x0, name="x0")
+    sigma = 1.0 if initial_sigma is None else _real("initial_sigma", initial_sigma)
+    if sigma <= 0.0:
+        raise PolicyError(f"initial sigma must be positive, got {sigma!r}")
     if max_iter is None:
         max_iter = prob.n + 5
 
@@ -430,17 +434,6 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     n = prob.n
     newton_step, h_newton, q, h_q = (np.zeros(n) for _ in range(4))
 
-    warnings = []
-    sigma_init = 1.0 if initial_sigma is None else float(initial_sigma)
-    if sigmas.at == -1 and 0.0 < g0_norm < math.inf:
-        start_ctx = _SigmaContext(
-            q=q, h_q=h_q, h_newton_step=h_newton, g_next=g,
-            h_probe=h_probe_at(x, g), exhausted=False,
-        )
-        sigma_init = _sigma_or_default(sigmas, -1, start_ctx, rng_sigma, warnings)
-    if sigma_init <= 0.0:
-        raise PolicyError("initial sigma must be positive")
-
     trace = IterateTrace(meta={
         "method": "qn-subspace",
         "mode": mode,
@@ -449,16 +442,23 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         "seed": list(seed) if isinstance(seed, (tuple, list)) else seed,
         "step_policy": steps.spec(),
         "sigma_policy": sigmas.spec(),
-        "initial_sigma": sigma_init,
-    }, warnings=warnings)
+        "initial_sigma": sigma,
+    })
 
+    if sigmas.at == -1 and 0.0 < g0_norm < math.inf:
+        start_ctx = _SigmaContext(q=q, h_q=h_q, h_newton_step=h_newton, g_next=g,
+                                  h_probe=h_probe_at(x, g), exhausted=False)
+        try:
+            sigma = _sigma_or_default(sigmas, -1, start_ctx, rng_sigma, trace.warnings)
+        except PolicyError as exc:
+            return trace.finish(BREAKDOWN, x, g0_norm, str(exc))
+        trace.meta["initial_sigma"] = sigma
     if not math.isfinite(g0_norm):
         return trace.finish(BREAKDOWN, x, g0_norm,
                             "gradient is not finite at iterate 0")
     if g0_norm <= threshold:
         return trace.finish(CONVERGED, x, g0_norm)
 
-    sigma = sigma_init
     exhausted = False
     g_norm = g0_norm
 
@@ -476,6 +476,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         except NotPositiveDefiniteError:  # from the exact step
             return trace.finish(BREAKDOWN, x, g_norm,
                                 "nonpositive curvature along search direction")
+        except PolicyError as exc:  # a schedule runs out, a draw gives up
+            return trace.finish(BREAKDOWN, x, g_norm, str(exc))
         x_next = x + alpha * p
         g_next = prob.gradient(x_next)
         g_next_norm = norm(g_next)
@@ -538,7 +540,10 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             g_next=g_next, h_probe=h_probe_at(x_next, g_next),
             exhausted=exhausted,
         )
-        sigma = _sigma_or_default(sigmas, k, sigma_ctx, rng_sigma, warnings)
+        try:
+            sigma = _sigma_or_default(sigmas, k, sigma_ctx, rng_sigma, trace.warnings)
+        except PolicyError as exc:
+            return trace.finish(BREAKDOWN, x_next, g_next_norm, str(exc))
 
         if exhausted:
             if norm(newton_next) == 0.0:

@@ -29,7 +29,7 @@ from .algorithm import (
     subspace_qn_solve,
 )
 from .baselines import cg_solve, qn_exact_ls_solve
-from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
+from .errors import PolicyError
 from .problem import (
     KrylovOracle,
     generate_problem,
@@ -38,7 +38,6 @@ from .problem import (
     save_problem,
 )
 from .trace import BREAKDOWN, IterateTrace
-from .util import norm
 from .verification import METHODS, verify_trace
 
 EXIT_PASS = 0
@@ -256,12 +255,7 @@ def cmd_run(args):
         for method in methods:
             cell_seed = (base_seed, pi, method.idx)
             started = time.perf_counter()
-            try:
-                trace = method.run(prob, x0, tol, max_iter, cell_seed)
-            except (NotPositiveDefiniteError, DegenerateBasisError,
-                    PolicyError) as exc:
-                trace = IterateTrace(meta={"method": method.kind}).finish(
-                    BREAKDOWN, x0, norm(prob.gradient(x0)), str(exc))
+            trace = method.run(prob, x0, tol, max_iter, cell_seed)
             trace.meta["wall_time_ms"] = (time.perf_counter() - started) * 1e3
             trace.meta["problem_id"] = pid
             trace.meta["method_label"] = method.label
@@ -286,9 +280,8 @@ def cmd_run(args):
             })
             for rec in trace.records:
                 curves.append((pid, method.label, rec.k, _fmt(rec.grad_norm)))
-            if trace.final_grad_norm is not None:
-                curves.append((pid, method.label, trace.iterations,
-                               _fmt(trace.final_grad_norm)))
+            curves.append((pid, method.label, trace.iterations,
+                           _fmt(trace.final_grad_norm)))
 
     rows.sort(key=lambda row: row["_order"])
     for row in rows:

@@ -309,7 +309,7 @@ def generate_problem(n, grade=None, *, eigenvalues=None, cond=None, seed=0):
 
     rng = np.random.default_rng(seed)
     Q = _haar_orthogonal(n, rng)
-    H = Q @ np.diag(lam) @ Q.T
+    H = (Q * lam) @ Q.T
 
     chosen = rng.choice(len(distinct_starts), size=grade, replace=False)
     chosen.sort()

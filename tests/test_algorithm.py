@@ -83,8 +83,9 @@ def test_initial_identity_scaling():
                               initial_sigma=2.0, tol=1e-12)
     assert trace.meta["initial_sigma"] == 2.0
     assert np.allclose(trace.records[0].p, [0.5, 0.5], atol=1e-15)
-    with pytest.raises(PolicyError):
-        subspace_qn_solve(two_by_two(), np.zeros(2), initial_sigma=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(PolicyError, match="initial"):
+            subspace_qn_solve(two_by_two(), np.zeros(2), initial_sigma=bad)
 
 
 def test_start_scaling_from_the_termination_rule():
@@ -461,10 +462,35 @@ def test_random_steps_avoid_the_zero_band():
 
 
 def test_schedule_policy_runs_out():
+    # a step policy that fails mid-run ends it as a breakdown that keeps the
+    # records taken and the run's metadata
     prob, x0 = generate_problem(6, 4, cond=8.0, seed=92)
-    with pytest.raises(PolicyError, match="exhausted"):
-        subspace_qn_solve(prob, x0, steps=StepPolicy.schedule([0.5]),
-                          tol=1e-12, max_iter=5)
+    for steps, iterations, reason in [
+        (StepPolicy.schedule([0.5]), 1, "step schedule exhausted at iteration 1"),
+        (StepPolicy.uniform(-0.0500001, 0.0500001), 0,
+         "could not draw a step outside the rejected band"),
+    ]:
+        trace = subspace_qn_solve(prob, x0, steps=steps, tol=1e-12, max_iter=5)
+        assert (trace.status, trace.reason) == (BREAKDOWN, reason)
+        assert trace.iterations == len(trace.records) == iterations
+        assert trace.meta["step_policy"] == steps.spec()
+        x = x0
+        if iterations:  # the run ends where its last recorded step lands
+            last = trace.records[-1]
+            x = last.x + last.alpha * last.p
+        assert np.array_equal(trace.final_x, x)
+        assert trace.final_grad_norm == norm(prob.gradient(x))
+
+
+@pytest.mark.parametrize("at, iterations", [(-1, 0), (0, 1)])
+def test_a_sigma_policy_that_fails_mid_run_ends_it_as_a_breakdown(at, iterations):
+    # the smallest positive double times a Newton value below 1/2 rounds to 0
+    prob = QuadraticProblem(np.diag([0.1, 0.2, 0.3]), np.array([-1.0, -1.0, -1.0]))
+    sigmas = SigmaPolicy.newton_at(at, scale=5e-324)
+    trace = subspace_qn_solve(prob, np.zeros(3), sigmas=sigmas, tol=1e-12)
+    assert (trace.status, trace.iterations) == (BREAKDOWN, iterations)
+    assert trace.reason == f"sigma policy produced 0.0 at iteration {at}"
+    assert trace.meta["sigma_policy"] == sigmas.spec()
 
 
 def test_sigma_policy_validation():

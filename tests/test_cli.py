@@ -186,6 +186,31 @@ def test_run_reports_breakdowns(tmp_path, capsys):
     assert row["termination_check"] == "n/a"
 
 
+def test_a_policy_failure_mid_run_keeps_the_runs_own_trace(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", {
+        "problems": [{"n": 6, "r": 4, "cond": 8.0, "seed": 92}],
+        "methods": [{"kind": "qn-subspace",
+                     "step": {"kind": "schedule", "values": [0.5, 0.5]},
+                     "sigma": {"kind": "constant", "value": 2.0}}],
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_BREAKDOWN
+    row = read_rows(out / "summary.csv")[0]
+    assert (row["status"], row["iterations"]) == ("breakdown", "2")
+    # one row per record plus the final gradient
+    assert [r["k"] for r in read_rows(out / "curves.csv")] == ["0", "1", "2"]
+    trace_path = next((out / "traces").glob("*.json"))
+    meta = json.loads(trace_path.read_text())["meta"]
+    assert meta["step_policy"] == {"kind": "schedule", "values": [0.5, 0.5]}
+    assert meta["sigma_policy"] == {"kind": "constant", "value": 2.0}
+    capsys.readouterr()
+
+    code = main(["verify", "--trace", str(trace_path),
+                 "--problem", str(out / "problems" / "p000.json")])
+    assert code == EXIT_BREAKDOWN
+    assert "step schedule exhausted at iteration 2" in capsys.readouterr().out
+
+
 def test_verify_subcommand(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", {
         "seed": 2,
