@@ -13,9 +13,7 @@ subspace reaches its grade r, every direction is the full Newton step, and
 taking a unit step at any iteration k >= r lands exactly on the minimizer.
 """
 
-import contextlib
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -27,7 +25,7 @@ from .approximation import (COLLAPSE_WARN_BAND, _upcoming_direction, newton_scal
 from .approximation import SpanApprox, build_two_vector  # noqa: F401
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
 from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, IterateTrace
-from .util import cosine_alignment, norm
+from .util import _integer, _real, check_run_limits, cosine_alignment, norm
 
 ORACLE = "oracle"
 MATRIX_FREE = "matrix-free"
@@ -49,76 +47,34 @@ EXHAUSTED_RTOL = 1e-8
 CURVATURE_RTOL = 1e-14
 
 
-@dataclass
-class _StepContext:
-    """What a step policy may look at before the step is taken.
+def _newton_value(image, x, g, h_newton_step, q, h_q, exhausted):
+    """The unique scaling that makes the next solve a full Newton step.
 
-    A probe the policy makes along p is kept in ``h_p``, so oracle mode
-    does not pay for the same Hessian product twice.
+    Applies the closed form -q'Hq / q'g to the upcoming conjugate direction
+    q at the iterate x with gradient g; ``image(x, g, v)`` gives Hv.
+    DegenerateBasisError when q is rounding noise: the span is complete,
+    though exhaustion is not yet flagged.
     """
-
-    g: np.ndarray
-    p: np.ndarray
-    h_probe: object  # callable v -> Hv
-    h_p: np.ndarray | None = None
-
-    def exact_step(self):
-        self.h_p = self.h_probe(self.p)
-        return newton_scaling(self.g, self.p, self.h_p)
-
-
-@dataclass
-class _SigmaContext:
-    """Post-step state available when the complement scaling is chosen."""
-
-    q: np.ndarray
-    h_q: np.ndarray
-    h_newton_step: np.ndarray
-    g_next: np.ndarray
-    h_probe: object
-    exhausted: bool
-
-    def newton_value(self):
-        """The unique scaling that makes the next solve a full Newton step.
-
-        Applies the closed form -q'Hq / q'g to the upcoming conjugate
-        direction q. DegenerateBasisError when q is rounding noise: the span
-        is complete, though exhaustion is not yet flagged.
-        """
-        if self.exhausted:
-            raise DegenerateBasisError(
-                "subspace already complete: no scaling changes the step"
-            )
-        g_hat = self.g_next + self.h_newton_step
-        coef, q_up = _upcoming_direction(g_hat, self.q, self.h_q)
-        floor = EXHAUSTED_RTOL * (norm(self.g_next) + norm(self.h_newton_step))
-        if norm(q_up) <= floor:
-            raise DegenerateBasisError(f"upcoming direction {norm(q_up):.3e} is "
-                                       f"below the exhaustion floor {floor:.3e}")
-        h_q_up = -self.h_probe(g_hat) + coef * self.h_q
-        return newton_sigma(q_up, h_q_up, self.g_next)
+    if exhausted:
+        raise DegenerateBasisError(
+            "subspace already complete: no scaling changes the step"
+        )
+    g_hat = g + h_newton_step
+    coef, q_up = _upcoming_direction(g_hat, q, h_q)
+    floor = EXHAUSTED_RTOL * (norm(g) + norm(h_newton_step))
+    if norm(q_up) <= floor:
+        raise DegenerateBasisError(f"upcoming direction {norm(q_up):.3e} is "
+                                   f"below the exhaustion floor {floor:.3e}")
+    h_q_up = -image(x, g, g_hat) + coef * h_q
+    return newton_sigma(q_up, h_q_up, g)
 
 
 # A row of a policy kind table: the name of the public constructor, which holds
 # every default and check; the spec fields it needs; every spec field besides
-# the kind; the rule (policy, k, ctx, rng) -> value at iteration k; the label.
+# the kind; the rule (policy, k, probe, rng) -> value at iteration k; the label.
+# ``probe()`` is the one value a rule may ask of the iterate: the exact step
+# for a step policy, the termination-forcing scaling for a sigma policy.
 _Kind = namedtuple("_Kind", "build required fields rule label")
-
-
-def _real(name, value):
-    """``value`` as a float; PolicyError unless it is a finite real, not a bool."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an int too large for a float
-            if math.isfinite(value):
-                return float(value)
-    raise PolicyError(f"{name} must be a finite number, got {value!r}")
-
-
-def _integer(name, value):
-    """``value`` as an int; PolicyError unless it is an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise PolicyError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 class _TablePolicy:
@@ -168,23 +124,23 @@ class StepPolicy(_TablePolicy):
     _what = "step"
     _default_kind = "unit"
     _kinds = {
-        "unit": _Kind("unit", (), (), lambda pol, k, ctx, rng: 1.0,
+        "unit": _Kind("unit", (), (), lambda pol, k, probe, rng: 1.0,
                       lambda pol: pol.kind),
         "constant": _Kind("constant", ("value",), ("value",),
-                          lambda pol, k, ctx, rng: pol.value,
+                          lambda pol, k, probe, rng: pol.value,
                           lambda pol: f"constant[{pol.value:g}]"),
         "uniform": _Kind("uniform", (), ("lo", "hi"),
-                         lambda pol, k, ctx, rng: pol._draw(rng),
+                         lambda pol, k, probe, rng: pol._draw(rng),
                          lambda pol: f"uniform[{pol.lo:g}:{pol.hi:g}]"),
         "exact": _Kind("exact_line_search", (), (),
-                       lambda pol, k, ctx, rng: ctx.exact_step(), lambda pol: pol.kind),
+                       lambda pol, k, probe, rng: probe(), lambda pol: pol.kind),
         "schedule": _Kind(
             "schedule", ("values",), ("values",),
-            lambda pol, k, ctx, rng: pol._scheduled(k),
+            lambda pol, k, probe, rng: pol._scheduled(k),
             lambda pol: "schedule[" + ":".join(f"{v:g}" for v in pol.values) + "]"),
         "unit-after": _Kind(
             "unit_after", ("start",), ("start", "lo", "hi"),
-            lambda pol, k, ctx, rng: 1.0 if k >= pol.start else pol._draw(rng),
+            lambda pol, k, probe, rng: 1.0 if k >= pol.start else pol._draw(rng),
             lambda pol: f"unit-after[{pol.start}]"),
     }
 
@@ -247,8 +203,8 @@ class StepPolicy(_TablePolicy):
             raise PolicyError(f"step schedule exhausted at iteration {k}")
         return self.values[k]
 
-    def alpha(self, k, ctx, rng):
-        a = self._kinds[self.kind].rule(self, k, ctx, rng)
+    def alpha(self, k, probe, rng):
+        a = self._kinds[self.kind].rule(self, k, probe, rng)
         if a == 0.0:
             raise PolicyError(f"step policy produced zero at iteration {k}")
         return a
@@ -276,15 +232,15 @@ class SigmaPolicy(_TablePolicy):
     _default_kind = "constant"
     _kinds = {
         "constant": _Kind("constant", (), ("value",),
-                          lambda pol, k, ctx, rng: pol.value,
+                          lambda pol, k, probe, rng: pol.value,
                           lambda pol: f"constant[{pol.value:g}]"),
         "uniform": _Kind("uniform", (), ("lo", "hi"),
-                         lambda pol, k, ctx, rng: float(rng.uniform(pol.lo, pol.hi)),
+                         lambda pol, k, probe, rng: float(rng.uniform(pol.lo, pol.hi)),
                          lambda pol: f"uniform[{pol.lo:g}:{pol.hi:g}]"),
         "newton-at": _Kind(
             "newton_at", ("at",), ("at", "scale", "default"),
-            lambda pol, k, ctx, rng: (
-                pol.scale * ctx.newton_value() if k == pol.at else pol.default),
+            lambda pol, k, probe, rng: (
+                pol.scale * probe() if k == pol.at else pol.default),
             lambda pol: f"newton-at[{pol.at}]"
             + ("" if pol.scale == 1.0 else f"*{pol.scale:g}")),
     }
@@ -311,10 +267,12 @@ class SigmaPolicy(_TablePolicy):
             raise PolicyError("scale and default sigma must be positive")
         return cls(kind="newton-at", at=at, scale=scale, default=default)
 
-    def sigma(self, k, ctx, rng):
-        s = self._kinds[self.kind].rule(self, k, ctx, rng)
+    def sigma(self, k, probe, rng):
+        s = self._kinds[self.kind].rule(self, k, probe, rng)
         if s <= 0.0:
             raise PolicyError(f"sigma policy produced {s} at iteration {k}")
+        if s == math.inf:  # only a scaled Newton value overflows
+            raise DegenerateBasisError(f"scaled Newton value {s} is not finite")
         return s
 
 
@@ -359,11 +317,12 @@ def solve_direction(g, newton_step, h_newton_step, q, h_q, sigma):
     return newton_step + _upcoming_direction(g + h_newton_step, q, h_q)[1] / sigma
 
 
-def _sigma_or_default(sigmas, k, ctx, rng, warnings):
+def _sigma_or_default(sigmas, k, probe, rng, warnings):
     """The policy's sigma at iteration k or, where its Newton value does not
-    exist, its default, with a warning appended to ``warnings``."""
+    exist or its scaled value is not finite, its default, with a warning
+    appended to ``warnings``."""
     try:
-        return sigmas.sigma(k, ctx, rng)
+        return sigmas.sigma(k, probe, rng)
     except DegenerateBasisError as exc:
         warnings.append(f"iteration {k}: sigma policy fell back to "
                         f"{sigmas.default:g} ({exc})")
@@ -385,15 +344,16 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         Complement scaling rule (default constant 1).
     mode : str
         Where the step's Hessian image Hp comes from: "oracle" applies H
-        once per iteration, "matrix-free" takes the gradient difference
+        once per iteration, before the step policy runs, so the exact step
+        reuses it; "matrix-free" takes the gradient difference
         (g_next - g) / alpha. Both modes then run the same recursion for
         the images of q and of the restricted Newton step, so neither
         spends more than one H-product or gradient per iteration beyond
         what the step and sigma policies probe.
     tol : float
-        Terminate once ||g|| <= tol * (1 + ||g0||).
+        Finite and positive; terminate once ||g|| <= tol * (1 + ||g0||).
     max_iter : int, optional
-        Step budget, default n + 5.
+        Nonnegative step budget, default n + 5.
     seed : int or tuple of int
         Seeds the policies' random draws; fully determines the run.
     initial_sigma : float, optional
@@ -405,12 +365,13 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     IterateTrace
         One record per step plus the terminal status: converged(iterations),
         max-iter, or breakdown(reason). Only invalid arguments raise, before
-        the first iteration; a policy that fails later ends it as a breakdown.
+        the first gradient; a policy that fails later ends it as a breakdown.
     """
     steps = steps if steps is not None else StepPolicy.unit()
     sigmas = sigmas if sigmas is not None else SigmaPolicy.constant(1.0)
     if mode not in (ORACLE, MATRIX_FREE):
         raise ValueError(f"unknown mode {mode!r}")
+    check_run_limits(tol, max_iter)
     x = prob._check_vector(x0, name="x0")
     sigma = 1.0 if initial_sigma is None else _real("initial_sigma", initial_sigma)
     if sigma <= 0.0:
@@ -421,11 +382,11 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     ss = np.random.SeedSequence(seed)
     rng_step, rng_sigma = (np.random.default_rng(s) for s in ss.spawn(2))
 
-    def h_probe_at(x_ref, g_ref):
+    def image(x_ref, g_ref, v):
         if mode == ORACLE:
-            return prob.hessian_action
+            return prob.hessian_action(v)
         # one extra gradient evaluation per probe; exact on a quadratic
-        return lambda v: prob.gradient(x_ref + v) - g_ref
+        return prob.gradient(x_ref + v) - g_ref
 
     g = prob.gradient(x)
     g0_norm = norm(g)
@@ -446,10 +407,10 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     })
 
     if sigmas.at == -1 and 0.0 < g0_norm < math.inf:
-        start_ctx = _SigmaContext(q=q, h_q=h_q, h_newton_step=h_newton, g_next=g,
-                                  h_probe=h_probe_at(x, g), exhausted=False)
         try:
-            sigma = _sigma_or_default(sigmas, -1, start_ctx, rng_sigma, trace.warnings)
+            sigma = _sigma_or_default(
+                sigmas, -1, lambda: _newton_value(image, x, g, h_newton, q, h_q, False),
+                rng_sigma, trace.warnings)
         except PolicyError as exc:
             return trace.finish(BREAKDOWN, x, g0_norm, str(exc))
         trace.meta["initial_sigma"] = sigma
@@ -470,9 +431,14 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
             p = newton_step.copy()
         else:
             p = solve_direction(g, newton_step, h_newton, q, h_q, sigma)
-        ctx = _StepContext(g=g, p=p, h_probe=h_probe_at(x, g))
+        # the mode decides only where Hp comes from: H once, before the step
+        # policy, so the exact step reuses it, or the gradient difference the
+        # step produces; everything below runs the same recursion on it
+        h_p = prob.hessian_action(p) if mode == ORACLE else None
         try:
-            alpha = steps.alpha(k, ctx, rng_step)
+            alpha = steps.alpha(
+                k, lambda: newton_scaling(g, p, h_p if mode == ORACLE else image(x, g, p)),
+                rng_step)
         except NotPositiveDefiniteError:  # from the exact step
             return trace.finish(BREAKDOWN, x, g_norm,
                                 "nonpositive curvature along search direction")
@@ -485,14 +451,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         q_raw = p - newton_step
         exhausted = bool(norm(q_raw) <= EXHAUSTED_RTOL * (norm(p) + norm(newton_step)))
 
-        # the mode decides only where Hp comes from; everything below runs
-        # the same recursion on it
         if mode == MATRIX_FREE:
             h_p = (g_next - g) / alpha
-        elif ctx.h_p is not None:
-            h_p = ctx.h_p
-        else:
-            h_p = prob.hessian_action(p)
 
         record = IterateRecord(
             k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm,
@@ -535,13 +495,11 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         if g_next_norm <= threshold:
             return trace.finish(CONVERGED, x_next, g_next_norm)
 
-        sigma_ctx = _SigmaContext(
-            q=q, h_q=h_q, h_newton_step=h_newton_next,
-            g_next=g_next, h_probe=h_probe_at(x_next, g_next),
-            exhausted=exhausted,
-        )
         try:
-            sigma = _sigma_or_default(sigmas, k, sigma_ctx, rng_sigma, trace.warnings)
+            sigma = _sigma_or_default(
+                sigmas, k, lambda: _newton_value(image, x_next, g_next, h_newton_next,
+                                                 q, h_q, exhausted),
+                rng_sigma, trace.warnings)
         except PolicyError as exc:
             return trace.finish(BREAKDOWN, x_next, g_next_norm, str(exc))
 

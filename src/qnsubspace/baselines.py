@@ -19,7 +19,7 @@ import numpy as np
 from .approximation import _upcoming_direction, newton_scaling
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
 from .trace import BREAKDOWN, CONVERGED, IterateRecord, IterateTrace
-from .util import norm
+from .util import check_run_limits, norm
 
 
 def exact_line_search(prob, x, p):
@@ -88,8 +88,10 @@ def _exact_line_search_loop(prob, x0, method, tol, max_iter, next_direction):
     the trace, never retried: a gradient that is not finite; a direction that
     does not descend (g'p >= 0), so the approximation it comes from lost
     positive definiteness; curvature p'Hp <= 0; and more than ``max_iter``
-    iterations, default n + 1, which an exact quadratic never needs.
+    iterations, default n + 1, which an exact quadratic never needs. Invalid
+    ``tol`` or ``max_iter`` raise PolicyError before the first gradient.
     """
+    check_run_limits(tol, max_iter)
     x = prob._check_vector(x0, name="x0")
     g = prob.gradient(x)
     g_norm = norm(g)

@@ -19,15 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .algorithm import (
-    MATRIX_FREE,
-    ORACLE,
-    SigmaPolicy,
-    StepPolicy,
-    _integer,
-    _real,
-    subspace_qn_solve,
-)
+from .algorithm import MATRIX_FREE, ORACLE, SigmaPolicy, StepPolicy, subspace_qn_solve
 from .baselines import cg_solve, qn_exact_ls_solve
 from .errors import PolicyError
 from .problem import (
@@ -38,6 +30,7 @@ from .problem import (
     save_problem,
 )
 from .trace import BREAKDOWN, IterateTrace
+from .util import check_run_limits
 from .verification import METHODS, verify_trace
 
 EXIT_PASS = 0
@@ -229,9 +222,7 @@ def cmd_run(args):
     tol = args.tol if args.tol is not None else spec.get("tol", DEFAULT_TOL)
     max_iter = args.max_iter if args.max_iter is not None else spec.get("max_iter")
     try:
-        _require(_real("tol", tol) > 0, "tol", f"must be positive, got {tol!r}")
-        _require(max_iter is None or _integer("max_iter", max_iter) >= 0,
-                 "max_iter", f"must be non-negative, got {max_iter!r}")
+        check_run_limits(tol, max_iter)
     except PolicyError as exc:
         raise SpecError(str(exc))
     methods = [_Method(m, i, mode_override=args.mode)

@@ -16,4 +16,5 @@ class DegenerateBasisError(np.linalg.LinAlgError):
 
 
 class PolicyError(ValueError):
-    """A step or scaling policy produced (or was configured with) an invalid value."""
+    """A step or scaling policy, or a solver's tol or max_iter, was configured
+    with an invalid value, or a policy produced one."""

@@ -401,7 +401,8 @@ def verify_trace(trace, prob, x0, oracle=None):
     ``oracle`` is the :class:`KrylovOracle` of ``prob`` from ``x0``, built
     here when not given; pass one to share its eigendecomposition and
     minimizers across the traces of one problem. Returns a list of
-    CheckReport.
+    CheckReport; ValueError for a method without checks or a qn-subspace
+    trace whose ``step_policy`` is not a policy spec.
     """
     method = trace.meta.get("method", "")
     if method not in METHODS:
@@ -410,8 +411,11 @@ def verify_trace(trace, prob, x0, oracle=None):
         oracle = KrylovOracle(prob, x0)
     if method != "qn-subspace":
         return [check_conjugate_baseline(trace, oracle)]
+    policy = trace.meta.get("step_policy", {})
+    if not isinstance(policy, dict) or not isinstance(policy.get("kind", ""), str):
+        raise ValueError(f"step_policy {policy!r} is not a step policy spec")
     reports = [check_newton_onset(trace, oracle)]
-    count_check = _COUNT_CHECKS.get(trace.meta.get("step_policy", {}).get("kind"))
+    count_check = _COUNT_CHECKS.get(policy.get("kind"))
     if count_check is not None:
         reports.append(count_check(trace, oracle))
     return reports

@@ -21,6 +21,7 @@ from qnsubspace import (
     cg_solve,
     check_newton_onset,
     generate_problem,
+    qn_exact_ls_solve,
     subspace_qn_solve,
     traces_match,
 )
@@ -202,6 +203,23 @@ def test_one_hessian_image_per_iteration(monkeypatch, mode, steps, hess, grads):
     assert trace.status == CONVERGED
     assert k >= 6
     assert counts == {"gradient": grads(k), "hessian_action": hess(k)}
+
+
+@pytest.mark.parametrize("mode, at, iterations, grads, hess", [
+    (ORACLE, 4, 6, 7, 7),
+    (ORACLE, -1, 7, 8, 8),
+    (MATRIX_FREE, 4, 6, 8, 0),
+    (MATRIX_FREE, -1, 7, 9, 0),
+])
+def test_a_newton_at_sigma_costs_one_image(monkeypatch, mode, at, iterations, grads, hess):
+    # the termination-forcing value probes one image along the gradient at
+    # the restricted minimizer: one H-product, or matrix-free one gradient
+    prob, x0 = generate_problem(12, 6, cond=20.0, seed=97)
+    counts = count_work(monkeypatch)
+    trace = subspace_qn_solve(prob, x0, sigmas=SigmaPolicy.newton_at(at), mode=mode,
+                              tol=1e-9)
+    assert (trace.status, trace.iterations) == (CONVERGED, iterations)
+    assert counts == {"gradient": grads, "hessian_action": hess}
 
 
 def test_one_alignment_per_two_vector_build(monkeypatch):
@@ -491,6 +509,39 @@ def test_a_sigma_policy_that_fails_mid_run_ends_it_as_a_breakdown(at, iterations
     assert (trace.status, trace.iterations) == (BREAKDOWN, iterations)
     assert trace.reason == f"sigma policy produced 0.0 at iteration {at}"
     assert trace.meta["sigma_policy"] == sigmas.spec()
+
+
+@pytest.mark.parametrize("at", [-1, 0])
+def test_an_overflowing_newton_value_falls_back_to_the_default_sigma(at):
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=1)
+    trace = subspace_qn_solve(prob, x0, sigmas=SigmaPolicy.newton_at(at, scale=1e308))
+    assert (trace.status, trace.iterations) == (CONVERGED, 4)
+    assert trace.iterations == subspace_qn_solve(prob, x0).iterations
+    assert trace.meta["initial_sigma"] == 1.0
+    assert trace.warnings == [f"iteration {at}: sigma policy fell back to 1 "
+                              "(scaled Newton value inf is not finite)"]
+    assert trace.records[0].sigma == 1.0
+
+
+@pytest.mark.parametrize("solve", [
+    cg_solve, qn_exact_ls_solve, subspace_qn_solve,
+], ids=["cg", "bfgs", "qn-subspace"])
+@pytest.mark.parametrize("limits, message", [
+    ({"max_iter": -1}, "max_iter must be non-negative"),
+    ({"max_iter": 2.5}, "max_iter must be an integer"),
+    ({"max_iter": True}, "max_iter must be an integer"),
+    ({"tol": -1.0}, "tol must be positive"),
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"tol": float("nan")}, "tol must be a finite number"),
+    ({"tol": "x"}, "tol must be a finite number"),
+])
+def test_invalid_run_limits_raise_before_the_first_gradient(monkeypatch, solve, limits,
+                                                            message):
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=1)
+    counts = count_work(monkeypatch)
+    with pytest.raises(PolicyError, match=message):
+        solve(prob, x0, **limits)
+    assert counts == {"gradient": 0, "hessian_action": 0}
 
 
 def test_sigma_policy_validation():

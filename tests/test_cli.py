@@ -342,6 +342,31 @@ def test_verify_rejects_a_trace_of_another_dimension(tmp_path, capsys):
     assert "cannot load trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step_policy, code", [
+    ("unit", EXIT_USAGE),
+    ({"kind": ["unit"]}, EXIT_USAGE),
+    (None, EXIT_PASS),  # absent: the count checks are skipped
+])
+def test_verify_rejects_a_malformed_step_policy(tmp_path, capsys, step_policy, code):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "qn-subspace"}]})
+    out = tmp_path / "out"
+    assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_PASS
+    path = out / "traces" / "p000__m00_qn-subspace.json"
+    doc = json.loads(path.read_text())
+    if step_policy is None:
+        del doc["meta"]["step_policy"]
+    else:
+        doc["meta"]["step_policy"] = step_policy
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(path),
+                 "--problem", str(out / "problems" / "p000.json")]) == code
+    if code == EXIT_USAGE:
+        assert "is not a step policy spec" in capsys.readouterr().err
+
+
 GRID_METHODS = [
     {"kind": "cg"},
     {"kind": "bfgs"},
