@@ -7,6 +7,8 @@ direction is pN plus the upcoming conjugate direction over sigma, so no
 operator is built. pN, q and their Hessian images obey closed-form
 recursions, so each iteration needs one new Hessian image, that of the step:
 from H itself, or matrix-free from the gradient difference the step produces.
+With H, the gradient is carried too, as g + alpha Hp, and evaluated only
+where the run may end, so either way an iteration makes one oracle call.
 
 Finite termination does not need exact line search: once the generated
 subspace reaches its grade r, every direction is the full Newton step, and
@@ -345,11 +347,15 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     mode : str
         Where the step's Hessian image Hp comes from: "oracle" applies H
         once per iteration, before the step policy runs, so the exact step
-        reuses it; "matrix-free" takes the gradient difference
+        reuses it, and carries the gradient as g_next = g + alpha Hp;
+        "matrix-free" evaluates g_next and takes the gradient difference
         (g_next - g) / alpha. Both modes then run the same recursion for
         the images of q and of the restricted Newton step, so neither
         spends more than one H-product or gradient per iteration beyond
-        what the step and sigma policies probe.
+        what the step and sigma policies probe. Oracle mode evaluates the
+        gradient only at x0 and where the run may end: where the carried
+        norm reaches the tolerance or is not finite, it stops only if the
+        evaluated gradient passes too, and otherwise continues from it.
     tol : float
         Finite and positive; terminate once ||g|| <= tol * (1 + ||g0||).
     max_iter : int, optional
@@ -364,8 +370,11 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     -------
     IterateTrace
         One record per step plus the terminal status: converged(iterations),
-        max-iter, or breakdown(reason). Only invalid arguments raise, before
-        the first gradient; a policy that fails later ends it as a breakdown.
+        max-iter, or breakdown(reason). Its ``final_grad_norm`` is that of
+        the gradient evaluated at ``final_x``; a run that would end on a
+        carried one evaluates it, and converges if that one passes. Only
+        invalid arguments raise, before the first gradient; a policy that
+        fails later ends it as a breakdown.
     """
     steps = steps if steps is not None else StepPolicy.unit()
     sigmas = sigmas if sigmas is not None else SigmaPolicy.constant(1.0)
@@ -391,6 +400,16 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     g = prob.gradient(x)
     g0_norm = norm(g)
     threshold = tol * (1.0 + g0_norm)
+    carried = False  # whether g is the carried g_prev + alpha Hp, not evaluated
+
+    def finish(status, x_end, g_end_norm, reason=""):
+        # a run ends on a gradient evaluated at its last iterate; a carried
+        # one is evaluated here, and if that one passes the run converged
+        if carried:
+            g_end_norm = norm(prob.gradient(x_end))
+            if g_end_norm <= threshold:
+                status, reason = CONVERGED, ""
+        return trace.finish(status, x_end, g_end_norm, reason)
 
     n = prob.n
     newton_step, h_newton, q, h_q = (np.zeros(n) for _ in range(4))
@@ -440,19 +459,24 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                 k, lambda: newton_scaling(g, p, h_p if mode == ORACLE else image(x, g, p)),
                 rng_step)
         except NotPositiveDefiniteError:  # from the exact step
-            return trace.finish(BREAKDOWN, x, g_norm,
-                                "nonpositive curvature along search direction")
+            return finish(BREAKDOWN, x, g_norm,
+                          "nonpositive curvature along search direction")
         except PolicyError as exc:  # a schedule runs out, a draw gives up
-            return trace.finish(BREAKDOWN, x, g_norm, str(exc))
+            return finish(BREAKDOWN, x, g_norm, str(exc))
         x_next = x + alpha * p
-        g_next = prob.gradient(x_next)
-        g_next_norm = norm(g_next)
+        if mode == ORACLE:
+            # exact on a quadratic; evaluated only where it would end the run
+            g_next = g + alpha * h_p
+            g_next_norm = norm(g_next)
+            carried = threshold < g_next_norm < math.inf
+        if not carried:
+            g_next = prob.gradient(x_next)
+            g_next_norm = norm(g_next)
+            if mode == MATRIX_FREE:
+                h_p = (g_next - g) / alpha
 
         q_raw = p - newton_step
         exhausted = bool(norm(q_raw) <= EXHAUSTED_RTOL * (norm(p) + norm(newton_step)))
-
-        if mode == MATRIX_FREE:
-            h_p = (g_next - g) / alpha
 
         record = IterateRecord(
             k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm,
@@ -460,8 +484,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         )
         trace.records.append(record)
         if not math.isfinite(g_next_norm):
-            return trace.finish(BREAKDOWN, x_next, g_next_norm,
-                                f"gradient is not finite at iterate {k + 1}")
+            return finish(BREAKDOWN, x_next, g_next_norm,
+                          f"gradient is not finite at iterate {k + 1}")
 
         if exhausted:
             # the direction reproduced the restricted Newton step: the
@@ -482,9 +506,9 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                 if g_next_norm <= threshold:
                     record.q = q
                     record.h_q = h_p - h_newton
-                    return trace.finish(CONVERGED, x_next, g_next_norm)
-                return trace.finish(BREAKDOWN, x_next, g_next_norm,
-                                    reason=f"{exc} with gradient above tolerance")
+                    return finish(CONVERGED, x_next, g_next_norm)
+                return finish(BREAKDOWN, x_next, g_next_norm,
+                              reason=f"{exc} with gradient above tolerance")
             newton_next = (1.0 - alpha) * newton_step - coef * q
 
         record.q = q
@@ -493,7 +517,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         record.h_newton_step = h_newton_next
 
         if g_next_norm <= threshold:
-            return trace.finish(CONVERGED, x_next, g_next_norm)
+            return finish(CONVERGED, x_next, g_next_norm)
 
         try:
             sigma = _sigma_or_default(
@@ -501,13 +525,13 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                                                  q, h_q, exhausted),
                 rng_sigma, trace.warnings)
         except PolicyError as exc:
-            return trace.finish(BREAKDOWN, x_next, g_next_norm, str(exc))
+            return finish(BREAKDOWN, x_next, g_next_norm, str(exc))
 
         if exhausted:
             if norm(newton_next) == 0.0:
-                return trace.finish(BREAKDOWN, x_next, g_next_norm,
-                                    "no direction information left while the "
-                                    "gradient is above tolerance")
+                return finish(BREAKDOWN, x_next, g_next_norm,
+                              "no direction information left while the "
+                              "gradient is above tolerance")
             record.collapsed = True
         else:
             align_gap = 1.0 - cosine_alignment(newton_next, q)
@@ -522,4 +546,4 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         x, g, g_norm = x_next, g_next, g_next_norm
         newton_step, h_newton = newton_next, h_newton_next
 
-    return trace.finish(MAX_ITER, x, g_norm)
+    return finish(MAX_ITER, x, g_norm)

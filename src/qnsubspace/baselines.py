@@ -9,7 +9,10 @@ the arbitrary-step method is audited against.
 All three run :func:`_exact_line_search_loop` and differ only in the next
 direction they form from the new gradient g and the last pair (p, Hp): CG
 takes -g + c p, the solver's conjugate-direction rule, and the quasi-Newton
-variants -Mg, with M an inverse approximation updated by the pair.
+variants -Mg, with M an inverse approximation updated by the pair. An
+iteration takes one H-product, Hp, and carries the gradient as g + alpha Hp,
+the form of Hestenes and Stiefel's CG; the gradient is evaluated only where
+the run may end.
 """
 
 import math
@@ -74,54 +77,74 @@ def memoryless_bfgs_inverse_action(p, h_p, v):
             f"direction has nonpositive curvature p'Hp = {pHp:.3e}"
         )
     rho = 1.0 / pHp
-    pv = float(p @ v)
-    yv = float(h_p @ v)
-    return (v - rho * (pv * h_p + yv * p)
-            + rho * (1.0 + rho * float(h_p @ h_p)) * pv * p)
+    # the scalars take rho before they scale a vector: (p'v) Hp can overflow
+    # where rho (p'v) Hp does not
+    rpv = rho * float(p @ v)
+    ryv = rho * float(h_p @ v)
+    return v - (rpv * h_p + ryv * p) + (1.0 + rho * float(h_p @ h_p)) * rpv * p
 
 
 def _exact_line_search_loop(prob, x0, method, tol, max_iter, next_direction):
     """Exact line search from x0 along -g, then along ``next_direction(g, p,
     h_p)`` of the gradient and the last direction with its image Hp.
 
-    Converges once ||g|| <= tol * (1 + ||g0||). Breakdowns are reported in
-    the trace, never retried: a gradient that is not finite; a direction that
-    does not descend (g'p >= 0), so the approximation it comes from lost
-    positive definiteness; curvature p'Hp <= 0; and more than ``max_iter``
-    iterations, default n + 1, which an exact quadratic never needs. Invalid
-    ``tol`` or ``max_iter`` raise PolicyError before the first gradient.
+    The gradient after a step is carried as g + alpha Hp. Where its norm
+    reaches tol * (1 + ||g0||) or is not finite, g is evaluated at the new
+    iterate instead, and the run converges only if that one passes; a run
+    that ends otherwise evaluates it there too, and converges if it passes,
+    so ``final_grad_norm`` is always that of an evaluated gradient.
+
+    Breakdowns are reported in the trace, never retried: a gradient that is
+    not finite; a direction that does not descend (g'p >= 0), so the
+    approximation it comes from lost positive definiteness; curvature
+    p'Hp <= 0; and more than ``max_iter`` iterations, default n + 1, which an
+    exact quadratic never needs. Invalid ``tol`` or ``max_iter`` raise
+    PolicyError before the first gradient.
     """
     check_run_limits(tol, max_iter)
     x = prob._check_vector(x0, name="x0")
     g = prob.gradient(x)
     g_norm = norm(g)
     threshold = tol * (1.0 + g_norm)
+    carried = False  # whether g is the carried g_prev + alpha Hp, not evaluated
     trace = IterateTrace(meta={"method": method, "tol": tol})
     cap = max_iter if max_iter is not None else prob.n + 1
+
+    def finish(status, reason=""):
+        # as in subspace_qn_solve: a carried gradient is evaluated where the
+        # run ends, and if that one passes the run converged
+        g_end_norm = g_norm
+        if carried:
+            g_end_norm = norm(prob.gradient(x))
+            if g_end_norm <= threshold:
+                status, reason = CONVERGED, ""
+        return trace.finish(status, x, g_end_norm, reason)
+
     for k in range(cap + 1):
         if not math.isfinite(g_norm):
-            return trace.finish(BREAKDOWN, x, g_norm,
-                                f"gradient is not finite at iterate {k}")
+            return finish(BREAKDOWN, f"gradient is not finite at iterate {k}")
         if g_norm <= threshold:
-            return trace.finish(CONVERGED, x, g_norm)
+            return finish(CONVERGED)
         if k == cap:
-            return trace.finish(BREAKDOWN, x, g_norm,
-                                f"no convergence within {cap} iterations")
+            return finish(BREAKDOWN, f"no convergence within {cap} iterations")
         p = -g if k == 0 else next_direction(g, p, h_p)
         if float(g @ p) >= 0.0:
-            return trace.finish(BREAKDOWN, x, g_norm,
-                                "approximation lost positive definiteness")
+            return finish(BREAKDOWN, "approximation lost positive definiteness")
         h_p = prob.hessian_action(p)
         try:
             alpha = newton_scaling(g, p, h_p)
         except NotPositiveDefiniteError:
-            return trace.finish(BREAKDOWN, x, g_norm,
-                                "nonpositive curvature along search direction")
+            return finish(BREAKDOWN, "nonpositive curvature along search direction")
         trace.records.append(IterateRecord(k=k, x=x, g=g, p=p, alpha=alpha,
                                            grad_norm=g_norm, h_p=h_p))
         x = x + alpha * p
-        g = prob.gradient(x)
+        # exact on a quadratic; evaluated only where it would end the run
+        g = g + alpha * h_p
         g_norm = norm(g)
+        carried = threshold < g_norm < math.inf
+        if not carried:
+            g = prob.gradient(x)
+            g_norm = norm(g)
 
 
 def cg_solve(prob, x0, tol=1e-9, max_iter=None):

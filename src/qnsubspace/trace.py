@@ -4,6 +4,11 @@ Every solver in the package returns an :class:`IterateTrace`. Fields that a
 particular solver does not produce (for example sigma for the conjugate
 gradient baseline) stay ``None`` and serialize as JSON null.
 
+In oracle mode and in the baselines, a record's ``g`` and ``grad_norm`` are
+carried values, g_prev + alpha Hp, which drift from the gradient at ``x`` by
+rounding; in matrix-free mode they are evaluated. The terminal
+``final.grad_norm`` is always that of the gradient evaluated at ``final.x``.
+
 In the ``qnsubspace-trace-v2`` file form, each vector of an iteration record
 (``x``, ``g``, ``p``, ``h_p``, ``q``, ``pN``, ``h_q``, ``h_pN``) is one string:
 the base64 text of its little-endian float64 bytes, which keeps every bit and

@@ -165,7 +165,7 @@ def check_newton_onset(trace, oracle):
 
     # each gradient at x_k + alpha_k p_k + pN_k against the first
     # min(k + 1, r) reference conjugate directions
-    g0_norm = norm(trace.records[0].g) if trace.records else 0.0
+    g0_norm = norm(prob.gradient(trace.records[0].x)) if trace.records else 0.0
     worst_orth = 0.0
     pairs = 0
     tracked = [rec for rec in trace.records if rec.newton_step is not None]
@@ -290,9 +290,15 @@ def check_conjugate_baseline(trace, oracle):
         f"{trace.iterations} iterations, grade {r}",
     )
 
-    g0_norm = norm(trace.records[0].g) if trace.records else 0.0
+    # the gradients at the recorded iterates and the final point, G = HX + c,
+    # not the ones the run recorded
+    xs = [rec.x for rec in trace.records]
+    if trace.final_x is not None:
+        xs.append(trace.final_x)
+    G = prob.H @ np.column_stack(xs) + prob.c[:, None] if xs else None
+    g0_norm = norm(G[:, 0]) if trace.records else 0.0
     g_scale = BASELINE_GRAD_RTOL * (1.0 + g0_norm)
-    final_norm = trace.final_grad_norm
+    final_norm = norm(G[:, -1]) if trace.final_x is not None else None
     report.add(
         "terminal gradient below threshold",
         final_norm is not None and final_norm <= g_scale,
@@ -313,11 +319,7 @@ def check_conjugate_baseline(trace, oracle):
     worst_orth = 0.0
     if g0_norm > 0.0:
         D = np.column_stack([rec.p for rec in trace.records])
-        grads = [rec.g for rec in trace.records]
-        if trace.final_x is not None:
-            grads.append(prob.gradient(trace.final_x))
-        scaled = (np.abs(np.column_stack(grads).T @ D)
-                  / (g0_norm * np.linalg.norm(D, axis=0)))
+        scaled = np.abs(G.T @ D) / (g0_norm * np.linalg.norm(D, axis=0))
         earlier = np.tril(np.ones(scaled.shape, dtype=bool), k=-1)
         if earlier.any():
             worst_orth = float(scaled[earlier].max())

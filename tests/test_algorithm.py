@@ -1,5 +1,6 @@
 """Arbitrary-step subspace iteration: exact hand values, recursions, policies."""
 
+import functools
 import json
 
 import numpy as np
@@ -188,10 +189,12 @@ def count_work(monkeypatch):
     return counts
 
 
+# oracle mode carries the gradient as g + alpha Hp and evaluates it at x0 and
+# where it would end the run, here once; matrix-free mode evaluates one per step
 @pytest.mark.parametrize("mode, steps, hess, grads", [
-    (ORACLE, StepPolicy.unit(), lambda k: k, lambda k: k + 1),
+    (ORACLE, StepPolicy.unit(), lambda k: k, lambda k: 2),
     (MATRIX_FREE, StepPolicy.unit(), lambda k: 0, lambda k: k + 1),
-    (ORACLE, StepPolicy.exact_line_search(), lambda k: k, lambda k: k + 1),
+    (ORACLE, StepPolicy.exact_line_search(), lambda k: k, lambda k: 2),
     # the exact step's probe costs one gradient per iteration without H
     (MATRIX_FREE, StepPolicy.exact_line_search(), lambda k: 0, lambda k: 2 * k + 1),
 ])
@@ -205,9 +208,66 @@ def test_one_hessian_image_per_iteration(monkeypatch, mode, steps, hess, grads):
     assert counts == {"gradient": grads(k), "hessian_action": hess(k)}
 
 
+@pytest.mark.parametrize("solve, max_iter, status, iterations", [
+    (cg_solve, None, CONVERGED, 6),
+    (qn_exact_ls_solve, None, CONVERGED, 6),
+    (functools.partial(qn_exact_ls_solve, variant="memoryless"), None, CONVERGED, 6),
+    (cg_solve, 3, BREAKDOWN, 3),
+    (qn_exact_ls_solve, 3, BREAKDOWN, 3),
+    (functools.partial(qn_exact_ls_solve, variant="memoryless"), 3, BREAKDOWN, 3),
+    (subspace_qn_solve, 3, MAX_ITER, 3),
+], ids=["cg", "bfgs", "memoryless", "cg-cap", "bfgs-cap", "memoryless-cap",
+        "oracle-max-iter"])
+def test_a_carried_gradient_is_evaluated_once_where_the_run_ends(
+        monkeypatch, solve, max_iter, status, iterations):
+    # the baselines carry the gradient as oracle mode does: one H-product per
+    # iteration, and gradients only at x0 and where the run ends
+    prob, x0 = generate_problem(12, 6, cond=20.0, seed=97)
+    counts = count_work(monkeypatch)
+    trace = solve(prob, x0, tol=1e-9, max_iter=max_iter)
+    assert (trace.status, trace.iterations) == (status, iterations)
+    assert counts == {"gradient": 2, "hessian_action": iterations}
+
+
+class _DriftingCurvature(QuadraticProblem):
+    """H's action off by one part in a million, so a gradient carried as
+    g + alpha Hp drifts from the one evaluated at the same point."""
+
+    def hessian_action(self, v):
+        return (1.0 + 1e-6) * super().hessian_action(v)
+
+
+@pytest.mark.parametrize("solve", [
+    cg_solve,
+    qn_exact_ls_solve,
+    functools.partial(qn_exact_ls_solve, variant="memoryless"),
+    subspace_qn_solve,
+    functools.partial(subspace_qn_solve, steps=StepPolicy.exact_line_search()),
+    functools.partial(subspace_qn_solve, steps=StepPolicy.uniform(),
+                      sigmas=SigmaPolicy.uniform()),
+    functools.partial(subspace_qn_solve, sigmas=SigmaPolicy.newton_at(2)),
+    functools.partial(subspace_qn_solve, mode=MATRIX_FREE),
+], ids=["cg", "bfgs", "memoryless", "unit", "exact", "uniform", "newton-at",
+        "matrix-free"])
+def test_a_run_reports_only_gradients_it_evaluated(solve):
+    # the drift leaves unit steps short of tol, so most of these runs end
+    # without converging; whatever the status, a run reports the gradient at
+    # its final point, and converges only where that one passes
+    tol = 1e-9
+    for seed in range(6):
+        prob, x0 = generate_problem(12, 6, cond=100.0, seed=110 + seed)
+        prob = _DriftingCurvature(prob.H, prob.c)
+        for max_iter in (None, 3):
+            trace = solve(prob, x0, tol=tol, max_iter=max_iter)
+            assert trace.final_grad_norm == norm(prob.gradient(trace.final_x))
+            if trace.status == CONVERGED:
+                residual = norm(prob.H @ trace.final_x + prob.c)
+                assert residual <= tol * (1.0 + norm(prob.H @ x0 + prob.c))
+
+
 @pytest.mark.parametrize("mode, at, iterations, grads, hess", [
-    (ORACLE, 4, 6, 7, 7),
-    (ORACLE, -1, 7, 8, 8),
+    (ORACLE, 4, 6, 2, 7),
+    (ORACLE, -1, 7, 2, 8),
     (MATRIX_FREE, 4, 6, 8, 0),
     (MATRIX_FREE, -1, 7, 9, 0),
 ])
@@ -296,18 +356,18 @@ def test_a_vanishing_upcoming_direction_falls_back_to_the_default_sigma(mode):
 @pytest.mark.parametrize("r, at, steps, mode", [
     (10, 9, StepPolicy.constant(0.5), ORACLE),
     (10, 9, StepPolicy.constant(0.5), MATRIX_FREE),
+    (10, 9, StepPolicy.uniform(), ORACLE),
     (10, 10, StepPolicy.uniform(), MATRIX_FREE),
     (10, 10, StepPolicy.constant(0.5), ORACLE),
     (10, 10, StepPolicy.constant(0.5), MATRIX_FREE),
-    (12, 12, StepPolicy.uniform(), ORACLE),
+    (12, 11, StepPolicy.uniform(), ORACLE),
     (16, 16, StepPolicy.constant(0.5), ORACLE),
-    (18, 18, StepPolicy.constant(0.5), ORACLE),
+    (18, 17, StepPolicy.constant(0.5), ORACLE),
     (18, 18, StepPolicy.constant(0.5), MATRIX_FREE),
-    (20, 20, StepPolicy.constant(0.5), ORACLE),
 ])
 def test_a_nonpositive_newton_scaling_falls_back_to_the_default_sigma(r, at, steps, mode):
     # at cond 1e2 rounding makes -q'Hq / q'g negative at iteration ``at``
-    # (-48.57 for the first case), which no sigma policy may emit
+    # (-2.279 for the first case), which no sigma policy may emit
     prob, x0 = generate_problem(2 * r, r, cond=100.0, seed=r)
     trace = subspace_qn_solve(prob, x0, steps=steps, sigmas=SigmaPolicy.newton_at(at),
                               mode=mode, max_iter=4 * r, seed=1)
@@ -315,6 +375,20 @@ def test_a_nonpositive_newton_scaling_falls_back_to_the_default_sigma(r, at, ste
     assert any(w.startswith(f"iteration {at}: sigma policy fell back to 1 (Newton "
                             "scaling -") for w in trace.warnings), trace.warnings
     assert trace.records[at].sigma == 1.0
+
+
+@pytest.mark.parametrize("r, at, steps", [
+    (12, 12, StepPolicy.uniform()),
+    (18, 18, StepPolicy.constant(0.5)),
+    (20, 20, StepPolicy.constant(0.5)),
+])
+def test_a_newton_scaling_near_zero_still_converges(r, at, steps):
+    # oracle runs of the same ensemble whose Newton value at ``at`` is so near
+    # zero that rounding decides its sign; they converge either way
+    prob, x0 = generate_problem(2 * r, r, cond=100.0, seed=r)
+    trace = subspace_qn_solve(prob, x0, steps=steps, sigmas=SigmaPolicy.newton_at(at),
+                              mode=ORACLE, max_iter=4 * r, seed=1)
+    assert trace.status == CONVERGED, (trace.status, trace.reason)
 
 
 class _NegatedCurvature(QuadraticProblem):

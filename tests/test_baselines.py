@@ -102,7 +102,11 @@ def test_cg_iteration_cap_reports_breakdown(method):
 
 
 class GradientOverflowsAfterOneStep(QuadraticProblem):
-    """A quadratic whose gradient has an infinite entry from its second call on."""
+    """A quadratic whose gradient has an infinite entry from its second call on.
+
+    The baselines carry the gradient as g + alpha Hp, so that call comes where
+    the carried gradient would end the run, after the last step.
+    """
 
     calls = 0
 
@@ -126,8 +130,19 @@ def test_a_non_finite_gradient_ends_the_run_as_a_breakdown(method):
     assert trace.final_grad_norm == np.inf
 
     trace = baseline(method)(GradientOverflowsAfterOneStep(prob.H, prob.c), x0)
-    assert (trace.status, trace.iterations) == (BREAKDOWN, 1)
-    assert trace.reason == "gradient is not finite at iterate 1"
+    assert (trace.status, trace.iterations) == (BREAKDOWN, 3)
+    assert trace.reason == "gradient is not finite at iterate 3"
+
+
+def test_memoryless_converges_where_its_products_would_overflow():
+    # at x0[2] = 1e150 the unscaled (p'v) Hp of the inverse action is about
+    # 1e450; scaled by rho = 1/p'Hp first, memoryless takes cg's 6 steps
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=98)
+    far = x0.copy()
+    far[2] = 1e150
+    for method in ("cg", "bfgs", "memoryless"):
+        trace = baseline(method)(prob, far)
+        assert (trace.status, trace.iterations) == (CONVERGED, 6), method
 
 
 def test_bfgs_update_secant_property_is_hereditary():

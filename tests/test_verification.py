@@ -107,6 +107,28 @@ def test_baseline_check_catches_a_doctored_direction():
     assert "directions mutually conjugate" in failed
 
 
+@pytest.mark.parametrize("solve", [cg_solve, subspace_qn_solve],
+                         ids=["cg", "qn-subspace"])
+def test_a_doctored_recorded_gradient_changes_no_finding(solve):
+    # the checks read the iterates, not the gradients a run recorded, which
+    # may be carried values
+    prob, x0 = generate_problem(8, 5, cond=30.0, seed=100)
+    oracle = KrylovOracle(prob, x0)
+    trace = solve(prob, x0, tol=1e-10)
+    doctored = copy_trace(trace)
+    rng = np.random.default_rng(1)
+    for rec in doctored.records:
+        rec.g = rng.standard_normal(8)
+    doctored.final_grad_norm = 1e3
+
+    def findings(t):
+        return [(rep.check, f.name, f.passed, f.value)
+                for rep in verify_trace(t, prob, x0, oracle) for f in rep.findings]
+
+    assert all(passed for _, _, passed, _ in findings(trace))
+    assert findings(doctored) == findings(trace)
+
+
 def test_baseline_check_catches_a_wrong_count():
     prob, x0 = generate_problem(8, 5, cond=30.0, seed=101)
     trace = copy_trace(cg_solve(prob, x0, tol=1e-10))
@@ -272,7 +294,7 @@ def per_pair_values(trace, prob, x0, basis):
     qs = [b - a for a, b in zip(xs, xs[1:])]
     r = len(qs)
     records = trace.records
-    g0_norm = norm(records[0].g) if records else 0.0
+    g0_norm = norm(prob.gradient(records[0].x)) if records else 0.0
     if trace.meta["method"] == "qn-subspace":
         angles = [0.0]
         orth = [0.0]
@@ -293,7 +315,7 @@ def per_pair_values(trace, prob, x0, basis):
     with_image = [rec for rec in records if rec.h_p is not None]
     defect = oracles.pairwise_conjugacy_defect([rec.p for rec in with_image],
                                                [rec.h_p for rec in with_image])
-    grads = [rec.g for rec in records]
+    grads = [prob.gradient(rec.x) for rec in records]
     if trace.final_x is not None:
         grads.append(prob.gradient(trace.final_x))
     orth = [0.0]
