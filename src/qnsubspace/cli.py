@@ -317,9 +317,9 @@ def cmd_verify(args):
         trace = IterateTrace.load(args.trace)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot load trace {args.trace}: {exc}")
-    if trace.dimension() not in (None, prob.n):
+    if (n := trace.dimension()) not in (None, prob.n):
         raise SpecError(f"cannot load trace {args.trace}: vectors of length "
-                        f"{trace.dimension()}, problem dimension {prob.n}")
+                        f"{n}, problem dimension {prob.n}")
 
     try:
         reports = verify_trace(trace, prob, x0)

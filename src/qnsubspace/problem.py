@@ -135,10 +135,10 @@ class KrylovOracle:
     of f over x0 + (k-dimensional span) come from a small projected solve.
 
     One oracle is the whole reference for a problem and start point: its one
-    eigendecomposition of H gives the grade, the basis and
-    :attr:`condition_number`, and :attr:`minimizers`,
-    :attr:`conjugate_directions` and :attr:`solution` are computed once, on
-    first use.
+    eigendecomposition of H, the only factorization of H it makes, gives the
+    grade, the basis, :attr:`condition_number` and :attr:`solution`.
+    :attr:`minimizers`, :attr:`conjugate_directions` and :attr:`solution` are
+    computed once, on first use.
     """
 
     def __init__(self, prob, x0=None):
@@ -150,7 +150,7 @@ class KrylovOracle:
         self._g0 = g0
         g0_norm = norm(g0)
 
-        evals, evecs = np.linalg.eigh(prob.H)
+        evals, evecs = self._evals, self._evecs = np.linalg.eigh(prob.H)
         self.condition_number = float(evals[-1] / evals[0])
 
         tol = RANK_RTOL * max(1.0, norm(prob.H, 1))
@@ -189,8 +189,11 @@ class KrylovOracle:
 
     @cached_property
     def solution(self):
-        """The problem's unique minimizer, solved once for every check."""
-        x = self.problem.solution()
+        """The problem's unique minimizer, -V((V'c) / lambda) for the
+        eigendecomposition H = V diag(lambda) V', refined once the same way."""
+        H, c, V, lam = self.problem.H, self.problem.c, self._evecs, self._evals
+        x = -(V @ ((V.T @ c) / lam))
+        x -= V @ ((V.T @ (H @ x + c)) / lam)
         x.setflags(write=False)
         return x
 

@@ -256,12 +256,12 @@ def check_exact_search_count(trace, oracle):
     return report
 
 
-def _conjugacy_defect(directions, h_images):
-    """max over i != j of |p_i'Hp_j| / (||Hp_i|| ||p_j||), pairs with a zero
-    norm left out; 0.0 for fewer than two directions."""
-    if len(directions) < 2:
+def _conjugacy_defect(P, HP):
+    """max over i != j of |p_i'Hp_j| / (||Hp_i|| ||p_j||) for the columns p_i
+    of P and Hp_i of HP, pairs with a zero norm left out; 0.0 for fewer than
+    two directions."""
+    if P.shape[1] < 2:
         return 0.0
-    P, HP = np.column_stack(directions), np.column_stack(h_images)
     denom = np.outer(np.linalg.norm(HP, axis=0), np.linalg.norm(P, axis=0))
     keep = denom != 0.0
     np.fill_diagonal(keep, False)
@@ -275,7 +275,9 @@ def check_conjugate_baseline(trace, oracle):
 
     Checks r-step termination, the terminal gradient, mutual conjugacy of
     the recorded directions, orthogonality of each gradient to all earlier
-    directions, and that each iterate is the Krylov-space minimizer.
+    directions, and that each iterate is the Krylov-space minimizer. The
+    gradients and the directions' images come from the problem, not from
+    the recorded ``g`` and ``h_p``.
     """
     prob = oracle.problem
     r = oracle.grade
@@ -290,12 +292,16 @@ def check_conjugate_baseline(trace, oracle):
         f"{trace.iterations} iterations, grade {r}",
     )
 
-    # the gradients at the recorded iterates and the final point, G = HX + c,
-    # not the ones the run recorded
+    # one product H[x_0 ... x_K, final_x, p_0 ... p_K] gives the gradients
+    # G = HX + c and the images HP, not the ones the run recorded
     xs = [rec.x for rec in trace.records]
     if trace.final_x is not None:
         xs.append(trace.final_x)
-    G = prob.H @ np.column_stack(xs) + prob.c[:, None] if xs else None
+    M = np.column_stack(xs + [rec.p for rec in trace.records]) if xs \
+        else np.zeros((prob.n, 0))
+    HM = prob.H @ M
+    G = HM[:, :len(xs)] + prob.c[:, None]
+    P, HP = M[:, len(xs):], HM[:, len(xs):]
     g0_norm = norm(G[:, 0]) if trace.records else 0.0
     g_scale = BASELINE_GRAD_RTOL * (1.0 + g0_norm)
     final_norm = norm(G[:, -1]) if trace.final_x is not None else None
@@ -307,19 +313,17 @@ def check_conjugate_baseline(trace, oracle):
         final_norm,
     )
 
-    imaged = [rec for rec in trace.records if rec.h_p is not None]
-    defect = _conjugacy_defect([rec.p for rec in imaged], [rec.h_p for rec in imaged])
+    defect = _conjugacy_defect(P, HP)
     report.add(
         "directions mutually conjugate", defect <= CONJUGACY_TOL,
-        f"max scaled cross-curvature {defect:.3e} over {len(imaged)} directions",
+        f"max scaled cross-curvature {defect:.3e} over {P.shape[1]} directions",
         defect,
     )
 
     # every gradient g_j, the final one included, against every p_i, i < j
     worst_orth = 0.0
     if g0_norm > 0.0:
-        D = np.column_stack([rec.p for rec in trace.records])
-        scaled = np.abs(G.T @ D) / (g0_norm * np.linalg.norm(D, axis=0))
+        scaled = np.abs(G.T @ P) / (g0_norm * np.linalg.norm(P, axis=0))
         earlier = np.tril(np.ones(scaled.shape, dtype=bool), k=-1)
         if earlier.any():
             worst_orth = float(scaled[earlier].max())

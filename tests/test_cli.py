@@ -1,13 +1,16 @@
 """Experiment harness: subcommands, artifacts, exit codes, reproducibility."""
 
+import base64
 import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qnsubspace import cli, load_problem, problem
+from qnsubspace import IterateTrace, cli, load_problem, problem
 from qnsubspace.cli import (
     EXIT_BREAKDOWN,
     EXIT_CHECK_FAIL,
@@ -40,6 +43,20 @@ BASE_SPEC = {
          "sigma": {"kind": "uniform"}},
     ],
 }
+
+
+# A run of cg, bfgs, memoryless and qn-subspace on one n = 6 problem, saved
+# in the qnsubspace-trace-v2 form by the last release that wrote it.
+V2_FIXTURE = Path(__file__).parent / "data" / "trace_v2"
+V2_PROBLEM = V2_FIXTURE / "problems" / "p000.json"
+
+
+def floats(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def b64(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
 
 
 def read_rows(path):
@@ -89,7 +106,7 @@ def test_run_writes_tables_and_traces(tmp_path, capsys):
     traces = sorted((out / "traces").iterdir())
     assert len(traces) == 10
     payload = json.loads(traces[0].read_text())
-    assert payload["schema"] == "qnsubspace-trace-v2"
+    assert payload["schema"] == "qnsubspace-trace-v3"
     assert "wall_time_ms" in payload["meta"]
 
     problems = sorted(p.name for p in (out / "problems").iterdir())
@@ -231,7 +248,10 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "all checks passed" in printed
 
     payload = json.loads(trace_path.read_text())
-    payload["iterations"][1]["p"] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    p = payload["iterations"]["p"]
+    rows = floats(p["data"]).reshape(-1, 6).copy()
+    rows[1] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    p["data"] = b64(rows)
     doctored = tmp_path / "doctored.json"
     doctored.write_text(json.dumps(payload))
     code = main(["verify", "--trace", str(doctored),
@@ -294,8 +314,66 @@ def test_the_shared_parser_behaves_as_a_fresh_one(tmp_path, capsys, monkeypatch)
     assert outcomes() == shared
 
 
-# Each case edits record 1 or the final state of a 6-dimensional trace.
-# 32 base64 characters are 3 whole floats, so they decode cleanly.
+def with_column(key, **changes):
+    """Doctor of a v3 trace that replaces fields of column ``key``, each a
+    function of the column and the record count."""
+    return lambda d: d["iterations"][key].update(
+        {name: change(d["iterations"][key], len(d["iterations"]["k"]))
+         for name, change in changes.items()})
+
+
+def doctored_verify(tmp_path, capsys, trace_path, problem_path, doctor):
+    """Exit code and stderr of ``verify`` on a copy of the trace edited in
+    place by ``doctor``."""
+    payload = json.loads(trace_path.read_text())
+    doctor(payload)
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(doctored), "--problem", str(problem_path)])
+    return code, capsys.readouterr().err
+
+
+# Each case edits a column or the final state of a 6-dimensional trace. 32
+# base64 characters are 3 whole floats, so they decode cleanly. A qn-subspace
+# run that converges sets no sigma on its last record, so sigma lists its rows.
+@pytest.mark.parametrize("corrupt", [
+    with_column("g", data=lambda c, m: c["data"][:-5]),  # truncated: incorrect padding
+    # whole base64 quanta dropped: 5 bytes left over
+    with_column("g", data=lambda c, m: c["data"][:-4]),
+    with_column("g", data=lambda c, m: "*" + c["data"][1:]),  # outside the alphabet
+    with_column("h_q", data=lambda c, m: c["data"][:32]),  # shorter than its rows
+    with_column("h_pN", data=lambda c, m: c["data"][:32]),
+    lambda d: d["final"].update(x=d["final"]["x"][:3]),
+    lambda d: d["iterations"].update(x=[1.0, 2.0, 3.0]),  # a number list for a column
+    with_column("alpha", data=lambda c, m: b64(floats(c["data"])[:-1])),
+    with_column("sigma", rows=lambda c, m: [*c["rows"][:-1], m]),  # out of range
+    with_column("sigma", rows=lambda c, m: [-1, *c["rows"][1:]]),
+    with_column("sigma", rows=lambda c, m: c["rows"][:-1]),  # fewer rows than data
+    with_column("sigma", rows=lambda c, m: [*c["rows"], m - 1]),  # more rows than data
+    with_column("sigma", rows=lambda c, m: c["rows"][::-1]),  # not increasing
+    with_column("sigma", rows=lambda c, m: [0.0, *c["rows"][1:]]),  # not integers
+    # a null x row: x lists every record but record 1
+    with_column("x", data=lambda c, m: b64(np.delete(floats(c["data"]).reshape(m, -1), 1, 0)),
+                rows=lambda c, m: [i for i in range(m) if i != 1]),
+])
+def test_verify_rejects_corrupt_vector_text(tmp_path, capsys, corrupt):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2,
+        "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "qn-subspace"}],
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_PASS
+    trace_path = next((out / "traces").glob("*.json"))
+    assert json.loads(trace_path.read_text())["iterations"]["sigma"]["rows"] == [0, 1, 2]
+    code, err = doctored_verify(tmp_path, capsys, trace_path,
+                                out / "problems" / "p000.json", corrupt)
+    assert code == EXIT_USAGE
+    assert "cannot load trace" in err
+
+
+# Each case edits record 1 or the final state of the 6-dimensional v2 trace.
 @pytest.mark.parametrize("corrupt", [
     lambda rec, final: rec.update(g=rec["g"][:-5]),  # truncated: incorrect padding
     # whole base64 quanta dropped: 5 bytes left over
@@ -306,25 +384,12 @@ def test_the_shared_parser_behaves_as_a_fresh_one(tmp_path, capsys, monkeypatch)
     lambda rec, final: final.update(x=final["x"][:3]),
     lambda rec, final: rec.update(x=[1.0, 2.0, 3.0]),  # a v1 number list
 ])
-def test_verify_rejects_corrupt_vector_text(tmp_path, capsys, corrupt):
-    spec = write_spec(tmp_path / "spec.json", {
-        "seed": 2,
-        "problems": [{"n": 6, "r": 3, "cond": 10.0}],
-        "methods": [{"kind": "qn-subspace"}],
-    })
-    out = tmp_path / "out"
-    main(["run", "--spec", spec, "--out-dir", str(out)])
-    capsys.readouterr()
-    trace_path = next((out / "traces").glob("*.json"))
-    payload = json.loads(trace_path.read_text())
-    corrupt(payload["iterations"][1], payload["final"])
-    doctored = tmp_path / "doctored.json"
-    doctored.write_text(json.dumps(payload))
-
-    code = main(["verify", "--trace", str(doctored),
-                 "--problem", str(out / "problems" / "p000.json")])
+def test_verify_rejects_corrupt_vector_text_of_v2_files(tmp_path, capsys, corrupt):
+    code, err = doctored_verify(
+        tmp_path, capsys, V2_FIXTURE / "traces" / "p000__m03_qn-subspace.json", V2_PROBLEM,
+        lambda d: corrupt(d["iterations"][1], d["final"]))
     assert code == EXIT_USAGE
-    assert "cannot load trace" in capsys.readouterr().err
+    assert "cannot load trace" in err
 
 
 def test_verify_rejects_a_trace_of_another_dimension(tmp_path, capsys):
@@ -412,7 +477,7 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
     assert len(rows) == 7
     assert counts["eigh"] + counts["eigvalsh"] == 1
     assert counts["inv"] == 1
-    assert counts["solution"] == 1
+    assert counts["solution"] == 0
 
     traces = sorted((out / "traces").iterdir())
     for trace_path in traces:
@@ -420,7 +485,7 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
               "--problem", str(out / "problems" / "p000.json")])
     assert counts["eigh"] + counts["eigvalsh"] == 1 + len(traces)
     assert counts["inv"] == 1 + len(traces)
-    assert counts["solution"] == 1 + len(traces)
+    assert counts["solution"] == 0
 
 
 # Runs CLI commands, given as a JSON list of argument lists, in an interpreter
@@ -589,24 +654,64 @@ def with_record(d, i, record):
     return d
 
 
-@pytest.mark.parametrize("doctor", [
-    lambda d: [d],
-    lambda d: {**d, "status": "x"},
-    lambda d: {**d, "iterations": None},
-    lambda d: with_record(d, 1, lambda rec: list(rec.values())),
-    lambda d: with_record(d, 1, lambda rec: {**rec, "k": None}),
-    lambda d: with_record(d, 1, lambda rec: {**rec, "x": None}),
-    lambda d: {**d, "final": None},
-    lambda d: {**d, "meta": []},
+def with_columns(edit):
+    """Doctor of a v3 trace that replaces its columns with ``edit`` of them."""
+    return lambda d: {**d, "iterations": edit(d["iterations"])}
+
+
+@pytest.mark.parametrize("version, doctor", [
+    ("v3", lambda d: [d]),
+    ("v3", lambda d: {**d, "status": "x"}),
+    ("v3", lambda d: {**d, "iterations": None}),
+    ("v3", with_columns(lambda c: {**c, "x": list(c["x"].values())})),
+    ("v3", with_columns(lambda c: {**c, "k": None})),
+    ("v3", with_columns(lambda c: {**c, "x": None})),
+    ("v3", lambda d: {**d, "final": None}),
+    ("v3", lambda d: {**d, "meta": []}),
+    ("v3", with_columns(lambda c: {**c, "collapsed": c["collapsed"][:-1]})),
+    ("v3", with_columns(lambda c: {key: v for key, v in c.items() if key != "p"})),
+    ("v2", lambda d: with_record(d, 1, lambda rec: list(rec.values()))),
+    ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "k": None})),
+    ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "x": None})),
 ], ids=["list", "text-status", "null-iterations", "list-record", "null-k",
-        "null-x", "null-final", "list-meta"])
-def test_traces_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys, doctor):
-    trace_path, problem_path = run_one_cg(tmp_path)
+        "null-x", "null-final", "list-meta", "short-collapsed", "no-p",
+        "v2-list-record", "v2-null-k", "v2-null-x"])
+def test_traces_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys, version,
+                                                        doctor):
+    if version == "v2":
+        trace_path, problem_path = V2_FIXTURE / "traces" / "p000__m00_cg.json", V2_PROBLEM
+    else:
+        trace_path, problem_path = run_one_cg(tmp_path)
     doctored = doctored_copy(tmp_path, trace_path, doctor)
     capsys.readouterr()
     code = main(["verify", "--trace", str(doctored), "--problem", str(problem_path)])
     assert code == EXIT_USAGE
     assert "cannot load trace" in capsys.readouterr().err
+
+
+def test_v2_files_load_to_the_records_of_a_rerun_and_verify_the_same(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(V2_FIXTURE / "spec.json"),
+                 "--out-dir", str(out)]) == EXIT_PASS
+    assert (out / "problems" / "p000.json").read_bytes() == V2_PROBLEM.read_bytes()
+    old_paths = sorted((V2_FIXTURE / "traces").iterdir())
+    new_paths = sorted((out / "traces").iterdir())
+    assert [p.name for p in old_paths] == [p.name for p in new_paths]
+    assert len(old_paths) == 4
+    for old_path, new_path in zip(old_paths, new_paths):
+        assert json.loads(old_path.read_text())["schema"] == "qnsubspace-trace-v2"
+        old, new = IterateTrace.load(old_path), IterateTrace.load(new_path)
+        del old.meta["wall_time_ms"], new.meta["wall_time_ms"]
+        # the v3 document holds every float as base64 of its bytes
+        assert old.to_dict() == new.to_dict()
+        capsys.readouterr()
+        codes, printed = [], []
+        for path in (old_path, new_path):
+            codes.append(main(["verify", "--trace", str(path),
+                               "--problem", str(V2_PROBLEM)]))
+            printed.append(capsys.readouterr().out)
+        assert codes == [EXIT_PASS, EXIT_PASS]
+        assert printed[0] == printed[1]
 
 
 def test_missing_spec_file_exits_with_usage_code(tmp_path, capsys):

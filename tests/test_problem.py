@@ -114,6 +114,17 @@ def test_oracle_matches_the_per_eigenvalue_reference():
     assert grades[-2:] == [4, 6]  # clusters of repeated eigenvalues count once
 
 
+@pytest.mark.parametrize("cond", [10.0, 1e2, 1e4])
+def test_oracle_solution_agrees_with_the_dense_solve(cond):
+    # the oracle solves through its eigendecomposition, the problem by LU
+    for n in (16, 128, 256):
+        for seed in range(3):
+            prob, x0 = generate_problem(n, 8, cond=cond, seed=[n, seed])
+            x_lu = prob.solution()
+            x = KrylovOracle(prob, x0).solution
+            assert norm(x - x_lu) <= 1e-12 * (1.0 + norm(x_lu))
+
+
 def test_minimizer_endpoints_and_bounds():
     prob, x0 = generate_problem(6, 4, cond=10.0, seed=1)
     oracle = KrylovOracle(prob, x0)

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import orjson
+import pytest
 
 from qnsubspace import (
     BREAKDOWN,
@@ -44,24 +45,27 @@ def sample_traces():
 
 def trace_text(trace):
     """File text of a trace: ``json.dumps`` of its sorted top-level fields,
-    each record in them ``orjson.dumps`` with sorted keys."""
+    the record columns in them ``orjson.dumps`` with sorted keys."""
     payload = trace.to_dict()
-    records = ", ".join(orjson.dumps(rec, option=orjson.OPT_SORT_KEYS).decode()
-                        for rec in payload["iterations"])
+    columns = orjson.dumps(payload["iterations"], option=orjson.OPT_SORT_KEYS).decode()
     payload["iterations"] = None
     text = json.dumps(payload, sort_keys=True)
-    return text.replace('"iterations": null', f'"iterations": [{records}]', 1) + "\n"
+    return text.replace('"iterations": null', f'"iterations": {columns}', 1) + "\n"
 
 
-# One record of length 1: the top level keeps the stdlib's separators and
-# spelling (1e-05), the record is compact orjson text (0.00001).
+# One record of length 1: each float field is one base64 column in compact
+# orjson text, and the top level keeps the stdlib's separators and spelling
+# (1e-05).
 TINY_TRACE_TEXT = (
-    '{"final": {"grad_norm": 0.0, "x": [2.0]}, "iterations": [{"alpha":2.0,'
-    '"collapsed":true,"exhausted":false,"g":"AAAAAAAA4L8=","grad_norm":0.5,'
-    '"h_p":null,"h_pN":null,"h_q":null,"k":0,"p":"AAAAAAAA4D8=","pN":null,'
-    '"q":null,"sigma":0.00001,"x":"AAAAAAAA8D8="}], "meta": {"method": "cg", '
-    '"tol": 1e-05}, "schema": "qnsubspace-trace-v2", "status": {"iterations": '
-    '1, "kind": "converged", "reason": null}, "warnings": []}\n'
+    '{"final": {"grad_norm": 0.0, "x": [2.0]}, "iterations": {"alpha":{"data":'
+    '"AAAAAAAAAEA=","rows":null},"collapsed":[true],"exhausted":[false],"g":'
+    '{"data":"AAAAAAAA4L8=","rows":null},"grad_norm":{"data":"AAAAAAAA4D8=",'
+    '"rows":null},"h_p":null,"h_pN":null,"h_q":null,"k":[0],"p":{"data":'
+    '"AAAAAAAA4D8=","rows":null},"pN":null,"q":null,"sigma":{"data":'
+    '"8WjjiLX45D4=","rows":null},"x":{"data":"AAAAAAAA8D8=","rows":null}}, '
+    '"meta": {"method": "cg", "tol": 1e-05}, "schema": "qnsubspace-trace-v3", '
+    '"status": {"iterations": 1, "kind": "converged", "reason": null}, '
+    '"warnings": []}\n'
 )
 
 
@@ -219,7 +223,7 @@ def test_record_scalars_round_trip_bit_for_bit(tmp_path):
             assert same_bits(getattr(got, name), getattr(rec, name)), name
 
 
-def test_a_record_with_non_finite_scalars_keeps_the_stdlib_text(tmp_path):
+def test_non_finite_record_scalars_sit_inside_base64(tmp_path):
     odd = awkward_record(2)
     odd.k, odd.alpha, odd.grad_norm, odd.sigma = 1, np.nan, np.inf, -np.inf
     plain = awkward_record(2)
@@ -228,17 +232,86 @@ def test_a_record_with_non_finite_scalars_keeps_the_stdlib_text(tmp_path):
     path = tmp_path / "non_finite.json"
     trace.save(path)
     text = path.read_text()
-    assert orjson.dumps(plain.to_dict(), option=orjson.OPT_SORT_KEYS).decode() in text
-    assert json.dumps(odd.to_dict(), sort_keys=True) in text
-    assert '"alpha": NaN' in text and '"grad_norm": Infinity' in text
-    assert '"sigma": -Infinity' in text
-    assert '"final": {"grad_norm": Infinity' in text
+    assert text == trace_text(trace)
+    # the literals appear only in the final state
+    final = '"final": {"grad_norm": Infinity, '
+    assert text.startswith("{" + final)
+    assert "NaN" not in text and text.count("Infinity") == 1
+    columns = json.loads(text)["iterations"]
+    for name, want in (("alpha", [1.0, np.nan]), ("grad_norm", [1.0, np.inf]),
+                       ("sigma", [1.0, -np.inf])):
+        assert columns[name]["rows"] is None
+        assert same_bits(np.frombuffer(base64.b64decode(columns[name]["data"]), "<f8"),
+                         want)
     loaded = IterateTrace.load(path)
     got = loaded.records[1]
     assert np.isnan(got.alpha)
     assert got.grad_norm == np.inf and got.sigma == -np.inf
     assert loaded.final_grad_norm == np.inf
-    assert loaded.to_dict()["iterations"][0] == plain.to_dict()
+    assert loaded.to_dict() == trace.to_dict()
+
+
+# NaN, both infinities, signed zero, subnormals and a repeating binary.
+NON_FINITE = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                       -2.2250738585072014e-308 / 3, 1.0 / 3.0])
+
+
+def patterned_records(count, present):
+    """``count`` records of length 3 with awkward values in every field;
+    an optional field is set on the records ``present(k)`` holds."""
+    records = []
+    for k in range(count):
+        vals = np.roll(NON_FINITE, k)
+
+        def vec(j, vals=vals):
+            return np.resize(np.roll(vals, j), 3)
+
+        rec = IterateRecord(k=k, x=vec(0), g=vec(1), p=vec(2), alpha=vals[0],
+                            grad_norm=vals[1])
+        if present(k):
+            rec.h_p, rec.q, rec.newton_step = vec(3), vec(4), vec(5)
+            rec.h_q, rec.h_newton_step = vec(6), vec(7)
+            rec.sigma, rec.collapsed, rec.exhausted = vals[2], k % 2 == 0, k % 3 == 0
+        records.append(rec)
+    return records
+
+
+@pytest.mark.parametrize("count, present", [
+    (5, lambda k: k in (1, 3)),  # optional fields on some records only
+    (5, lambda k: k != 4),  # on all but the last, as a converged run
+    (4, lambda k: False),  # on none
+    (4, lambda k: True),  # on all
+    (0, lambda k: True),  # no records
+], ids=["some", "all-but-last", "none", "all", "zero-records"])
+def test_every_field_round_trips_bit_for_bit_in_each_presence_pattern(
+        tmp_path, count, present):
+    records = patterned_records(count, present)
+    trace = IterateTrace(records=records, meta={"method": "qn-subspace"}).finish(
+        "max-iter", np.resize(NON_FINITE, 3), 2.5)
+    path = tmp_path / "trace.json"
+    trace.save(path)
+    columns = json.loads(path.read_text())["iterations"]
+    rows = [k for k in range(count) if present(k)]
+    for key in ("sigma", "q", "h_pN"):
+        if not rows:
+            assert columns[key] is None
+        else:
+            assert columns[key]["rows"] == (None if len(rows) == count else rows)
+    loaded = IterateTrace.load(path)
+    assert loaded.dimension() == 3
+    assert len(loaded.records) == count
+    for rec, got in zip(records, loaded.records, strict=True):
+        for f in fields(IterateRecord):
+            want, value = getattr(rec, f.name), getattr(got, f.name)
+            if want is None or f.name in ("k", "collapsed", "exhausted"):
+                assert value == want and type(value) is type(want), f.name
+            elif f.name in ("alpha", "grad_norm", "sigma"):
+                assert type(value) is float and same_bits(value, want), f.name
+            else:
+                assert value.dtype == np.float64 and value.flags.writeable
+                assert same_bits(value, want), f.name
+    assert same_bits(loaded.final_x, trace.final_x)
+    assert trace_text(loaded) == trace_text(trace)  # NaN != NaN in a dict
 
 
 def test_every_record_field_survives_a_json_round_trip():
@@ -250,10 +323,11 @@ def test_every_record_field_survives_a_json_round_trip():
     assert set(values) == names
     assert all(values[f.name] != f.default for f in fields(IterateRecord)
                if not isinstance(values[f.name], np.ndarray))
-    rec = IterateRecord(**values)
-    loaded = IterateRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+    trace = IterateTrace(records=[IterateRecord(**values)])
+    loaded = IterateTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
+    rec, got_rec = trace.records[0], loaded.records[0]
     for name in names:
-        want, got = getattr(rec, name), getattr(loaded, name)
+        want, got = getattr(rec, name), getattr(got_rec, name)
         if isinstance(want, np.ndarray):
             assert got.tobytes() == want.tobytes()
         else:
@@ -265,17 +339,17 @@ def test_record_vectors_are_base64_and_final_x_is_numbers(tmp_path):
     path = tmp_path / "run.json"
     run.save(path)
     payload = json.loads(path.read_text())
-    assert payload["schema"] == "qnsubspace-trace-v2"
+    assert payload["schema"] == "qnsubspace-trace-v3"
+    columns = payload["iterations"]
+    count = len(run.records)
+    assert columns["k"] == list(range(count))
     n = run.records[0].x.size
-    seen = 0
-    for rec in payload["iterations"]:
-        for key in RECORD_VECTORS:
-            if rec[key] is None:
-                continue
-            assert isinstance(rec[key], str)
-            assert len(base64.b64decode(rec[key], validate=True)) == 8 * n
-            seen += 1
-    assert seen >= 2 * len(RECORD_VECTORS)
+    for key in [*RECORD_VECTORS, "alpha", "grad_norm", "sigma"]:
+        column = columns[key]
+        rows = column["rows"]
+        width = 1 if key in ("alpha", "grad_norm", "sigma") else n
+        assert len(base64.b64decode(column["data"], validate=True)) \
+            == 8 * width * (count if rows is None else len(rows))
     final_x = payload["final"]["x"]
     assert len(final_x) == n
     assert all(type(v) is float for v in final_x)
@@ -285,18 +359,13 @@ def test_v1_traces_with_number_lists_load_to_the_same_arrays(tmp_path):
     run, _ = sample_traces()
     payload = run.to_dict()
     payload["schema"] = "qnsubspace-trace-v1"
-    for rec, d in zip(run.records, payload["iterations"]):
-        for key, attr in RECORD_VECTORS.items():
-            vec = getattr(rec, attr)
-            d[key] = None if vec is None else vec.tolist()
+    # one object per record, each vector a number list
+    payload["iterations"] = [
+        {"k": rec.k, "alpha": rec.alpha, "grad_norm": rec.grad_norm,
+         "sigma": rec.sigma, "collapsed": rec.collapsed, "exhausted": rec.exhausted,
+         **{key: None if getattr(rec, attr) is None else getattr(rec, attr).tolist()
+            for key, attr in RECORD_VECTORS.items()}}
+        for rec in run.records]
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    loaded = IterateTrace.load(path)
-    assert len(loaded.records) == len(run.records)
-    for rec, got in zip(run.records, loaded.records):
-        for attr in RECORD_VECTORS.values():
-            want = getattr(rec, attr)
-            assert (want is None) == (getattr(got, attr) is None)
-            if want is not None:
-                assert np.array_equal(getattr(got, attr), want)
-    assert np.array_equal(loaded.final_x, run.final_x)
+    assert IterateTrace.load(path).to_dict() == run.to_dict()

@@ -107,6 +107,11 @@ def test_baseline_check_catches_a_doctored_direction():
     assert "directions mutually conjugate" in failed
 
 
+def findings(trace, oracle):
+    return [(rep.check, f.name, f.passed, f.value) for rep in
+            verify_trace(trace, oracle.problem, oracle.origin, oracle) for f in rep.findings]
+
+
 @pytest.mark.parametrize("solve", [cg_solve, subspace_qn_solve],
                          ids=["cg", "qn-subspace"])
 def test_a_doctored_recorded_gradient_changes_no_finding(solve):
@@ -121,12 +126,22 @@ def test_a_doctored_recorded_gradient_changes_no_finding(solve):
         rec.g = rng.standard_normal(8)
     doctored.final_grad_norm = 1e3
 
-    def findings(t):
-        return [(rep.check, f.name, f.passed, f.value)
-                for rep in verify_trace(t, prob, x0, oracle) for f in rep.findings]
+    assert all(passed for _, _, passed, _ in findings(trace, oracle))
+    assert findings(doctored, oracle) == findings(trace, oracle)
 
-    assert all(passed for _, _, passed, _ in findings(trace))
-    assert findings(doctored) == findings(trace)
+
+def test_a_doctored_recorded_image_changes_no_baseline_finding():
+    # the baseline check takes the images Hp of the directions from the
+    # problem, not from the run's record
+    prob, x0 = generate_problem(8, 5, cond=30.0, seed=100)
+    oracle = KrylovOracle(prob, x0)
+    trace = cg_solve(prob, x0, tol=1e-10)
+    doctored = copy_trace(trace)
+    rng = np.random.default_rng(1)
+    for rec in doctored.records:
+        rec.h_p = rng.standard_normal(8)
+    assert all(passed for _, _, passed, _ in findings(trace, oracle))
+    assert findings(doctored, oracle) == findings(trace, oracle)
 
 
 def test_baseline_check_catches_a_wrong_count():
