@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import (COLLAPSE_WARN_BAND, _upcoming_direction, newton_scaling,
-                            newton_sigma, span_collapses)
+from .approximation import _upcoming_direction, newton_scaling, newton_sigma
 # unused here: the traced benchmark wraps these names on this module
 from .approximation import SpanApprox, build_two_vector  # noqa: F401
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
 from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, IterateTrace
-from .util import _integer, _real, check_run_limits, cosine_alignment, norm
+from .util import _integer, _real, check_run_limits, norm
 
 ORACLE = "oracle"
 MATRIX_FREE = "matrix-free"
@@ -527,20 +526,10 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         except PolicyError as exc:
             return finish(BREAKDOWN, x_next, g_next_norm, str(exc))
 
-        if exhausted:
-            if norm(newton_next) == 0.0:
-                return finish(BREAKDOWN, x_next, g_next_norm,
-                              "no direction information left while the "
-                              "gradient is above tolerance")
-            record.collapsed = True
-        else:
-            align_gap = 1.0 - cosine_alignment(newton_next, q)
-            if COLLAPSE_WARN_BAND[0] <= align_gap <= COLLAPSE_WARN_BAND[1]:
-                trace.warnings.append(
-                    f"iteration {k}: Newton step and conjugate direction are "
-                    f"nearly parallel (1 - |cos| = {align_gap:.3e})"
-                )
-            record.collapsed = span_collapses(newton_next, align_gap)
+        if exhausted and norm(newton_next) == 0.0:
+            return finish(BREAKDOWN, x_next, g_next_norm,
+                          "no direction information left while the "
+                          "gradient is above tolerance")
         record.sigma = sigma
 
         x, g, g_norm = x_next, g_next, g_next_norm

@@ -32,9 +32,6 @@ from .util import cosine_alignment, norm
 # Two spanning vectors closer than this (in 1 - |cos|) collapse to one column.
 COLLAPSE_TOL = 1e-10
 
-# Near-threshold band around COLLAPSE_TOL worth surfacing to callers.
-COLLAPSE_WARN_BAND = (1e-12, 1e-8)
-
 # Relative floor for the 2x2 determinant in extend_step; below it the new
 # gradient is (numerically) inside the current span.
 EXTEND_DET_RTOL = 1e-14
@@ -230,7 +227,7 @@ class SpanApprox:
 def span_collapses(newton_step, align_gap):
     """Whether the two-vector span drops to the single column q: the Newton
     step is zero, or ``align_gap = 1 - cosine_alignment(newton_step, q)`` is
-    within COLLAPSE_TOL. The operator is unchanged by the drop."""
+    within COLLAPSE_TOL."""
     return bool(norm(newton_step) == 0.0 or align_gap <= COLLAPSE_TOL)
 
 

@@ -12,17 +12,17 @@ rounding; in matrix-free mode they are evaluated. The terminal
 A trace file is one line of sorted-key JSON. Its top level is the text of
 ``json.dumps``, separators included, so readers can find ``"final": `` in it.
 In the ``qnsubspace-trace-v3`` form, ``iterations`` is compact orjson text of
-one column per record field. ``k``, ``collapsed`` and ``exhausted`` are lists
-with one entry per record. Each float field (``alpha``, ``grad_norm``,
-``sigma``, ``x``, ``g``, ``p``, ``h_p``, ``q``, ``pN``, ``h_q``, ``h_pN``) is
-null if no record has it, else ``{"data": ..., "rows": ...}``: the base64
-text of the little-endian float64 bytes of its values, which keeps every bit
-(NaN and infinities included), and the records that have it, or null for
-all. So ``NaN`` and ``Infinity`` literals appear only in ``final``, as in
-the ``final.grad_norm`` of a run that broke down on a non-finite gradient,
-and ``json.load`` reads them. ``qnsubspace-trace-v2`` files, with one object
-per record and each vector one base64 string, and v1 files, with number
-lists, still load.
+one column per record field. ``k`` and ``exhausted`` are lists with one
+entry per record. Each float field (``alpha``, ``grad_norm``, ``sigma``,
+``x``, ``g``, ``p``, ``h_p``, ``q``, ``pN``, ``h_q``, ``h_pN``) is null if no
+record has it, else ``{"data": ..., "rows": ...}``: the base64 text of the
+little-endian float64 bytes of its values, which keeps every bit (NaN and
+infinities included), and the records that have it, or null for all. So
+``NaN`` and ``Infinity`` literals appear only in ``final``, as in the
+``final.grad_norm`` of a run that broke down on a non-finite gradient, and
+``json.load`` reads them. ``qnsubspace-trace-v2`` files, with one object per
+record and each vector one base64 string, and v1 files, with number lists,
+still load. In every form, a key that names no record field is ignored.
 """
 
 import binascii
@@ -67,7 +67,7 @@ _record_vectors = attrgetter(*_RECORD_VECTORS)
 
 _SCALARS = ("alpha", "grad_norm", "sigma")
 # JSON-list fields, with the type that makes a value JSON serializable
-_LISTS = {"k": int, "collapsed": bool, "exhausted": bool}
+_LISTS = {"k": int, "exhausted": bool}
 # Fields every record holds.
 _REQUIRED = ("x", "g", "p", "alpha", "grad_norm")
 
@@ -78,11 +78,10 @@ class IterateRecord:
 
     ``x``, ``g`` and ``p`` describe the step from iterate k; ``q``,
     ``newton_step`` and their Hessian images describe the direction split
-    computed after the step was taken. ``collapsed`` marks iterations after
-    which the memory holds at most one direction. ``exhausted`` marks
-    iterations where the new conjugate direction vanished because the
-    generated subspace was already complete; from then on every direction is
-    the stored restricted Newton step.
+    computed after the step was taken. ``exhausted`` marks iterations where
+    the new conjugate direction vanished because the generated subspace was
+    already complete; from then on every direction is the stored restricted
+    Newton step.
     """
 
     k: int
@@ -97,7 +96,6 @@ class IterateRecord:
     h_q: np.ndarray | None = None
     h_newton_step: np.ndarray | None = None
     sigma: float | None = None
-    collapsed: bool | None = None
     exhausted: bool | None = None
 
     @classmethod
@@ -109,7 +107,6 @@ class IterateRecord:
                 alpha=float(d["alpha"]),
                 grad_norm=float(d["grad_norm"]),
                 sigma=d.get("sigma"),
-                collapsed=d.get("collapsed"),
                 exhausted=d.get("exhausted"),
                 **{attr: _vec(d.get(key)) for attr, key in _RECORD_VECTORS.items()},
             )

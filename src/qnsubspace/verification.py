@@ -12,9 +12,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .algorithm import SigmaPolicy
+from .approximation import COLLAPSE_TOL, span_collapses
 from .problem import ILL_CONDITIONED, KrylovOracle
 from .trace import CONVERGED, IterateRecord
-from .util import direction_angle, norm
+from .util import cosine_alignment, direction_angle, norm
 
 # Every method a trace can come from, the baselines first.
 METHODS = ("cg", "bfgs", "memoryless", "qn-subspace")
@@ -199,7 +200,8 @@ def check_unit_step_counts(trace, oracle):
     With every step of length one the method terminates in r+1 iterations,
     or in r when the complement scaling was set to the termination-forcing
     value at iteration r-2 (the starting identity scale when r is 1). The
-    memory must collapse to a single direction throughout.
+    memory must collapse to a single direction throughout, by the solver's
+    rule on the pN and q recorded with each sigma; a record without them fails.
     """
     r = oracle.grade
     report = CheckReport(check="unit-step-count")
@@ -228,12 +230,20 @@ def check_unit_step_counts(trace, oracle):
         f" scaling), got {trace.iterations}",
     )
 
-    non_final = [rec for rec in trace.records if rec.sigma is not None]
-    wide = [rec.k for rec in non_final if not rec.collapsed]
-    report.add(
-        "memory stays a single direction", not wide,
-        "" if not wide else f"two-direction memory at iterations {wide}",
-    )
+    wide, gaps = [], []
+    for rec in (rec for rec in trace.records if rec.sigma is not None):
+        pN, q = rec.newton_step, rec.q
+        gap = None if pN is None or q is None else 1.0 - cosine_alignment(pN, q)
+        if gap is None or not (rec.exhausted or span_collapses(pN, gap)):
+            wide.append(rec.k)
+        if gap is not None and norm(pN) and norm(q):  # else |cos| is 0 by convention
+            gaps.append(gap)
+    detail = [f"two-direction memory at iterations {wide}"] if wide else []
+    if gaps:
+        detail.append(f"max 1 - |cos(pN, q)| {max(gaps):.3e} over {len(gaps)} "
+                      f"iterations (COLLAPSE_TOL {COLLAPSE_TOL:.0e})")
+    report.add("memory stays a single direction", not wide, "; ".join(detail),
+               max(gaps, default=None))
     return report
 
 

@@ -26,7 +26,7 @@ from qnsubspace import (
     subspace_qn_solve,
     traces_match,
 )
-from qnsubspace import algorithm, approximation
+from qnsubspace import algorithm, approximation, util
 from qnsubspace.util import cosine_alignment
 
 import oracles
@@ -55,7 +55,8 @@ def test_unit_steps_follow_the_exact_rational_trajectory():
     assert np.allclose(trace.final_x, xs[3], atol=1e-12)
     assert [rec.exhausted for rec in trace.records] == [False, False, True]
     # both memory vectors stay parallel on this trajectory
-    assert [rec.collapsed for rec in trace.records] == [True, True, None]
+    assert [cosine_alignment(rec.newton_step, rec.q) for rec in trace.records[:2]] \
+        == [1.0, 1.0]
 
 
 def test_termination_scaling_lands_one_step_early():
@@ -265,6 +266,73 @@ def test_a_run_reports_only_gradients_it_evaluated(solve):
                 assert residual <= tol * (1.0 + norm(prob.H @ x0 + prob.c))
 
 
+class _OneWrongImage(QuadraticProblem):
+    """H's action, except that call ``j`` (counted from 1) returns
+    ``edit(v, Hv)``: a curvature oracle that errs once."""
+
+    def __init__(self, prob, j, edit):
+        super().__init__(prob.H, prob.c)
+        self.j, self.edit, self.calls = j, edit, 0
+
+    def hessian_action(self, v):
+        self.calls += 1
+        h_v = super().hessian_action(v)
+        return self.edit(v, h_v) if self.calls == self.j else h_v
+
+
+def _off_line(v, h_v):
+    """Hv plus a unit vector orthogonal to v: p'Hp, hence the exact step,
+    is unchanged, but the gradient carried as g + alpha Hp is not."""
+    e = np.random.default_rng(0).standard_normal(v.size)
+    e -= (e @ v) / (v @ v) * v
+    return h_v + e / norm(e)
+
+
+@pytest.mark.parametrize("solve, j, edit", [
+    # unit steps: the last step's image is zero, so the carried gradient
+    # stays at the previous one, and the budget ends the run
+    (subspace_qn_solve, 5, lambda v, h_v: 0.0 * h_v),
+    (cg_solve, 4, _off_line),
+    (qn_exact_ls_solve, 4, _off_line),
+    (functools.partial(qn_exact_ls_solve, variant="memoryless"), 4, _off_line),
+], ids=["unit", "cg", "bfgs", "memoryless"])
+def test_a_run_whose_carried_gradient_fails_converges_if_the_evaluated_one_passes(
+        solve, j, edit):
+    prob, x0 = generate_problem(8, 4, cond=10.0, seed=0)
+    tol = 1e-9
+    threshold = tol * (1.0 + norm(prob.gradient(x0)))
+    trace = solve(_OneWrongImage(prob, j, edit), x0, tol=tol, max_iter=j)
+    last = trace.records[-1]
+    assert norm(last.g + last.alpha * last.h_p) > threshold
+    assert (trace.status, trace.iterations, trace.reason) == (CONVERGED, j, "")
+    assert trace.final_grad_norm == norm(prob.gradient(trace.final_x)) <= threshold
+
+
+@pytest.mark.parametrize("j, edit, tol, status, iterations", [
+    # the first image negated: q'Hq < 0 after the first step
+    (1, lambda v, h_v: -h_v, 1e-9, BREAKDOWN, 1),
+    # the fourth image off by 1e-6 along its vector: the step at the grade
+    # leaves a q of 2.7e-7 with q'Hq = -2.6e-14, and |g| 7.7e-7
+    (4, lambda v, h_v: h_v - 1e-6 * v / norm(v), 1e-9, BREAKDOWN, 5),
+    (4, lambda v, h_v: h_v - 1e-6 * v / norm(v), 1e-6, CONVERGED, 5),
+], ids=["negated-breakdown", "perturbed-breakdown", "perturbed-converged"])
+def test_degenerate_curvature_after_a_step_ends_the_run(j, edit, tol, status,
+                                                         iterations):
+    prob, x0 = generate_problem(8, 4, cond=10.0, seed=0)
+    trace = subspace_qn_solve(_OneWrongImage(prob, j, edit), x0, tol=tol)
+    assert (trace.status, trace.iterations) == (status, iterations)
+    last = trace.records[-1]
+    assert last.newton_step is None and last.sigma is None
+    if status == BREAKDOWN:
+        assert trace.reason.startswith("degenerate curvature q'Hq = ")
+        assert trace.reason.endswith(" with gradient above tolerance")
+        assert last.q is None
+    else:
+        # the converging record keeps the direction whose curvature failed
+        assert last.q is not None and float(last.q @ last.h_q) < 0.0
+    assert trace.final_grad_norm == norm(prob.gradient(trace.final_x))
+
+
 @pytest.mark.parametrize("mode, at, iterations, grads, hess", [
     (ORACLE, 4, 6, 2, 7),
     (ORACLE, -1, 7, 2, 8),
@@ -282,21 +350,22 @@ def test_a_newton_at_sigma_costs_one_image(monkeypatch, mode, at, iterations, gr
     assert counts == {"gradient": grads, "hessian_action": hess}
 
 
-def test_one_alignment_per_two_vector_build(monkeypatch):
+def test_the_solver_computes_no_alignment(monkeypatch):
+    # no step reads whether pN and q are parallel: verification derives it
     calls = []
 
     def counted(u, v):
         calls.append(1)
         return cosine_alignment(u, v)
 
-    for module in (algorithm, approximation):
-        monkeypatch.setattr(module, "cosine_alignment", counted)
+    for module in (algorithm, approximation, util):
+        monkeypatch.setattr(module, "cosine_alignment", counted, raising=False)
     prob, x0 = generate_problem(12, 6, cond=20.0, seed=97)
-    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.uniform(), tol=1e-9,
-                              max_iter=10, seed=3)
-    built = [rec for rec in trace.records if rec.sigma is not None and not rec.exhausted]
-    assert any(rec.exhausted for rec in trace.records)
-    assert len(calls) == len(built) > 0
+    for steps in (StepPolicy.unit(), StepPolicy.uniform()):
+        trace = subspace_qn_solve(prob, x0, steps=steps, tol=1e-9, max_iter=10, seed=3)
+        assert any(rec.sigma is not None and not rec.exhausted
+                   for rec in trace.records)
+    assert calls == []
 
 
 def test_no_operator_is_built_or_solved_once_the_span_is_exhausted(monkeypatch):
@@ -330,8 +399,8 @@ def test_a_dependent_memory_past_exhaustion_no_longer_raises():
     assert trace.status == CONVERGED and trace.iterations == 23
     exhausted = [rec for rec in trace.records if rec.exhausted]
     assert len(exhausted) == 12 and exhausted[-1] is trace.records[-1]
-    # the converging record keeps no memory, so it records no collapse
-    assert [rec.collapsed for rec in exhausted] == [True] * 11 + [None]
+    # the converging record keeps no memory: it sets no sigma
+    assert [rec.sigma is not None for rec in exhausted] == [True] * 11 + [False]
 
 
 @pytest.mark.parametrize("mode", [ORACLE, MATRIX_FREE])

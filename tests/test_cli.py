@@ -582,18 +582,23 @@ def test_seed_option_past_64_bits_exits_with_usage_code(tmp_path, capsys, comman
     assert "seed: must be an integer" in capsys.readouterr().err
 
 
-def run_one_cg(tmp_path):
-    """Run cg on one problem; return the trace and problem file paths."""
+CG = {"kind": "cg"}
+UNIT_STEPS = {"kind": "qn-subspace", "step": {"kind": "unit"}}
+
+
+def run_one(tmp_path, method=CG):
+    """Run ``method`` on one problem; return the trace and problem file paths."""
     spec = write_spec(tmp_path / "spec.json", {
         "seed": 2, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
-        "methods": [{"kind": "cg"}]})
+        "methods": [method]})
     out = tmp_path / "out"
     assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_PASS
-    return out / "traces" / "p000__m00_cg.json", out / "problems" / "p000.json"
+    return (out / "traces" / f"p000__m00_{method['kind']}.json",
+            out / "problems" / "p000.json")
 
 
 def test_verify_rejects_a_truncated_problem_file(tmp_path, capsys):
-    trace_path, problem_path = run_one_cg(tmp_path)
+    trace_path, problem_path = run_one(tmp_path)
     truncated = tmp_path / "truncated.json"
     truncated.write_bytes(problem_path.read_bytes()[:-40])
     capsys.readouterr()
@@ -608,7 +613,7 @@ def test_verify_rejects_a_truncated_problem_file(tmp_path, capsys):
     ("x0", "Infinity"),  # what json.dumps writes
 ])
 def test_non_finite_problem_files_exit_with_usage_code(tmp_path, capsys, field, text):
-    trace_path, problem_path = run_one_cg(tmp_path)
+    trace_path, problem_path = run_one(tmp_path)
     payload = json.loads(problem_path.read_text())
     payload[field][0] = "@"
     doctored = tmp_path / "doctored.json"
@@ -644,7 +649,7 @@ def doctored_copy(tmp_path, path, doctor):
 ], ids=["list", "null-n", "number-H", "object-c"])
 def test_problem_files_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys,
                                                                 doctor):
-    trace_path, problem_path = run_one_cg(tmp_path)
+    trace_path, problem_path = run_one(tmp_path)
     assert_problem_rejected(tmp_path, capsys, trace_path,
                             doctored_copy(tmp_path, problem_path, doctor))
 
@@ -668,20 +673,20 @@ def with_columns(edit):
     ("v3", with_columns(lambda c: {**c, "x": None})),
     ("v3", lambda d: {**d, "final": None}),
     ("v3", lambda d: {**d, "meta": []}),
-    ("v3", with_columns(lambda c: {**c, "collapsed": c["collapsed"][:-1]})),
+    ("v3", with_columns(lambda c: {**c, "exhausted": c["exhausted"][:-1]})),
     ("v3", with_columns(lambda c: {key: v for key, v in c.items() if key != "p"})),
     ("v2", lambda d: with_record(d, 1, lambda rec: list(rec.values()))),
     ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "k": None})),
     ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "x": None})),
 ], ids=["list", "text-status", "null-iterations", "list-record", "null-k",
-        "null-x", "null-final", "list-meta", "short-collapsed", "no-p",
+        "null-x", "null-final", "list-meta", "short-exhausted", "no-p",
         "v2-list-record", "v2-null-k", "v2-null-x"])
 def test_traces_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys, version,
                                                         doctor):
     if version == "v2":
         trace_path, problem_path = V2_FIXTURE / "traces" / "p000__m00_cg.json", V2_PROBLEM
     else:
-        trace_path, problem_path = run_one_cg(tmp_path)
+        trace_path, problem_path = run_one(tmp_path)
     doctored = doctored_copy(tmp_path, trace_path, doctor)
     capsys.readouterr()
     code = main(["verify", "--trace", str(doctored), "--problem", str(problem_path)])
@@ -712,6 +717,39 @@ def test_v2_files_load_to_the_records_of_a_rerun_and_verify_the_same(tmp_path, c
             printed.append(capsys.readouterr().out)
         assert codes == [EXIT_PASS, EXIT_PASS]
         assert printed[0] == printed[1]
+
+
+def verify_output(capsys, trace_path, problem_path):
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace_path), "--problem", str(problem_path)])
+    return code, capsys.readouterr()
+
+
+def test_a_collapsed_column_is_ignored(tmp_path, capsys):
+    # files of the previous v3 release carry the flag the solver set; verify
+    # derives it from pN and q, so all-false flags change no finding
+    trace_path, problem_path = run_one(tmp_path, UNIT_STEPS)
+    doctored = doctored_copy(tmp_path, trace_path, with_columns(
+        lambda c: {**c, "collapsed": [False] * len(c["k"])}))
+    assert IterateTrace.load(doctored).to_dict() == IterateTrace.load(trace_path).to_dict()
+    code, printed = verify_output(capsys, trace_path, problem_path)
+    assert code == EXIT_PASS
+    assert "PASS memory stays a single direction" in printed.out
+    assert verify_output(capsys, doctored, problem_path) == (code, printed)
+
+
+@pytest.mark.parametrize("attr", ["q", "newton_step"])
+def test_a_record_without_its_memory_fails_the_collapse_check(tmp_path, capsys, attr):
+    trace_path, problem_path = run_one(tmp_path, UNIT_STEPS)
+    trace = IterateTrace.load(trace_path)
+    assert trace.records[0].sigma is not None
+    setattr(trace.records[0], attr, None)
+    trace.save(trace_path)
+    code, printed = verify_output(capsys, trace_path, problem_path)
+    assert code == EXIT_CHECK_FAIL
+    assert "FAIL memory stays a single direction: two-direction memory at " \
+        "iterations [0]" in printed.out
+    assert "Traceback" not in printed.err
 
 
 def test_missing_spec_file_exits_with_usage_code(tmp_path, capsys):

@@ -58,7 +58,7 @@ def trace_text(trace):
 # (1e-05).
 TINY_TRACE_TEXT = (
     '{"final": {"grad_norm": 0.0, "x": [2.0]}, "iterations": {"alpha":{"data":'
-    '"AAAAAAAAAEA=","rows":null},"collapsed":[true],"exhausted":[false],"g":'
+    '"AAAAAAAAAEA=","rows":null},"exhausted":[false],"g":'
     '{"data":"AAAAAAAA4L8=","rows":null},"grad_norm":{"data":"AAAAAAAA4D8=",'
     '"rows":null},"h_p":null,"h_pN":null,"h_q":null,"k":[0],"p":{"data":'
     '"AAAAAAAA4D8=","rows":null},"pN":null,"q":null,"sigma":{"data":'
@@ -72,7 +72,7 @@ TINY_TRACE_TEXT = (
 def tiny_trace():
     rec = IterateRecord(k=0, x=np.array([1.0]), g=np.array([-0.5]),
                         p=np.array([0.5]), alpha=2.0, grad_norm=0.5, sigma=1e-05,
-                        collapsed=True, exhausted=False)
+                        exhausted=False)
     return IterateTrace(records=[rec], meta={"method": "cg", "tol": 1e-05}).finish(
         "converged", np.array([2.0]), 0.0)
 
@@ -190,7 +190,7 @@ def awkward_record(n):
     x, g, p, h_p, q, pN, h_q, h_pN = vecs
     return IterateRecord(k=0, x=x, g=g, p=p, alpha=1.0, grad_norm=1.0, h_p=h_p,
                          q=q, newton_step=pN, h_q=h_q, h_newton_step=h_pN,
-                         sigma=1.0, collapsed=True, exhausted=False)
+                         sigma=1.0, exhausted=False)
 
 
 def test_record_vectors_round_trip_bit_for_bit(tmp_path):
@@ -271,7 +271,7 @@ def patterned_records(count, present):
         if present(k):
             rec.h_p, rec.q, rec.newton_step = vec(3), vec(4), vec(5)
             rec.h_q, rec.h_newton_step = vec(6), vec(7)
-            rec.sigma, rec.collapsed, rec.exhausted = vals[2], k % 2 == 0, k % 3 == 0
+            rec.sigma, rec.exhausted = vals[2], k % 3 == 0
         records.append(rec)
     return records
 
@@ -303,7 +303,7 @@ def test_every_field_round_trips_bit_for_bit_in_each_presence_pattern(
     for rec, got in zip(records, loaded.records, strict=True):
         for f in fields(IterateRecord):
             want, value = getattr(rec, f.name), getattr(got, f.name)
-            if want is None or f.name in ("k", "collapsed", "exhausted"):
+            if want is None or f.name in ("k", "exhausted"):
                 assert value == want and type(value) is type(want), f.name
             elif f.name in ("alpha", "grad_norm", "sigma"):
                 assert type(value) is float and same_bits(value, want), f.name
@@ -316,7 +316,7 @@ def test_every_field_round_trips_bit_for_bit_in_each_presence_pattern(
 
 def test_every_record_field_survives_a_json_round_trip():
     values = {"k": 7, "alpha": -0.375, "grad_norm": 2.5, "sigma": 1.75,
-              "collapsed": True, "exhausted": False}
+              "exhausted": False}
     for i, attr in enumerate(RECORD_VECTORS.values()):
         values[attr] = np.arange(5.0) + 10.0 * i
     names = {f.name for f in fields(IterateRecord)}
@@ -362,7 +362,7 @@ def test_v1_traces_with_number_lists_load_to_the_same_arrays(tmp_path):
     # one object per record, each vector a number list
     payload["iterations"] = [
         {"k": rec.k, "alpha": rec.alpha, "grad_norm": rec.grad_norm,
-         "sigma": rec.sigma, "collapsed": rec.collapsed, "exhausted": rec.exhausted,
+         "sigma": rec.sigma, "exhausted": rec.exhausted,
          **{key: None if getattr(rec, attr) is None else getattr(rec, attr).tolist()
             for key, attr in RECORD_VECTORS.items()}}
         for rec in run.records]

@@ -199,6 +199,21 @@ def test_unit_step_count_check():
     assert any(f.name == "iteration count matches the scaling rule"
                for f in report.failures())
 
+    # the memory collapse is derived from the recorded pN and q
+    finding, = (f for f in check_unit_step_counts(trace, oracle).findings
+                if f.name == "memory stays a single direction")
+    assert finding.passed and 0.0 <= finding.value <= V.COLLAPSE_TOL
+    assert "COLLAPSE_TOL" in finding.detail
+    wide = copy_trace(trace)
+    rec = wide.records[1]
+    assert rec.sigma is not None
+    rec.newton_step = rec.q + norm(rec.q) * unit(np.arange(1.0, 8.0))
+    finding, = (f for f in check_unit_step_counts(wide, oracle).findings
+                if f.name == "memory stays a single direction")
+    assert not finding.passed
+    assert finding.detail.startswith("two-direction memory at iterations [1]")
+    assert finding.value == 1.0 - cosine_alignment(rec.newton_step, rec.q) > 1e-3
+
 
 def test_exact_search_count_check():
     prob, x0 = generate_problem(9, 5, cond=25.0, seed=104)
