@@ -13,16 +13,19 @@ A trace file is one line of sorted-key JSON. Its top level is the text of
 ``json.dumps``, separators included, so readers can find ``"final": `` in it.
 In the ``qnsubspace-trace-v3`` form, ``iterations`` is compact orjson text of
 one column per record field. ``k`` and ``exhausted`` are lists with one
-entry per record. Each float field (``alpha``, ``grad_norm``, ``sigma``,
-``x``, ``g``, ``p``, ``h_p``, ``q``, ``pN``, ``h_q``, ``h_pN``) is null if no
+entry per record. A file holds only what verification reads: its ``g``,
+``h_p``, ``h_q`` and ``h_pN`` columns are null, so in-memory records keep
+those fields and loaded ones hold None. Each other float field (``alpha``,
+``grad_norm``, ``sigma``, ``x``, ``p``, ``q``, ``pN``) is null if no
 record has it, else ``{"data": ..., "rows": ...}``: the base64 text of the
 little-endian float64 bytes of its values, which keeps every bit (NaN and
 infinities included), and the records that have it, or null for all. So
 ``NaN`` and ``Infinity`` literals appear only in ``final``, as in the
 ``final.grad_norm`` of a run that broke down on a non-finite gradient, and
 ``json.load`` reads them. ``qnsubspace-trace-v2`` files, with one object per
-record and each vector one base64 string, and v1 files, with number lists,
-still load. In every form, a key that names no record field is ignored.
+record and each vector one base64 string, v1 files, with number lists, and
+v3 files that still hold the four columns load as well. In every form, a
+key that names no record field is ignored.
 """
 
 import binascii
@@ -68,8 +71,10 @@ _record_vectors = attrgetter(*_RECORD_VECTORS)
 _SCALARS = ("alpha", "grad_norm", "sigma")
 # JSON-list fields, with the type that makes a value JSON serializable
 _LISTS = {"k": int, "exhausted": bool}
-# Fields every record holds.
-_REQUIRED = ("x", "g", "p", "alpha", "grad_norm")
+# Fields every record of a file holds, and fields that no check reads,
+# which a file holds as null columns.
+_REQUIRED = ("x", "p", "alpha", "grad_norm")
+_UNWRITTEN = ("g", "h_p", "h_q", "h_newton_step")
 
 
 @dataclass
@@ -86,7 +91,7 @@ class IterateRecord:
 
     k: int
     x: np.ndarray
-    g: np.ndarray
+    g: np.ndarray | None  # None where a file left it out
     p: np.ndarray
     alpha: float
     grad_norm: float
@@ -112,8 +117,8 @@ class IterateRecord:
             )
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed iteration record: {exc}") from None
-        if rec.x is None or rec.g is None or rec.p is None:
-            raise ValueError(f"record {rec.k} lacks x, g or p")
+        if any(getattr(rec, attr) is None for attr in _REQUIRED):
+            raise ValueError(f"record {rec.k} lacks one of {', '.join(_REQUIRED)}")
         return rec
 
 
@@ -208,7 +213,7 @@ class IterateTrace:
         return shapes.pop()[0] if shapes else None
 
     def to_dict(self):
-        """The v3 document of the trace, which its file holds."""
+        """The v3 document of the trace, which its file holds (see the module)."""
         return {**self._fields(), "iterations": dict(self._columns())}
 
     def _fields(self):
@@ -234,6 +239,9 @@ class IterateTrace:
     def _columns(self):
         """(file key, column) of every record field in key order, one at a time."""
         for key, attr in _COLUMNS:
+            if attr in _UNWRITTEN:
+                yield key, None
+                continue
             values = [getattr(r, attr) for r in self.records]
             if attr in _LISTS:
                 yield key, [v if v is None else _LISTS[attr](v) for v in values]
@@ -274,7 +282,8 @@ class IterateTrace:
         text of ``json.dumps(self.to_dict(), sort_keys=True)``, but each
         column is ``orjson.dumps`` text, several times faster on base64 and
         exact, as no float of a column is outside base64. The columns go out
-        one at a time, so the document never exists as one string."""
+        one at a time, so the document never exists as one string, and the
+        unread ``g``, ``h_p``, ``h_q`` and ``h_pN`` columns are null."""
         # "final", the only key before "iterations", holds no key of that name
         head, tail = json.dumps(self._fields(), sort_keys=True).split(
             '"iterations": null', 1)

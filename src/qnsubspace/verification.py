@@ -1,8 +1,8 @@
 """Independent checks of the termination and direction claims on traces.
 
 Every check recomputes its reference quantities from the problem data
-(Krylov-space minimizers, conjugate directions, the exact solution) rather
-than trusting anything the solver recorded beyond the iterates themselves.
+(Krylov-space minimizers, conjugate directions, the exact solution). Of the
+recorded vectors it trusts only x and p, plus q and pN on qn-subspace records.
 The checks take those references from one :class:`KrylovOracle` of the
 problem and start point, which every trace of that problem can share.
 """

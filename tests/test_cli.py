@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnsubspace import IterateTrace, cli, load_problem, problem
+from qnsubspace import IterateTrace, cli, load_problem, problem, traces_match
 from qnsubspace.cli import (
     EXIT_BREAKDOWN,
     EXIT_CHECK_FAIL,
@@ -338,12 +338,12 @@ def doctored_verify(tmp_path, capsys, trace_path, problem_path, doctor):
 # base64 characters are 3 whole floats, so they decode cleanly. A qn-subspace
 # run that converges sets no sigma on its last record, so sigma lists its rows.
 @pytest.mark.parametrize("corrupt", [
-    with_column("g", data=lambda c, m: c["data"][:-5]),  # truncated: incorrect padding
+    with_column("x", data=lambda c, m: c["data"][:-5]),  # truncated: incorrect padding
     # whole base64 quanta dropped: 5 bytes left over
-    with_column("g", data=lambda c, m: c["data"][:-4]),
-    with_column("g", data=lambda c, m: "*" + c["data"][1:]),  # outside the alphabet
-    with_column("h_q", data=lambda c, m: c["data"][:32]),  # shorter than its rows
-    with_column("h_pN", data=lambda c, m: c["data"][:32]),
+    with_column("p", data=lambda c, m: c["data"][:-4]),
+    with_column("x", data=lambda c, m: "*" + c["data"][1:]),  # outside the alphabet
+    with_column("q", data=lambda c, m: c["data"][:32]),  # shorter than its rows
+    with_column("pN", data=lambda c, m: c["data"][:32]),
     lambda d: d["final"].update(x=d["final"]["x"][:3]),
     lambda d: d["iterations"].update(x=[1.0, 2.0, 3.0]),  # a number list for a column
     with_column("alpha", data=lambda c, m: b64(floats(c["data"])[:-1])),
@@ -369,6 +369,46 @@ def test_verify_rejects_corrupt_vector_text(tmp_path, capsys, corrupt):
     assert json.loads(trace_path.read_text())["iterations"]["sigma"]["rows"] == [0, 1, 2]
     code, err = doctored_verify(tmp_path, capsys, trace_path,
                                 out / "problems" / "p000.json", corrupt)
+    assert code == EXIT_USAGE
+    assert "cannot load trace" in err
+
+
+# The qn-subspace trace of the v2 fixture's spec, as the previous v3 release
+# wrote it: it still holds the g, h_p, h_q and h_pN columns.
+FULL_V3_TRACE = Path(__file__).parent / "data" / "trace_v3_full" / "p000__m03_qn-subspace.json"
+
+
+def test_v3_files_with_every_column_load_and_verify_the_same(tmp_path, capsys):
+    columns = json.loads(FULL_V3_TRACE.read_text())["iterations"]
+    assert all(columns[key] is not None for key in ("g", "h_p", "h_q", "h_pN"))
+    full = IterateTrace.load(FULL_V3_TRACE)
+    v2_path = V2_FIXTURE / "traces" / "p000__m03_qn-subspace.json"
+    # the records of the v2 file of the same run, every field equal
+    assert traces_match(full, IterateTrace.load(v2_path), rtol=0.0) == (True, [])
+    assert all(rec.g is not None and rec.h_newton_step is not None
+               for rec in full.records)
+    lean = tmp_path / "lean.json"
+    full.save(lean)
+    assert IterateTrace.load(lean).records[0].g is None
+    codes, printed = [], []
+    for path in (FULL_V3_TRACE, lean):
+        codes.append(main(["verify", "--trace", str(path), "--problem", str(V2_PROBLEM)]))
+        printed.append(capsys.readouterr().out)
+    assert codes == [EXIT_PASS, EXIT_PASS]
+    assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("corrupt", [
+    with_column("g", data=lambda c, m: c["data"][:-5]),  # truncated: incorrect padding
+    # whole base64 quanta dropped: 5 bytes left over
+    with_column("g", data=lambda c, m: c["data"][:-4]),
+    with_column("g", data=lambda c, m: "*" + c["data"][1:]),  # outside the alphabet
+    with_column("h_q", data=lambda c, m: c["data"][:32]),  # shorter than its rows
+    with_column("h_pN", data=lambda c, m: c["data"][:32]),
+])
+def test_verify_rejects_corrupt_unread_columns_of_full_v3_files(tmp_path, capsys,
+                                                                corrupt):
+    code, err = doctored_verify(tmp_path, capsys, FULL_V3_TRACE, V2_PROBLEM, corrupt)
     assert code == EXIT_USAGE
     assert "cannot load trace" in err
 
@@ -717,6 +757,23 @@ def test_v2_files_load_to_the_records_of_a_rerun_and_verify_the_same(tmp_path, c
             printed.append(capsys.readouterr().out)
         assert codes == [EXIT_PASS, EXIT_PASS]
         assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (V2_FIXTURE / "traces").iterdir()))
+def test_v2_records_without_g_load_and_verify_the_same(tmp_path, capsys, name):
+    # v1, v2 and v3 records all need x, p, alpha and grad_norm, and no g
+    path = V2_FIXTURE / "traces" / name
+    lean = doctored_copy(tmp_path, path, lambda d: {**d, "iterations": [
+        {key: v for key, v in rec.items() if key != "g"} for rec in d["iterations"]]})
+    assert all("g" not in rec for rec in json.loads(lean.read_text())["iterations"])
+    full, without_g = IterateTrace.load(path), IterateTrace.load(lean)
+    assert all(rec.g is None for rec in without_g.records)
+    for rec in full.records:
+        rec.g = None
+    assert traces_match(full, without_g, rtol=0.0) == (True, [])
+    code, printed = verify_output(capsys, path, V2_PROBLEM)
+    assert code == EXIT_PASS
+    assert verify_output(capsys, lean, V2_PROBLEM) == (code, printed)
 
 
 def verify_output(capsys, trace_path, problem_path):

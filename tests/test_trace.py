@@ -23,6 +23,9 @@ from qnsubspace.problem import problem_to_dict
 
 RECORD_VECTORS = {"x": "x", "g": "g", "p": "p", "h_p": "h_p", "q": "q",
                   "pN": "newton_step", "h_q": "h_q", "h_pN": "h_newton_step"}
+# The record vectors a file leaves out: its columns of them are null.
+UNWRITTEN = {"g": "g", "h_p": "h_p", "h_q": "h_q", "h_pN": "h_newton_step"}
+WRITTEN = {key: attr for key, attr in RECORD_VECTORS.items() if key not in UNWRITTEN}
 
 
 def one_line(payload):
@@ -58,8 +61,8 @@ def trace_text(trace):
 # (1e-05).
 TINY_TRACE_TEXT = (
     '{"final": {"grad_norm": 0.0, "x": [2.0]}, "iterations": {"alpha":{"data":'
-    '"AAAAAAAAAEA=","rows":null},"exhausted":[false],"g":'
-    '{"data":"AAAAAAAA4L8=","rows":null},"grad_norm":{"data":"AAAAAAAA4D8=",'
+    '"AAAAAAAAAEA=","rows":null},"exhausted":[false],"g":null,'
+    '"grad_norm":{"data":"AAAAAAAA4D8=",'
     '"rows":null},"h_p":null,"h_pN":null,"h_q":null,"k":[0],"p":{"data":'
     '"AAAAAAAA4D8=","rows":null},"pN":null,"q":null,"sigma":{"data":'
     '"8WjjiLX45D4=","rows":null},"x":{"data":"AAAAAAAA8D8=","rows":null}}, '
@@ -90,7 +93,10 @@ def test_trace_file_is_one_line_of_sorted_json(tmp_path):
         assert text.count("\n") == 1
         # the benchmark finds the final state by this text
         assert '"final": ' in text
-        assert IterateTrace.load(path).to_dict() == trace.to_dict()
+        loaded = IterateTrace.load(path)
+        assert loaded.to_dict() == trace.to_dict()
+        assert all(getattr(rec, attr) is None
+                   for rec in loaded.records for attr in UNWRITTEN.values())
         with open(path) as fh:
             assert json.load(fh) == json.loads(one_line(trace.to_dict()))
 
@@ -200,7 +206,8 @@ def test_record_vectors_round_trip_bit_for_bit(tmp_path):
         path = tmp_path / f"n{n}.json"
         trace.save(path)
         loaded = IterateTrace.load(path).records[0]
-        for attr in RECORD_VECTORS.values():
+        assert all(getattr(loaded, attr) is None for attr in UNWRITTEN.values())
+        for attr in WRITTEN.values():
             want, got = getattr(rec, attr), getattr(loaded, attr)
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # keeps -0.0 and subnormals
@@ -292,18 +299,21 @@ def test_every_field_round_trips_bit_for_bit_in_each_presence_pattern(
     trace.save(path)
     columns = json.loads(path.read_text())["iterations"]
     rows = [k for k in range(count) if present(k)]
-    for key in ("sigma", "q", "h_pN"):
+    for key in ("sigma", "q", "pN"):
         if not rows:
             assert columns[key] is None
         else:
             assert columns[key]["rows"] == (None if len(rows) == count else rows)
+    assert all(columns[key] is None for key in UNWRITTEN)
     loaded = IterateTrace.load(path)
     assert loaded.dimension() == 3
     assert len(loaded.records) == count
     for rec, got in zip(records, loaded.records, strict=True):
         for f in fields(IterateRecord):
             want, value = getattr(rec, f.name), getattr(got, f.name)
-            if want is None or f.name in ("k", "exhausted"):
+            if f.name in UNWRITTEN.values():
+                assert value is None, f.name
+            elif want is None or f.name in ("k", "exhausted"):
                 assert value == want and type(value) is type(want), f.name
             elif f.name in ("alpha", "grad_norm", "sigma"):
                 assert type(value) is float and same_bits(value, want), f.name
@@ -328,7 +338,9 @@ def test_every_record_field_survives_a_json_round_trip():
     rec, got_rec = trace.records[0], loaded.records[0]
     for name in names:
         want, got = getattr(rec, name), getattr(got_rec, name)
-        if isinstance(want, np.ndarray):
+        if name in UNWRITTEN.values():
+            assert got is None, name
+        elif isinstance(want, np.ndarray):
             assert got.tobytes() == want.tobytes()
         else:
             assert type(got) is type(want) and got == want, name
@@ -344,7 +356,8 @@ def test_record_vectors_are_base64_and_final_x_is_numbers(tmp_path):
     count = len(run.records)
     assert columns["k"] == list(range(count))
     n = run.records[0].x.size
-    for key in [*RECORD_VECTORS, "alpha", "grad_norm", "sigma"]:
+    assert all(columns[key] is None for key in UNWRITTEN)
+    for key in [*WRITTEN, "alpha", "grad_norm", "sigma"]:
         column = columns[key]
         rows = column["rows"]
         width = 1 if key in ("alpha", "grad_norm", "sigma") else n

@@ -1,5 +1,6 @@
 """Trace checks: they pass on honest runs and catch doctored ones."""
 
+import copy
 from dataclasses import fields
 
 import warnings
@@ -35,7 +36,8 @@ import oracles
 
 
 def copy_trace(trace):
-    return IterateTrace.from_dict(trace.to_dict())
+    # not a to_dict round trip: a file leaves out g and the Hessian images
+    return copy.deepcopy(trace)
 
 
 def test_direction_angle_basics():
@@ -112,36 +114,47 @@ def findings(trace, oracle):
             verify_trace(trace, oracle.problem, oracle.origin, oracle) for f in rep.findings]
 
 
-@pytest.mark.parametrize("solve", [cg_solve, subspace_qn_solve],
-                         ids=["cg", "qn-subspace"])
-def test_a_doctored_recorded_gradient_changes_no_finding(solve):
-    # the checks read the iterates, not the gradients a run recorded, which
-    # may be carried values
+# Honest runs of every method: the baselines, and qn-subspace with unit and
+# exact steps in both modes.
+HONEST_SOLVERS = {
+    "cg": lambda prob, x0: cg_solve(prob, x0, tol=1e-10),
+    "bfgs": lambda prob, x0: qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-10),
+    "memoryless": lambda prob, x0: qn_exact_ls_solve(prob, x0, variant="memoryless",
+                                                     tol=1e-10),
+    **{f"{kind}-{mode}": lambda prob, x0, steps=steps, mode=mode: subspace_qn_solve(
+        prob, x0, steps=steps, mode=mode, tol=1e-10, seed=1)
+       for kind, steps in (("unit", StepPolicy.unit()),
+                           ("exact", StepPolicy.exact_line_search()))
+       for mode in (ORACLE, MATRIX_FREE)},
+}
+
+
+@pytest.mark.parametrize("doctor", ["random", "none"])
+@pytest.mark.parametrize("solve", HONEST_SOLVERS.values(), ids=HONEST_SOLVERS)
+def test_the_fields_a_file_leaves_out_change_no_finding(tmp_path, solve, doctor):
+    # the checks read x and p, and q and pN on qn-subspace records: not the
+    # gradients a run recorded, which may be carried values, nor the Hessian
+    # images, which they take from the problem
     prob, x0 = generate_problem(8, 5, cond=30.0, seed=100)
     oracle = KrylovOracle(prob, x0)
-    trace = solve(prob, x0, tol=1e-10)
+    trace = solve(prob, x0)
+    want = findings(trace, oracle)
+    assert want and all(passed for _, _, passed, _ in want)
     doctored = copy_trace(trace)
     rng = np.random.default_rng(1)
     for rec in doctored.records:
-        rec.g = rng.standard_normal(8)
+        for attr in ("g", "h_p", "h_q", "h_newton_step"):
+            setattr(rec, attr, rng.standard_normal(8) if doctor == "random" else None)
+    assert findings(doctored, oracle) == want
+
+    paths = tmp_path / "honest.json", tmp_path / "doctored.json"
+    trace.save(paths[0])
+    doctored.save(paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert findings(IterateTrace.load(paths[0]), oracle) == want
+
     doctored.final_grad_norm = 1e3
-
-    assert all(passed for _, _, passed, _ in findings(trace, oracle))
-    assert findings(doctored, oracle) == findings(trace, oracle)
-
-
-def test_a_doctored_recorded_image_changes_no_baseline_finding():
-    # the baseline check takes the images Hp of the directions from the
-    # problem, not from the run's record
-    prob, x0 = generate_problem(8, 5, cond=30.0, seed=100)
-    oracle = KrylovOracle(prob, x0)
-    trace = cg_solve(prob, x0, tol=1e-10)
-    doctored = copy_trace(trace)
-    rng = np.random.default_rng(1)
-    for rec in doctored.records:
-        rec.h_p = rng.standard_normal(8)
-    assert all(passed for _, _, passed, _ in findings(trace, oracle))
-    assert findings(doctored, oracle) == findings(trace, oracle)
+    assert findings(doctored, oracle) == want
 
 
 def test_baseline_check_catches_a_wrong_count():
