@@ -2,7 +2,7 @@
 
 Three subcommands share a JSON experiment spec:
 
-    generate   build problem instances and write them as JSON
+    generate   build problem instances and write them as JSON and .npy
     run        run a method matrix over the problems, write traces, a
                summary table, and a plot-ready convergence curve table
     verify     re-check one saved trace against its problem

@@ -5,10 +5,17 @@ the gradient is g(x) = Hx + c and the unique minimizer solves Hx + c = 0.
 Everything downstream (baselines, subspace steps, the arbitrary-step method)
 is exercised against instances built here, whose Krylov grade is known by
 construction.
+
+A problem file is JSON, with ``<stem>.spectrum.npy`` beside it: row 0 holds
+the ascending eigenvalues of H and rows 1..n its eigenvectors, as ``eigh``
+gave them, byte-reproducible on one machine and BLAS thread count. Loading
+checks it against H; a file that names none loads, and its problem runs
+``eigh`` on first use.
 """
 
 import warnings
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -26,6 +33,12 @@ RANK_RTOL = 1e-10
 # Spectra wider than this get flagged: angle and equality tolerances in the
 # test suites are calibrated for condition numbers below it.
 ILL_CONDITIONED = 1e8
+
+# A spectrum read from a file is rejected unless max|V'V - I| and
+# max|HV - V diag(lambda)| / max(1, max|H|) are at most SPECTRUM_RTOL * n.
+# eigh's own results stay below 3e-16 n over n in [6, 512], cond up to 1e8
+# and repeated eigenvalues; tests/test_problem.py prints the worst it meets.
+SPECTRUM_RTOL = 1e-14
 
 
 class QuadraticProblem:
@@ -112,9 +125,18 @@ class QuadraticProblem:
         x += np.linalg.solve(self._H, -(self._H @ x + self._c))
         return x
 
+    @cached_property
+    def spectrum(self):
+        """Read-only (eigenvalues ascending, eigenvectors as columns) of H, from
+        ``eigh`` on first use unless :func:`load_problem` set it from a file."""
+        evals, evecs = np.linalg.eigh(self._H)
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        return evals, evecs
+
     def condition_number(self):
         """Spectral condition number, computed from the eigenvalues."""
-        w = np.linalg.eigvalsh(self._H)
+        w = self.spectrum[0]
         return float(w[-1] / w[0])
 
 
@@ -134,9 +156,10 @@ class KrylovOracle:
     an exact scalar recurrence with full reorthogonalization, and minimizers
     of f over x0 + (k-dimensional span) come from a small projected solve.
 
-    One oracle is the whole reference for a problem and start point: its one
-    eigendecomposition of H, the only factorization of H it makes, gives the
-    grade, the basis, :attr:`condition_number` and :attr:`solution`.
+    One oracle is the whole reference for a problem and start point: the
+    problem's one eigendecomposition (:attr:`QuadraticProblem.spectrum`), the
+    only factorization of H it uses, gives the grade, the basis,
+    :attr:`condition_number` and :attr:`solution`.
     :attr:`minimizers`, :attr:`conjugate_directions` and :attr:`solution` are
     computed once, on first use.
     """
@@ -150,7 +173,7 @@ class KrylovOracle:
         self._g0 = g0
         g0_norm = norm(g0)
 
-        evals, evecs = self._evals, self._evecs = np.linalg.eigh(prob.H)
+        evals, evecs = prob.spectrum
         self.condition_number = float(evals[-1] / evals[0])
 
         tol = RANK_RTOL * max(1.0, norm(prob.H, 1))
@@ -191,7 +214,7 @@ class KrylovOracle:
     def solution(self):
         """The problem's unique minimizer, -V((V'c) / lambda) for the
         eigendecomposition H = V diag(lambda) V', refined once the same way."""
-        H, c, V, lam = self.problem.H, self.problem.c, self._evecs, self._evals
+        (lam, V), H, c = self.problem.spectrum, self.problem.H, self.problem.c
         x = -(V @ ((V.T @ c) / lam))
         x -= V @ ((V.T @ (H @ x + c)) / lam)
         x.setflags(write=False)
@@ -371,15 +394,48 @@ def save_problem(path, prob, x0=None, seed=None, spec=None):
     form that reads back bit for bit (``1e-05`` is spelled ``0.00001``).
     orjson would write a non-finite number as ``null``, so H, c and x0 are
     checked finite before this; an integer seed must fit in 64 bits unsigned.
+    ``"spectrum"`` names the (n + 1) x n sidecar written beside it.
     """
+    path = Path(path)
+    sidecar = path.with_name(f"{path.stem}.spectrum.npy")
+    doc = {**problem_to_dict(prob, x0, seed=seed, spec=spec), "spectrum": sidecar.name}
     # orjson encodes the n^2 floats of H about ten times faster than json.dumps
-    text = orjson.dumps(problem_to_dict(prob, x0, seed=seed, spec=spec),
-                        option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    text = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    np.save(sidecar, np.vstack(prob.spectrum), allow_pickle=False)
     with open(path, "wb") as fh:
         fh.write(text)
+
+
+def _read_spectrum(path, name, H):
+    """Checked (eigenvalues, eigenvectors) of H in sidecar ``name`` beside ``path``."""
+    if not isinstance(name, str) or "/" in name or "\\" in name or ".." in name:
+        raise ValueError(f"spectrum must be a bare file name, got {name!r}")
+    with open(Path(path).with_name(name), "rb") as fh:
+        try:
+            A = np.load(fh, allow_pickle=False)
+        except EOFError:
+            raise ValueError(f"spectrum file {name} is empty") from None
+    n = H.shape[0]
+    if not isinstance(A, np.ndarray) or A.dtype != np.float64 or A.shape != (n + 1, n):
+        raise ValueError(f"spectrum file {name} must hold a float64 ({n + 1}, {n}) array")
+    if not np.isfinite(A).all():
+        raise ValueError(f"spectrum file {name} must be finite")
+    A.setflags(write=False)
+    evals, evecs = A[0], A[1:]
+    if not (evals[0] > 0.0 and (np.diff(evals) >= 0.0).all()):
+        raise ValueError(f"spectrum file {name}: eigenvalues must be positive and ascending")
+    tol = SPECTRUM_RTOL * n
+    if (np.abs(evecs.T @ evecs - np.eye(n)).max() > tol
+            or np.abs(H @ evecs - evecs * evals).max() > tol * max(1.0, np.abs(H).max())):
+        raise ValueError(f"spectrum file {name} does not decompose H")
+    return evals, evecs
 
 
 def load_problem(path):
     """Read a file written by :func:`save_problem`, or any JSON of that form."""
     with open(path, "rb") as fh:
-        return problem_from_dict(orjson.loads(fh.read()))
+        doc = orjson.loads(fh.read())
+    prob, x0, meta = problem_from_dict(doc)
+    if (name := doc.get("spectrum")) is not None:
+        prob.spectrum = _read_spectrum(path, name, prob.H)
+    return prob, x0, meta

@@ -3,6 +3,7 @@
 import base64
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -109,8 +110,12 @@ def test_run_writes_tables_and_traces(tmp_path, capsys):
     assert payload["schema"] == "qnsubspace-trace-v3"
     assert "wall_time_ms" in payload["meta"]
 
+    # each problem file names the spectrum saved beside it
     problems = sorted(p.name for p in (out / "problems").iterdir())
-    assert problems == ["p000.json", "small.json"]
+    assert problems == ["p000.json", "p000.spectrum.npy",
+                        "small.json", "small.spectrum.npy"]
+    assert json.loads((out / "problems" / "small.json").read_text())["spectrum"] \
+        == "small.spectrum.npy"
 
 
 def test_run_is_reproducible_byte_for_byte(tmp_path):
@@ -133,9 +138,10 @@ def test_run_seed_override_changes_random_methods(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["run", "--spec", spec, "--out-dir", str(out_a)])
     main(["run", "--spec", spec, "--out-dir", str(out_b), "--seed", "8"])
-    # same problem (its seed is pinned), different method randomness
-    assert (out_a / "problems" / "p000.json").read_bytes() \
-        == (out_b / "problems" / "p000.json").read_bytes()
+    # same problem and spectrum (its seed is pinned), different method randomness
+    for name in ("p000.json", "p000.spectrum.npy"):
+        assert (out_a / "problems" / name).read_bytes() \
+            == (out_b / "problems" / name).read_bytes()
     assert (out_a / "curves.csv").read_bytes() != (out_b / "curves.csv").read_bytes()
 
 
@@ -515,17 +521,25 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
     main(["run", "--spec", spec, "--out-dir", str(out)])
     rows = read_rows(out / "summary.csv")
     assert len(rows) == 7
-    assert counts["eigh"] + counts["eigvalsh"] == 1
+    assert (counts["eigh"], counts["eigvalsh"]) == (1, 0)
     assert counts["inv"] == 1
     assert counts["solution"] == 0
 
+    # verify reads the spectrum that run saved
+    problem_path = out / "problems" / "p000.json"
     traces = sorted((out / "traces").iterdir())
     for trace_path in traces:
-        main(["verify", "--trace", str(trace_path),
-              "--problem", str(out / "problems" / "p000.json")])
-    assert counts["eigh"] + counts["eigvalsh"] == 1 + len(traces)
+        main(["verify", "--trace", str(trace_path), "--problem", str(problem_path)])
+    assert (counts["eigh"], counts["eigvalsh"]) == (1, 0)
     assert counts["inv"] == 1 + len(traces)
     assert counts["solution"] == 0
+
+    # a file that names no spectrum is decomposed once more
+    bare = doctored_copy(tmp_path, problem_path,
+                         lambda d: {k: v for k, v in d.items() if k != "spectrum"})
+    main(["verify", "--trace", str(traces[0]), "--problem", str(bare)])
+    assert (counts["eigh"], counts["eigvalsh"]) == (2, 0)
+    assert counts["inv"] == 2 + len(traces)
 
 
 # Runs CLI commands, given as a JSON list of argument lists, in an interpreter
@@ -694,6 +708,97 @@ def test_problem_files_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys,
                             doctored_copy(tmp_path, problem_path, doctor))
 
 
+class Unpickled:
+    """Pickles to a call that makes the directory ``marker``, so that
+    unpickling it leaves a trace on disk."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return os.mkdir, (self.marker,)
+
+
+def rewritten(write):
+    """Doctor of a saved spectrum: ``write(path, A)`` replaces the sidecar."""
+    def doctor(problem_path):
+        sidecar = problem_path.with_name(json.loads(problem_path.read_text())["spectrum"])
+        write(sidecar, np.load(sidecar))
+    return doctor
+
+
+def edited(edit):
+    """Doctor of a saved spectrum that applies ``edit`` to its array."""
+    def write(sidecar, A):
+        edit(A)
+        np.save(sidecar, A)
+    return rewritten(write)
+
+
+def renamed(name):
+    """Doctor of a problem file that names ``name`` (given the sidecar's path)
+    as its spectrum, in place of the sidecar's bare name."""
+    def doctor(problem_path):
+        doc = json.loads(problem_path.read_text())
+        doc["spectrum"] = name(problem_path.with_name(doc["spectrum"]))
+        problem_path.write_text(json.dumps(doc))
+    return doctor
+
+
+def swap(A, i, j):
+    A[0, [i, j]] = A[0, [j, i]]
+
+
+BARE = "must be a bare file name"
+SHAPE = "must hold a float64 (7, 6) array"
+ORDER = "eigenvalues must be positive and ascending"
+
+
+@pytest.mark.parametrize("doctor, fragment", [
+    (renamed(str), BARE),  # an absolute path to the sidecar itself
+    (renamed(lambda p: f"../{p.parent.name}/{p.name}"), BARE),
+    (renamed(lambda p: ".."), BARE),
+    (renamed(lambda p: 5), BARE),
+    (rewritten(lambda p, A: p.unlink()), "No such file"),
+    (rewritten(lambda p, A: np.save(p, A[:-1])), SHAPE),
+    (rewritten(lambda p, A: np.save(p, A.T)), SHAPE),
+    (rewritten(lambda p, A: np.save(p, A.astype(np.float32))), SHAPE),
+    (rewritten(lambda p, A: np.save(p, A.astype(np.int64))), SHAPE),
+    (rewritten(lambda p, A: np.savez(p.with_suffix(".npz"), A)
+               or p.with_suffix(".npz").replace(p)), SHAPE),
+    (edited(lambda A: A.__setitem__((3, 2), np.nan)), "must be finite"),
+    (edited(lambda A: swap(A, 1, 2)), ORDER),
+    (edited(lambda A: A.__setitem__((0, 0), 0.0)), ORDER),
+    (edited(lambda A: A.__setitem__((0, 0), -1.0)), ORDER),
+    (rewritten(lambda p, A: p.write_bytes(p.read_bytes()[:-8])), "Failed to read all data"),
+    (rewritten(lambda p, A: p.write_bytes(p.read_bytes()[:20])), "EOF"),
+    (rewritten(lambda p, A: p.write_bytes(b"")), "is empty"),
+], ids=["absolute-name", "dotdot-name", "dotdot", "number-name", "missing",
+        "short", "transposed", "float32", "int64", "npz", "nan", "non-ascending",
+        "zero-eigenvalue", "negative-eigenvalue", "truncated-data",
+        "truncated-header", "empty"])
+def test_bad_spectra_exit_with_usage_code(tmp_path, capsys, doctor, fragment):
+    trace_path, problem_path = run_one(tmp_path)
+    doctor(problem_path)
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(trace_path),
+                 "--problem", str(problem_path)]) == EXIT_USAGE
+    assert fragment in capsys.readouterr().err
+    assert_problem_rejected(tmp_path, capsys, trace_path, problem_path)
+
+
+def test_a_pickled_spectrum_is_never_unpickled(tmp_path, capsys):
+    trace_path, problem_path = run_one(tmp_path)
+    marker = tmp_path / "unpickled"
+    rewritten(lambda p, A: np.save(p, np.array([Unpickled(marker)] * 2, dtype=object),
+                                   allow_pickle=True))(problem_path)
+    assert_problem_rejected(tmp_path, capsys, trace_path, problem_path)
+    assert not marker.exists()
+    with pytest.raises(ValueError, match="pickle"):
+        load_problem(problem_path)
+    assert not marker.exists()
+
+
 def with_record(d, i, record):
     d["iterations"][i] = record(d["iterations"][i])
     return d
@@ -738,7 +843,15 @@ def test_v2_files_load_to_the_records_of_a_rerun_and_verify_the_same(tmp_path, c
     out = tmp_path / "out"
     assert main(["run", "--spec", str(V2_FIXTURE / "spec.json"),
                  "--out-dir", str(out)]) == EXIT_PASS
-    assert (out / "problems" / "p000.json").read_bytes() == V2_PROBLEM.read_bytes()
+    # the rerun's file also names its spectrum; H, c and x0 are the fixture's bits
+    new_problem = out / "problems" / "p000.json"
+    assert "spectrum" not in json.loads(V2_PROBLEM.read_text())
+    assert json.loads(new_problem.read_text())["spectrum"] == "p000.spectrum.npy"
+    (old_prob, old_x0, old_meta), (new_prob, new_x0, new_meta) = \
+        load_problem(V2_PROBLEM), load_problem(new_problem)
+    for a, b in ((old_prob.H, new_prob.H), (old_prob.c, new_prob.c), (old_x0, new_x0)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert old_meta == new_meta
     old_paths = sorted((V2_FIXTURE / "traces").iterdir())
     new_paths = sorted((out / "traces").iterdir())
     assert [p.name for p in old_paths] == [p.name for p in new_paths]
@@ -751,12 +864,14 @@ def test_v2_files_load_to_the_records_of_a_rerun_and_verify_the_same(tmp_path, c
         assert old.to_dict() == new.to_dict()
         capsys.readouterr()
         codes, printed = [], []
-        for path in (old_path, new_path):
+        # the fixture's problem goes through eigh, the rerun's through its sidecar
+        for path, problem_path in ((old_path, V2_PROBLEM), (new_path, V2_PROBLEM),
+                                   (old_path, new_problem)):
             codes.append(main(["verify", "--trace", str(path),
-                               "--problem", str(V2_PROBLEM)]))
+                               "--problem", str(problem_path)]))
             printed.append(capsys.readouterr().out)
-        assert codes == [EXIT_PASS, EXIT_PASS]
-        assert printed[0] == printed[1]
+        assert codes == [EXIT_PASS] * 3
+        assert printed[0] == printed[1] == printed[2]
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in (V2_FIXTURE / "traces").iterdir()))

@@ -18,6 +18,7 @@ from qnsubspace import (
     save_problem,
 )
 
+import _report
 import oracles
 
 
@@ -237,3 +238,97 @@ def test_null_entries_in_a_problem_file_are_rejected(field):
     d[field][1] = None
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         problem_from_dict(d)
+
+
+def spectrum_errors(H, evals, evecs):
+    """max|V'V - I| and max|HV - V diag(lambda)| / max(1, max|H|)."""
+    n = H.shape[0]
+    return (np.abs(evecs.T @ evecs - np.eye(n)).max(),
+            np.abs(H @ evecs - evecs * evals).max() / max(1.0, np.abs(H).max()))
+
+
+def test_the_spectrum_check_constant_leaves_a_tenfold_margin():
+    worst = [0.0, 0.0]
+    cases = [generate_problem(n, cond=cond, seed=n)[0]
+             for n in (6, 16, 64, 256, 512) for cond in (1.0, 1e2, 1e4, 1e8)]
+    # repeated eigenvalues, where eigh picks any basis of each eigenspace
+    cases += [generate_problem(n, eigenvalues=np.repeat([1.0, 2.0, 5.0, 7.0], n // 4),
+                               seed=n)[0] for n in (8, 64)]
+    for prob in cases:
+        errors = spectrum_errors(prob.H, *prob.spectrum)
+        worst = [max(w, e / prob.n) for w, e in zip(worst, errors)]
+    _report.record(
+        "spectrum check constant", 10 * max(worst) <= problem.SPECTRUM_RTOL,
+        f"eigh over n 6..512, cond 1..1e8 and repeated eigenvalues: worst "
+        f"max|V'V - I| {worst[0]:.2e} n, scaled max|HV - V diag(lambda)| "
+        f"{worst[1]:.2e} n (SPECTRUM_RTOL {problem.SPECTRUM_RTOL:.0e} n)")
+    assert 10 * max(worst) <= problem.SPECTRUM_RTOL
+
+
+def scaled_top_eigenvalue(A):
+    A[0, -1] *= 1.0 + 1e-9
+
+
+def swapped_columns(A):
+    A[1:, [3, 4]] = A[1:, [4, 3]]
+
+
+def noisy_vectors(A):
+    A[1:] += 1e-9 * np.random.default_rng(0).standard_normal(A[1:].shape)
+
+
+def flipped_column(A):
+    A[1:, 2] *= -1.0
+
+
+def saved_with_spectrum(tmp_path, doctor=None):
+    """A saved n = 16 problem, its sidecar rewritten as ``doctor`` leaves it."""
+    prob, x0 = generate_problem(16, 6, cond=100.0, seed=4)
+    path = tmp_path / "p.json"
+    save_problem(path, prob, x0)
+    sidecar = tmp_path / json.loads(path.read_text())["spectrum"]
+    A = np.load(sidecar)
+    if doctor is not None:
+        doctor(A)
+        np.save(sidecar, A)
+    return prob, path, A
+
+
+@pytest.mark.parametrize("doctor", [scaled_top_eigenvalue, swapped_columns, noisy_vectors])
+def test_a_doctored_spectrum_is_rejected(tmp_path, doctor):
+    _, path, _ = saved_with_spectrum(tmp_path, doctor)
+    with pytest.raises(ValueError, match="does not decompose H"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("doctor", [None, flipped_column])
+def test_a_saved_spectrum_loads_read_only(tmp_path, doctor):
+    # a column of either sign is an eigenvector
+    prob, path, A = saved_with_spectrum(tmp_path, doctor)
+    loaded, x0, _ = load_problem(path)
+    evals, evecs = loaded.spectrum
+    assert np.array_equal(evals, A[0]) and np.array_equal(evecs, A[1:])
+    assert not evals.flags.writeable and not evecs.flags.writeable
+    if doctor is None:
+        # eigh's own output on the same H, so the reference is the same
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(loaded.spectrum, prob.spectrum))
+        assert np.array_equal(KrylovOracle(loaded, x0).minimizers,
+                              KrylovOracle(prob, x0).minimizers)
+
+
+def test_a_problem_is_decomposed_at_most_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    prob, x0 = generate_problem(8, 4, cond=30.0, seed=2)
+    assert calls == []  # the generator hands over no spectrum
+    cond = prob.condition_number()
+    oracles_ = [KrylovOracle(prob, x0), KrylovOracle(prob, np.ones(8))]
+    assert [oracle.condition_number for oracle in oracles_] == [cond, cond]
+    assert oracles_[0].solution is not None
+    assert calls == ["eigh"]

@@ -116,15 +116,18 @@ def test_problem_file_is_one_line_and_indented_files_load(tmp_path):
     save_problem(path, prob, x0, seed=[5, 1], spec={"n": 6, "grade": 3})
     payload = problem_to_dict(prob, x0, seed=[5, 1], spec={"n": 6, "grade": 3})
     text = path.read_bytes()
-    assert text == orjson.dumps(payload,
+    # save_problem adds the name of the spectrum it writes beside the file
+    assert text == orjson.dumps({**payload, "spectrum": "p.spectrum.npy"},
                                 option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
     assert text.count(b"\n") == 1
 
-    indented = tmp_path / "indented.json"
-    with open(indented, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for p in (path, indented):
+    # an indented file loads the same, with or without the spectrum's name
+    indented, bare = tmp_path / "indented.json", tmp_path / "bare.json"
+    for p, doc in ((indented, json.loads(text)), (bare, payload)):
+        with open(p, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    for p in (path, indented, bare):
         loaded, x0_loaded, meta = load_problem(p)
         assert np.array_equal(loaded.H, prob.H)
         assert np.array_equal(loaded.c, prob.c)
