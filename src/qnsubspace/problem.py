@@ -19,8 +19,10 @@ from pathlib import Path
 
 import numpy as np
 import orjson
+from numpy.lib import format as npy
 from numpy.linalg import norm
 
+from . import util
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 MAX_DIMENSION = 512
@@ -160,8 +162,8 @@ class KrylovOracle:
     problem's one eigendecomposition (:attr:`QuadraticProblem.spectrum`), the
     only factorization of H it uses, gives the grade, the basis,
     :attr:`condition_number` and :attr:`solution`.
-    :attr:`minimizers`, :attr:`conjugate_directions` and :attr:`solution` are
-    computed once, on first use.
+    :attr:`basis`, :attr:`minimizers`, :attr:`conjugate_directions` and
+    :attr:`solution` are computed once, on first use.
     """
 
     def __init__(self, prob, x0=None):
@@ -171,7 +173,7 @@ class KrylovOracle:
         self.origin = prob._check_vector(x0, name="x0")
         g0 = prob.gradient(self.origin)
         self._g0 = g0
-        g0_norm = norm(g0)
+        g0_norm = util.norm(g0)
 
         evals, evecs = prob.spectrum
         self.condition_number = float(evals[-1] / evals[0])
@@ -180,11 +182,14 @@ class KrylovOracle:
         # eigenvalues at most tol apart from their neighbour share a cluster c;
         # g0's component in it is evecs_c (evecs_c' g0), an axis of the span
         starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > tol)
-        components = np.add.reduceat(evecs * (evecs.T @ g0), starts, axis=1)
+        components = evecs * (evecs.T @ g0)
+        mu = evals
+        if starts.size < prob.n:  # else each sum over a cluster is its one term
+            components = np.add.reduceat(components, starts, axis=1)
+            mu = np.add.reduceat(evals, starts) / np.diff(starts, append=prob.n)
         weights = norm(components, axis=0)
         touched = weights > RANK_RTOL * g0_norm
-        sizes = np.diff(starts, append=prob.n)
-        self._mu = (np.add.reduceat(evals, starts) / sizes)[touched]
+        self._mu = mu[touched]
         self._w = weights[touched]
         self._axes = components[:, touched] / self._w
         r = self._w.size
@@ -194,21 +199,28 @@ class KrylovOracle:
         Z = np.zeros((r, r))
         k = 0
         if r:
-            Z[:, 0] = self._w / norm(self._w)
+            Z[:, 0] = self._w / util.norm(self._w)
             k = 1
             while k < r:
+                done = Z[:, :k]
                 t = self._mu * Z[:, k - 1]
                 for _ in range(2):
-                    t -= Z[:, :k] @ (Z[:, :k].T @ t)
-                res = norm(t)
+                    t -= done @ (done.T @ t)
+                res = util.norm(t)
                 if res <= tol:
                     break
                 Z[:, k] = t / res
                 k += 1
         self._power = Z[:, :k]
         self.grade = self._power.shape[1]
-        self.basis = self._axes @ self._power
-        self.basis.setflags(write=False)
+
+    @cached_property
+    def basis(self):
+        """(n, grade) orthonormal basis of the space, its power basis carried
+        to full coordinates; read-only."""
+        basis = self._axes @ self._power
+        basis.setflags(write=False)
+        return basis
 
     @cached_property
     def solution(self):
@@ -371,11 +383,24 @@ def problem_to_dict(prob, x0=None, seed=None, spec=None):
     }
 
 
+def _float_array(values):
+    """``np.asarray(values, dtype=float)``, bit for bit, without its pass over
+    a list to find the result's shape: a flat list of numbers, as H is, goes
+    through ``np.fromiter``, and anything else (nested, text or not a list)
+    goes through ``np.asarray``, so it is accepted or refused as before."""
+    if isinstance(values, list):
+        try:
+            return np.fromiter(values, float, len(values))
+        except (TypeError, ValueError):
+            pass
+    return np.asarray(values, dtype=float)
+
+
 def problem_from_dict(d):
     """Inverse of :func:`problem_to_dict`. Returns (problem, x0, meta)."""
     try:
         n = int(d["n"])
-        H = np.asarray(d["H"], dtype=float)
+        H = _float_array(d["H"])
         if H.shape != (n * n,):
             raise ValueError(f"H must hold {n * n} row-major entries, got {H.size}")
         prob = QuadraticProblem(H.reshape(n, n), np.asarray(d["c"], dtype=float))
@@ -406,18 +431,48 @@ def save_problem(path, prob, x0=None, seed=None, spec=None):
         fh.write(text)
 
 
+# Readers of the .npy header versions that np.save writes.
+_NPY_HEADERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
+
+
+def _read_npy(fh, name, shape):
+    """The float64 C-order array of ``shape`` in the .npy file ``fh``.
+
+    The header is checked before any data is read, because it may claim any
+    shape, and ``np.load`` allocates the claimed shape before it finds the
+    data short: a claim past the machine's memory raises MemoryError, not
+    ValueError. Then exactly the floats of ``shape`` are read, without pickle.
+    """
+    wrong = ValueError(f"spectrum file {name} must hold a float64 {shape} array")
+    magic = fh.read(len(npy.MAGIC_PREFIX))
+    if not magic:
+        raise ValueError(f"spectrum file {name} is empty")
+    if magic != npy.MAGIC_PREFIX:
+        raise wrong
+    fh.seek(0)
+    read_header = _NPY_HEADERS.get(npy.read_magic(fh))
+    if read_header is None:
+        raise wrong
+    claimed, fortran_order, dtype = read_header(fh)
+    if dtype.hasobject:
+        raise ValueError(f"spectrum file {name} holds objects, which only pickle loads")
+    if claimed != shape or fortran_order or dtype != np.dtype("<f8"):
+        raise wrong
+    count = shape[0] * shape[1]
+    A = np.fromfile(fh, dtype="<f8", count=count)
+    if A.size != count:
+        raise ValueError(f"Failed to read all data of spectrum file {name}: "
+                         f"{A.size} of {count} floats")
+    return A.reshape(shape)
+
+
 def _read_spectrum(path, name, H):
     """Checked (eigenvalues, eigenvectors) of H in sidecar ``name`` beside ``path``."""
     if not isinstance(name, str) or "/" in name or "\\" in name or ".." in name:
         raise ValueError(f"spectrum must be a bare file name, got {name!r}")
-    with open(Path(path).with_name(name), "rb") as fh:
-        try:
-            A = np.load(fh, allow_pickle=False)
-        except EOFError:
-            raise ValueError(f"spectrum file {name} is empty") from None
     n = H.shape[0]
-    if not isinstance(A, np.ndarray) or A.dtype != np.float64 or A.shape != (n + 1, n):
-        raise ValueError(f"spectrum file {name} must hold a float64 ({n + 1}, {n}) array")
+    with open(Path(path).with_name(name), "rb") as fh:
+        A = _read_npy(fh, name, (n + 1, n))
     if not np.isfinite(A).all():
         raise ValueError(f"spectrum file {name} must be finite")
     A.setflags(write=False)
@@ -425,10 +480,15 @@ def _read_spectrum(path, name, H):
     if not (evals[0] > 0.0 and (np.diff(evals) >= 0.0).all()):
         raise ValueError(f"spectrum file {name}: eigenvalues must be positive and ascending")
     tol = SPECTRUM_RTOL * n
-    if (np.abs(evecs.T @ evecs - np.eye(n)).max() > tol
-            or np.abs(H @ evecs - evecs * evals).max() > tol * max(1.0, np.abs(H).max())):
-        raise ValueError(f"spectrum file {name} does not decompose H")
-    return evals, evecs
+    # V'V - I and HV - V diag(lambda), each formed in place in its product
+    R = evecs.T @ evecs
+    R.flat[::n + 1] -= 1.0
+    if np.abs(R, out=R).max() <= tol:
+        R = H @ evecs
+        R -= evecs * evals
+        if np.abs(R, out=R).max() <= tol * max(1.0, np.abs(H).max()):
+            return evals, evecs
+    raise ValueError(f"spectrum file {name} does not decompose H")
 
 
 def load_problem(path):

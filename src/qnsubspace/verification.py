@@ -5,6 +5,12 @@ Every check recomputes its reference quantities from the problem data
 recorded vectors it trusts only x and p, plus q and pN on qn-subspace records.
 The checks take those references from one :class:`KrylovOracle` of the
 problem and start point, which every trace of that problem can share.
+
+A check stacks each record field it reads once, as the rows of one array,
+and computes every per-record quantity (distances, angles, alignments) in
+one array expression whose rows are bit for bit what the per-record helpers
+in :mod:`qnsubspace.util` give. ``tests/oracles.py`` keeps the per-record
+loops the checks replaced, as references the tests compare them against.
 """
 
 from dataclasses import dataclass, field, fields
@@ -12,10 +18,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .algorithm import SigmaPolicy
-from .approximation import COLLAPSE_TOL, span_collapses
+from .approximation import COLLAPSE_TOL
 from .problem import ILL_CONDITIONED, KrylovOracle
 from .trace import CONVERGED, IterateRecord
-from .util import cosine_alignment, direction_angle, norm
+from .util import norm
 
 # Every method a trace can come from, the baselines first.
 METHODS = ("cg", "bfgs", "memoryless", "qn-subspace")
@@ -82,6 +88,43 @@ class CheckReport:
         return [f.line() for f in self.findings]
 
 
+def _rows(vectors, n):
+    """The vectors as the rows of one (len(vectors), n) float array."""
+    return np.array(vectors, dtype=float).reshape(len(vectors), n)
+
+
+def _dots(A, B):
+    """u @ v of each pair of rows of two (K, n) arrays, bit for bit: matmul of
+    1 x n by n x 1 blocks calls the dot that u @ v calls, here on contiguous
+    rows, as ``norm`` makes a strided vector before its dot."""
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _norms(A):
+    """``norm`` of each row of a (K, n) array, bit for bit."""
+    return np.sqrt(_dots(A, A))
+
+
+def _angles(U, V):
+    """``direction_angle`` of each pair of rows of two (K, n) arrays, by its
+    chord formula; ValueError on a zero row, as ``unit`` raises."""
+    u_norms, v_norms = _norms(U), _norms(V)
+    if not (u_norms.all() and v_norms.all()):
+        raise ValueError("cannot normalize the zero vector")
+    U = U / u_norms[:, None]
+    V = V / v_norms[:, None]
+    V[_dots(U, V) < 0.0] *= -1.0
+    # fmin, like the scalar min(1.0, chord / 2), takes 1.0 over a NaN chord
+    return 2.0 * np.arcsin(np.fmin(1.0, 0.5 * _norms(U - V)))
+
+
+def _worst(values):
+    """max(0.0, v_0, v_1, ...) of a float array; a NaN value is passed over,
+    as ``max(worst, v)`` passes it over in a loop."""
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
 def check_newton_onset(trace, oracle):
     """Verify the finite-termination behaviour of an arbitrary-step run.
 
@@ -98,14 +141,20 @@ def check_newton_onset(trace, oracle):
     x_star = oracle.solution
     x_scale = 1.0 + norm(x_star)
     report = CheckReport(check="newton-onset")
+    records = trace.records
+    ks = np.array([rec.k for rec in records], dtype=int)
+    alphas = np.array([rec.alpha for rec in records], dtype=float)
+    X = _rows([rec.x for rec in records], prob.n)
+    P = _rows([rec.p for rec in records], prob.n)
 
-    onset = [rec for rec in trace.records if rec.k >= r]
-    if onset:
-        worst = max(norm(rec.x + rec.p - x_star) for rec in onset) / x_scale
+    onset = ks >= r
+    if onset.any():
+        # Python's max over the list, as the per-record loop took it
+        worst = max(_norms(X[onset] + P[onset] - x_star).tolist()) / x_scale
         report.add(
             "full Newton step from the grade onward",
             worst <= NEWTON_ONSET_RTOL,
-            f"max relative miss {worst:.3e} over {len(onset)} iterations "
+            f"max relative miss {worst:.3e} over {int(onset.sum())} iterations "
             f"(grade {r})",
             worst,
         )
@@ -115,9 +164,9 @@ def check_newton_onset(trace, oracle):
             f"run ended before reaching the grade ({r})",
         )
 
-    unit_ks = [rec.k for rec in onset if abs(rec.alpha - 1.0) <= UNIT_STEP_ATOL]
-    if unit_ks:
-        k_unit = min(unit_ks)
+    unit_ks = ks[onset & (np.abs(alphas - 1.0) <= UNIT_STEP_ATOL)]
+    if unit_ks.size:
+        k_unit = int(unit_ks.min())
         ok = trace.status == CONVERGED and trace.iterations == k_unit + 1
         report.add(
             "unit step past the grade terminates on the spot", ok,
@@ -141,47 +190,43 @@ def check_newton_onset(trace, oracle):
             "no unit step taken at or past the grade, and no termination",
         )
 
+    # each new direction q before the grade, where it is measurable, against
+    # the reference conjugate direction of its iteration
     angle_tol = (ANGLE_TOL_ILL if oracle.condition_number > ILL_CONDITIONED
                  else ANGLE_TOL)
-    worst_angle = 0.0
-    checked = 0
-    skipped = 0
-    for rec in trace.records:
-        if rec.k >= r or rec.q is None or rec.exhausted:
-            continue
-        if norm(rec.q) < DIRECTION_FLOOR * (1.0 + norm(rec.x) + norm(rec.p)):
-            skipped += 1
-            continue
-        worst_angle = max(
-            worst_angle, direction_angle(rec.q, oracle.conjugate_directions[:, rec.k])
-        )
-        checked += 1
+    new = [i for i, rec in enumerate(records)
+           if rec.k < r and rec.q is not None and not rec.exhausted]
+    Q = _rows([records[i].q for i in new], prob.n)
+    floor = DIRECTION_FLOOR * (1.0 + _norms(X[new]) + _norms(P[new]))
+    measured = ~(_norms(Q) < floor)
+    worst_angle = _worst(_angles(Q[measured],
+                                 oracle.conjugate_directions.T[ks[new][measured]]))
+    checked = int(measured.sum())
     report.add(
         "new directions parallel to reference conjugate directions",
         worst_angle <= angle_tol,
         f"max angle {worst_angle:.3e} rad over {checked} directions "
-        f"(tolerance {angle_tol:.0e}; {skipped} below the measurable floor)",
+        f"(tolerance {angle_tol:.0e}; {len(new) - checked} below the measurable floor)",
         worst_angle,
     )
 
     # each gradient at x_k + alpha_k p_k + pN_k against the first
     # min(k + 1, r) reference conjugate directions
-    g0_norm = norm(prob.gradient(trace.records[0].x)) if trace.records else 0.0
+    g0_norm = norm(prob.gradient(records[0].x)) if records else 0.0
     worst_orth = 0.0
     pairs = 0
-    tracked = [rec for rec in trace.records if rec.newton_step is not None]
+    tracked = [i for i, rec in enumerate(records) if rec.newton_step is not None]
     if tracked and g0_norm > 0.0:
-        X_hat = np.column_stack([rec.x + rec.alpha * rec.p + rec.newton_step
-                                 for rec in tracked])
-        G_hat = prob.H @ X_hat + prob.c[:, None]
+        X_hat = (X[tracked] + alphas[tracked, None] * P[tracked]
+                 + _rows([records[i].newton_step for i in tracked], prob.n))
+        G_hat = prob.H @ np.ascontiguousarray(X_hat.T) + prob.c[:, None]
         Q = oracle.conjugate_directions
         # a reference column is exactly zero once the minimizers stop moving;
         # its component |g'0| is 0, so it scales to 0 and no NaN is formed
         denom = g0_norm * np.linalg.norm(Q, axis=0)
         scaled = np.divide(np.abs(G_hat.T @ Q), denom, where=denom > 0.0,
                            out=np.zeros((len(tracked), Q.shape[1])))
-        ks = np.array([rec.k for rec in tracked])
-        mask = np.arange(r)[None, :] < np.minimum(ks + 1, r)[:, None]
+        mask = np.arange(r)[None, :] < np.minimum(ks[tracked] + 1, r)[:, None]
         pairs = int(mask.sum())
         if pairs:
             worst_orth = float(scaled[mask].max())
@@ -205,9 +250,10 @@ def check_unit_step_counts(trace, oracle):
     """
     r = oracle.grade
     report = CheckReport(check="unit-step-count")
+    records = trace.records
 
-    off = [rec.k for rec in trace.records
-           if abs(rec.alpha - 1.0) > UNIT_STEP_ATOL]
+    alphas = np.array([rec.alpha for rec in records], dtype=float)
+    off = [records[i].k for i in np.flatnonzero(np.abs(alphas - 1.0) > UNIT_STEP_ATOL)]
     report.add(
         "every step has unit length", not off,
         "" if not off else f"non-unit steps at iterations {off}",
@@ -230,20 +276,30 @@ def check_unit_step_counts(trace, oracle):
         f" scaling), got {trace.iterations}",
     )
 
-    wide, gaps = [], []
-    for rec in (rec for rec in trace.records if rec.sigma is not None):
-        pN, q = rec.newton_step, rec.q
-        gap = None if pN is None or q is None else 1.0 - cosine_alignment(pN, q)
-        if gap is None or not (rec.exhausted or span_collapses(pN, gap)):
-            wide.append(rec.k)
-        if gap is not None and norm(pN) and norm(q):  # else |cos| is 0 by convention
-            gaps.append(gap)
+    # the records with a sigma, of which those without pN or q are wide
+    sig = [rec for rec in records if rec.sigma is not None]
+    paired = np.array([rec.newton_step is not None and rec.q is not None
+                       for rec in sig], dtype=bool)
+    both = [rec for rec, has in zip(sig, paired) if has]
+    PN = _rows([rec.newton_step for rec in both], oracle.problem.n)
+    Q = _rows([rec.q for rec in both], oracle.problem.n)
+    pn_norms, q_norms = _norms(PN), _norms(Q)
+    nonzero = (pn_norms != 0.0) & (q_norms != 0.0)  # else |cos| is 0 by convention
+    cos = np.divide(np.abs(_dots(PN, Q)), pn_norms * q_norms,
+                    where=nonzero, out=np.zeros(len(both)))
+    gaps = 1.0 - np.fmin(1.0, cos)
+    # span_collapses' rule, unless the span was already exhausted
+    single = np.zeros(len(sig), dtype=bool)
+    single[paired] = (np.array([bool(rec.exhausted) for rec in both], dtype=bool)
+                      | (pn_norms == 0.0) | (gaps <= COLLAPSE_TOL))
+    wide = [rec.k for rec, one in zip(sig, single) if not one]
+    gaps = gaps[nonzero]
     detail = [f"two-direction memory at iterations {wide}"] if wide else []
-    if gaps:
-        detail.append(f"max 1 - |cos(pN, q)| {max(gaps):.3e} over {len(gaps)} "
+    if gaps.size:
+        detail.append(f"max 1 - |cos(pN, q)| {gaps.max():.3e} over {gaps.size} "
                       f"iterations (COLLAPSE_TOL {COLLAPSE_TOL:.0e})")
     report.add("memory stays a single direction", not wide, "; ".join(detail),
-               max(gaps, default=None))
+               float(gaps.max()) if gaps.size else None)
     return report
 
 
@@ -344,12 +400,10 @@ def check_conjugate_baseline(trace, oracle):
         worst_orth,
     )
 
+    # iterate j against minimizer j, for j in 1..r
     x_scale = 1.0 + norm(x_star)
-    worst_iter = 0.0
-    for j, rec in enumerate(trace.records):
-        if j == 0 or j > r:
-            continue
-        worst_iter = max(worst_iter, norm(rec.x - oracle.minimizers[:, j]) / x_scale)
+    m = min(len(trace.records), r + 1)
+    worst_iter = _worst(_norms(M[:, 1:m].T - oracle.minimizers.T[1:m]) / x_scale)
     if trace.final_x is not None and trace.status == CONVERGED:
         worst_iter = max(worst_iter, norm(trace.final_x - x_star) / x_scale)
     report.add(

@@ -1,7 +1,9 @@
 """Independent reference computations the tests compare against.
 
 Everything here is deliberately written from scratch on top of numpy, scipy
-and fractions: no imports from the package under test. The rational oracle
+and fractions: no imports from the package under test. The per-record
+references for the trace checks take the tolerances they compare against
+from the caller. The rational oracle
 replays the whole iteration on a 2x2 instance in exact arithmetic, so the
 expected trace values carry no rounding at all.
 """
@@ -295,3 +297,99 @@ def krylov_reference(H, c, x0, rtol):
         Qk = np.column_stack(axes) @ np.column_stack(columns[:k])
         out.append(x0 + Qk @ np.linalg.solve(Qk.T @ H @ Qk, -(Qk.T @ g0)))
     return len(columns), out
+
+
+# ---------------------------------------------------------------------------
+# per-record references for the trace checks' array expressions
+#
+# These are the loops the checks ran before they stacked each record field
+# into one array, one record and one vector helper call at a time. ``V`` is
+# the verification module, which the tolerances and status names are read
+# from; the vector helpers are written out here.
+
+
+def _line_angle(u, v):
+    """Angle between the lines of u and v from the chord of their unit vectors."""
+    uu = u / np.linalg.norm(u)
+    vv = v / np.linalg.norm(v)
+    if uu @ vv < 0.0:
+        vv = -vv
+    return 2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(uu - vv)))
+
+
+def _alignment(u, v):
+    """|cos(u, v)|, 0.0 if either is zero."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return min(1.0, abs(float(u @ v)) / (nu * nv))
+
+
+def onset_findings(trace, oracle, V):
+    """{name: (passed, value)} of the three newton-onset findings decided per
+    record: the misses from the grade on, the first unit step past it, and
+    the angles of the new directions before it."""
+    r = oracle.grade
+    x_star = oracle.solution
+    x_scale = 1.0 + np.linalg.norm(x_star)
+    out = {}
+    onset = [rec for rec in trace.records if rec.k >= r]
+    if onset:
+        worst = max(np.linalg.norm(rec.x + rec.p - x_star) for rec in onset) / x_scale
+        out["full Newton step from the grade onward"] = (worst <= V.NEWTON_ONSET_RTOL, worst)
+    else:
+        out["full Newton step from the grade onward"] = (True, None)
+
+    unit_ks = [rec.k for rec in onset if abs(rec.alpha - 1.0) <= V.UNIT_STEP_ATOL]
+    if unit_ks:
+        passed = (trace.status == V.CONVERGED
+                  and trace.iterations == min(unit_ks) + 1)
+    else:
+        passed = trace.status != V.CONVERGED or trace.iterations <= r
+    out["unit step past the grade terminates on the spot"] = (passed, None)
+
+    angle_tol = (V.ANGLE_TOL_ILL if oracle.condition_number > V.ILL_CONDITIONED
+                 else V.ANGLE_TOL)
+    worst_angle = 0.0
+    for rec in trace.records:
+        if rec.k >= r or rec.q is None or rec.exhausted:
+            continue
+        floor = V.DIRECTION_FLOOR * (1.0 + np.linalg.norm(rec.x) + np.linalg.norm(rec.p))
+        if np.linalg.norm(rec.q) < floor:
+            continue
+        worst_angle = max(worst_angle,
+                          _line_angle(rec.q, oracle.conjugate_directions[:, rec.k]))
+    out["new directions parallel to reference conjugate directions"] = (
+        worst_angle <= angle_tol, worst_angle)
+    return out
+
+
+def unit_step_findings(trace, oracle, V):
+    """{name: (passed, value)} of the two unit-step-count findings decided per
+    record: unit lengths, and the memory-collapse rule on each pN and q."""
+    out = {"every step has unit length": (
+        all(abs(rec.alpha - 1.0) <= V.UNIT_STEP_ATOL for rec in trace.records), None)}
+    wide, gaps = False, []
+    for rec in (rec for rec in trace.records if rec.sigma is not None):
+        pN, q = rec.newton_step, rec.q
+        gap = None if pN is None or q is None else 1.0 - _alignment(pN, q)
+        if gap is None or not (rec.exhausted or np.linalg.norm(pN) == 0.0
+                               or gap <= V.COLLAPSE_TOL):
+            wide = True
+        if gap is not None and np.linalg.norm(pN) and np.linalg.norm(q):
+            gaps.append(gap)
+    out["memory stays a single direction"] = (not wide, max(gaps, default=None))
+    return out
+
+
+def baseline_findings(trace, oracle, V):
+    """{name: (passed, value)} of the conjugate-baseline finding decided per
+    record: each iterate j in 1..r against subspace minimizer j."""
+    x_scale = 1.0 + np.linalg.norm(oracle.solution)
+    worst = 0.0
+    for j, rec in enumerate(trace.records):
+        if 1 <= j <= oracle.grade:
+            worst = max(worst, np.linalg.norm(rec.x - oracle.minimizers[:, j]) / x_scale)
+    if trace.final_x is not None and trace.status == V.CONVERGED:
+        worst = max(worst, np.linalg.norm(trace.final_x - oracle.solution) / x_scale)
+    return {"iterates are the subspace minimizers": (worst <= V.ITERATE_MATCH_RTOL, worst)}

@@ -622,6 +622,15 @@ def test_random_steps_avoid_the_zero_band():
     assert min(draws) < 0.0 < max(draws)
 
 
+def test_an_exact_step_of_zero_is_refused():
+    # an exact step is zero only where g'p is exactly 0, which no run has met;
+    # the policy refuses it rather than hand the solver a step that goes nowhere
+    pol = StepPolicy.exact_line_search()
+    assert pol.alpha(3, lambda: 0.5, None) == 0.5
+    with pytest.raises(PolicyError, match="step policy produced zero at iteration 3"):
+        pol.alpha(3, lambda: 0.0, None)
+
+
 def test_schedule_policy_runs_out():
     # a step policy that fails mid-run ends it as a breakdown that keeps the
     # records taken and the run's metadata

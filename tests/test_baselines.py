@@ -21,6 +21,7 @@ from qnsubspace import (
     memoryless_bfgs_inverse_action,
     qn_exact_ls_solve,
 )
+from qnsubspace import baselines
 
 import oracles
 
@@ -99,6 +100,22 @@ def test_cg_iteration_cap_reports_breakdown(method):
     assert trace.status == BREAKDOWN
     assert "2 iterations" in trace.reason
     assert trace.iterations == 2
+
+
+def test_an_ascent_direction_ends_the_run_as_a_breakdown():
+    # an approximation that stays positive definite never gives g'p >= 0, so
+    # the loop is handed an ascent direction from the second iteration on
+    prob, x0 = generate_problem(8, 5, cond=20.0, seed=34)
+    trace = baselines._exact_line_search_loop(
+        prob, x0, "ascent", 1e-10, None, lambda g, p, h_p: g)
+    assert (trace.status, trace.iterations) == (BREAKDOWN, 1)
+    assert trace.reason == "approximation lost positive definiteness"
+    # the run keeps its record and ends where that step landed
+    first, = trace.records
+    assert first.k == 0 and np.array_equal(first.p, -prob.gradient(x0))
+    assert np.array_equal(trace.final_x, first.x + first.alpha * first.p)
+    assert trace.final_grad_norm == norm(prob.gradient(trace.final_x))
+    assert trace.meta == {"method": "ascent", "tol": 1e-10}
 
 
 class GradientOverflowsAfterOneStep(QuadraticProblem):

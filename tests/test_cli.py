@@ -799,6 +799,39 @@ def test_a_pickled_spectrum_is_never_unpickled(tmp_path, capsys):
     assert not marker.exists()
 
 
+def test_a_spectrum_header_is_checked_before_any_data_is_read(tmp_path, capsys,
+                                                              monkeypatch):
+    trace_path, problem_path = run_one(tmp_path)
+    reads = []
+
+    def counted(*args, _fromfile=np.fromfile, **kwargs):
+        reads.append(kwargs.get("count"))
+        return _fromfile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromfile", counted)
+    verify = ["verify", "--trace", str(trace_path), "--problem", str(problem_path)]
+    assert main(verify) == EXIT_PASS
+    assert reads == [7 * 6]  # the saved sidecar: exactly its (n + 1) x n floats
+
+    # a header that claims one row more than the data holds; np.load would
+    # allocate the claimed shape first, which fails on memory, not on the
+    # file, once the claim is larger than the machine
+    def claim_a_row_more(sidecar, A):
+        with open(sidecar, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False,
+                "shape": (A.shape[0] + 1, A.shape[1])})
+            fh.write(A.tobytes())
+
+    rewritten(claim_a_row_more)(problem_path)
+    reads.clear()
+    capsys.readouterr()
+    assert main(verify) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cannot load problem" in err and SHAPE in err
+    assert reads == []
+
+
 def with_record(d, i, record):
     d["iterations"][i] = record(d["iterations"][i])
     return d

@@ -240,6 +240,43 @@ def test_null_entries_in_a_problem_file_are_rejected(field):
         problem_from_dict(d)
 
 
+def with_h(edit):
+    """The dict form of ``small_problem`` with ``edit`` applied to its list H."""
+    d = problem_to_dict(small_problem())
+    d["H"] = edit(d["H"])
+    return d
+
+
+def replaced(i, value):
+    return lambda H: H[:i] + [value] + H[i + 1:]
+
+
+# How entries of H that are not plain numbers are taken: booleans and text
+# that spells a number are read as numbers, as np.asarray reads them.
+@pytest.mark.parametrize("edit", [
+    replaced(0, True), replaced(1, False), replaced(4, "2"), replaced(8, " 5e0 "),
+], ids=["true", "false", "numeric-text", "spaced-text"])
+def test_entries_of_h_that_read_as_numbers_load(edit):
+    prob, _, _ = problem_from_dict(with_h(edit))
+    assert np.array_equal(prob.H, small_problem().H)
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda H: np.reshape(H, (3, 3)).tolist(), ValueError,
+     "H must hold 9 row-major entries, got 9"),
+    (replaced(4, [2.0]), ValueError, "inhomogeneous shape"),
+    (replaced(4, "two"), ValueError, "could not convert string to float: 'two'"),
+    (replaced(4, {"a": 2.0}), ValueError, "malformed problem: float() argument"),
+    (lambda H: 5, ValueError, "H must hold 9 row-major entries, got 1"),
+    (lambda H: "1.0", ValueError, "H must hold 9 row-major entries, got 1"),
+], ids=["nested-rows", "nested-entry", "text", "object-entry", "number", "text-H"])
+def test_malformed_h_is_rejected(edit, error, message):
+    with pytest.raises(error) as info:
+        problem_from_dict(with_h(edit))
+    assert type(info.value) is error
+    assert message in str(info.value)
+
+
 def spectrum_errors(H, evals, evecs):
     """max|V'V - I| and max|HV - V diag(lambda)| / max(1, max|H|)."""
     n = H.shape[0]

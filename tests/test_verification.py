@@ -397,3 +397,76 @@ def test_matrix_product_checks_match_the_per_pair_reference(grade, cond, seed):
             assert found[key].value == pytest.approx(value, rel=1e-12, abs=1e-12), key
             compared += 1
     assert compared == 3 * 3 + 4 * 2
+
+
+def swapped_q(trace):
+    i, j = [k for k, rec in enumerate(trace.records) if rec.q is not None][:2]
+    trace.records[i].q, trace.records[j].q = trace.records[j].q, trace.records[i].q
+
+
+def pN_off_the_line_of_q(trace):
+    rec = next(rec for rec in trace.records if rec.sigma is not None and rec.q is not None)
+    rec.newton_step = rec.q + norm(rec.q) * unit(np.arange(1.0, rec.q.size + 1.0))
+
+
+def reversed_q(trace):
+    rec = next(rec for rec in trace.records if rec.q is not None)
+    rec.q = -rec.q  # the same line, so the same angle
+
+
+def zero_pN(trace):
+    rec = next(rec for rec in trace.records if rec.sigma is not None)
+    rec.newton_step = np.zeros_like(rec.x)
+
+
+def without(attr):
+    def doctor(trace):
+        setattr(next(rec for rec in trace.records if rec.sigma is not None), attr, None)
+    return doctor
+
+
+def moved_iterate(trace):
+    trace.records[1].x = trace.records[1].x + 1e-3
+
+
+QN_DOCTORS = {"swapped-q": swapped_q, "reversed-q": reversed_q,
+              "pN-off-q": pN_off_the_line_of_q, "zero-pN": zero_pN,
+              "no-pN": without("newton_step"), "no-q": without("q")}
+
+# the findings each check once decided record by record, and their references
+REFERENCE_FINDINGS = {
+    "newton-onset": oracles.onset_findings,
+    "unit-step-count": oracles.unit_step_findings,
+    "conjugate-baseline": oracles.baseline_findings,
+}
+
+
+@pytest.mark.parametrize("n, grade, cond", [
+    (n, grade, cond) for n in (64, 128) for grade in (8, 16, 32) for cond in (10.0, 100.0)])
+def test_array_checks_match_the_per_record_reference(n, grade, cond):
+    prob, x0 = generate_problem(n, grade, cond=cond, seed=[n, grade, int(cond)])
+    oracle = KrylovOracle(prob, x0)
+    compared = set()
+    for solve in GRID_SOLVERS:
+        honest = solve(prob, x0)
+        doctors = QN_DOCTORS if honest.meta["method"] == "qn-subspace" else \
+            {"moved-iterate": moved_iterate}
+        for label, doctor in {"honest": None, **doctors}.items():
+            trace = copy_trace(honest)
+            if doctor is not None:
+                doctor(trace)
+            for report in verify_trace(trace, prob, x0, oracle):
+                reference = REFERENCE_FINDINGS.get(report.check)
+                if reference is None:
+                    continue
+                found = {f.name: f for f in report.findings}
+                for name, (passed, value) in reference(trace, oracle, V).items():
+                    assert found[name].passed == passed, (label, name)
+                    if value is None:
+                        assert found[name].value is None, (label, name)
+                    else:
+                        assert abs(found[name].value - value) <= 1e-12 * max(1.0, abs(value)), \
+                            (label, name)
+                    compared.add((report.check, label))
+    assert {check for check, _ in compared} == set(REFERENCE_FINDINGS)
+    assert {label for _, label in compared} == {"honest", "moved-iterate", *QN_DOCTORS}
