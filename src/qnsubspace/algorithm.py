@@ -7,8 +7,8 @@ direction is pN plus the upcoming conjugate direction over sigma, so no
 operator is built. pN, q and their Hessian images obey closed-form
 recursions, so each iteration needs one new Hessian image, that of the step:
 from H itself, or matrix-free from the gradient difference the step produces.
-With H, the gradient is carried too, as g + alpha Hp, and evaluated only
-where the run may end, so either way an iteration makes one oracle call.
+With H, the gradient is carried too, as g + alpha Hp, by the stopping rule of
+``trace.Run``, so either way an iteration makes one oracle call.
 
 Finite termination does not need exact line search: once the generated
 subspace reaches its grade r, every direction is the full Newton step, and
@@ -25,7 +25,7 @@ from .approximation import _upcoming_direction, newton_scaling, newton_sigma
 # unused here: the traced benchmark wraps these names on this module
 from .approximation import SpanApprox, build_two_vector  # noqa: F401
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
-from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, IterateTrace
+from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, Run
 from .util import _integer, _real, check_run_limits, norm
 
 ORACLE = "oracle"
@@ -352,9 +352,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         the images of q and of the restricted Newton step, so neither
         spends more than one H-product or gradient per iteration beyond
         what the step and sigma policies probe. Oracle mode evaluates the
-        gradient only at x0 and where the run may end: where the carried
-        norm reaches the tolerance or is not finite, it stops only if the
-        evaluated gradient passes too, and otherwise continues from it.
+        gradient only at x0 and where the run may end, by the rule of
+        ``trace.Run``.
     tol : float
         Finite and positive; terminate once ||g|| <= tol * (1 + ||g0||).
     max_iter : int, optional
@@ -370,10 +369,9 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     IterateTrace
         One record per step plus the terminal status: converged(iterations),
         max-iter, or breakdown(reason). Its ``final_grad_norm`` is that of
-        the gradient evaluated at ``final_x``; a run that would end on a
-        carried one evaluates it, and converges if that one passes. Only
-        invalid arguments raise, before the first gradient; a policy that
-        fails later ends it as a breakdown.
+        the gradient evaluated at ``final_x``. Only invalid arguments raise,
+        before the first gradient; a policy that fails later ends it as a
+        breakdown.
     """
     steps = steps if steps is not None else StepPolicy.unit()
     sigmas = sigmas if sigmas is not None else SigmaPolicy.constant(1.0)
@@ -396,24 +394,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         # one extra gradient evaluation per probe; exact on a quadratic
         return prob.gradient(x_ref + v) - g_ref
 
-    g = prob.gradient(x)
-    g0_norm = norm(g)
-    threshold = tol * (1.0 + g0_norm)
-    carried = False  # whether g is the carried g_prev + alpha Hp, not evaluated
-
-    def finish(status, x_end, g_end_norm, reason=""):
-        # a run ends on a gradient evaluated at its last iterate; a carried
-        # one is evaluated here, and if that one passes the run converged
-        if carried:
-            g_end_norm = norm(prob.gradient(x_end))
-            if g_end_norm <= threshold:
-                status, reason = CONVERGED, ""
-        return trace.finish(status, x_end, g_end_norm, reason)
-
-    n = prob.n
-    newton_step, h_newton, q, h_q = (np.zeros(n) for _ in range(4))
-
-    trace = IterateTrace(meta={
+    run = Run(prob, x, tol, {
         "method": "qn-subspace",
         "mode": mode,
         "tol": tol,
@@ -423,24 +404,24 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         "sigma_policy": sigmas.spec(),
         "initial_sigma": sigma,
     })
+    g, g_norm, trace = run.g0, run.g0_norm, run.trace
+    n = prob.n
+    newton_step, h_newton, q, h_q = (np.zeros(n) for _ in range(4))
 
-    if sigmas.at == -1 and 0.0 < g0_norm < math.inf:
+    if sigmas.at == -1 and 0.0 < g_norm < math.inf:
         try:
             sigma = _sigma_or_default(
                 sigmas, -1, lambda: _newton_value(image, x, g, h_newton, q, h_q, False),
                 rng_sigma, trace.warnings)
         except PolicyError as exc:
-            return trace.finish(BREAKDOWN, x, g0_norm, str(exc))
+            return run.finish(BREAKDOWN, str(exc))
         trace.meta["initial_sigma"] = sigma
-    if not math.isfinite(g0_norm):
-        return trace.finish(BREAKDOWN, x, g0_norm,
-                            "gradient is not finite at iterate 0")
-    if g0_norm <= threshold:
-        return trace.finish(CONVERGED, x, g0_norm)
+    if not math.isfinite(g_norm):
+        return run.finish(BREAKDOWN, "gradient is not finite at iterate 0")
+    if g_norm <= run.threshold:
+        return run.finish(CONVERGED)
 
     exhausted = False
-    g_norm = g0_norm
-
     for k in range(max_iter):
         if exhausted:
             # exhausted last iteration, so the span is complete: the closed
@@ -458,21 +439,14 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                 k, lambda: newton_scaling(g, p, h_p if mode == ORACLE else image(x, g, p)),
                 rng_step)
         except NotPositiveDefiniteError:  # from the exact step
-            return finish(BREAKDOWN, x, g_norm,
-                          "nonpositive curvature along search direction")
+            return run.finish(BREAKDOWN, "nonpositive curvature along search direction")
         except PolicyError as exc:  # a schedule runs out, a draw gives up
-            return finish(BREAKDOWN, x, g_norm, str(exc))
+            return run.finish(BREAKDOWN, str(exc))
         x_next = x + alpha * p
-        if mode == ORACLE:
-            # exact on a quadratic; evaluated only where it would end the run
-            g_next = g + alpha * h_p
-            g_next_norm = norm(g_next)
-            carried = threshold < g_next_norm < math.inf
-        if not carried:
-            g_next = prob.gradient(x_next)
-            g_next_norm = norm(g_next)
-            if mode == MATRIX_FREE:
-                h_p = (g_next - g) / alpha
+        g_next, g_next_norm = run.gradient_at(
+            x_next, g + alpha * h_p if mode == ORACLE else None)
+        if mode == MATRIX_FREE:
+            h_p = (g_next - g) / alpha
 
         q_raw = p - newton_step
         exhausted = bool(norm(q_raw) <= EXHAUSTED_RTOL * (norm(p) + norm(newton_step)))
@@ -483,8 +457,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         )
         trace.records.append(record)
         if not math.isfinite(g_next_norm):
-            return finish(BREAKDOWN, x_next, g_next_norm,
-                          f"gradient is not finite at iterate {k + 1}")
+            return run.finish(BREAKDOWN, f"gradient is not finite at iterate {k + 1}")
 
         if exhausted:
             # the direction reproduced the restricted Newton step: the
@@ -502,12 +475,11 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                 h_q, h_newton_next, coef = _conjugate_images(
                     h_p, h_newton, q, g + h_newton, alpha)
             except NotPositiveDefiniteError as exc:
-                if g_next_norm <= threshold:
+                if g_next_norm <= run.threshold:
                     record.q = q
                     record.h_q = h_p - h_newton
-                    return finish(CONVERGED, x_next, g_next_norm)
-                return finish(BREAKDOWN, x_next, g_next_norm,
-                              reason=f"{exc} with gradient above tolerance")
+                    return run.finish(CONVERGED)
+                return run.finish(BREAKDOWN, f"{exc} with gradient above tolerance")
             newton_next = (1.0 - alpha) * newton_step - coef * q
 
         record.q = q
@@ -515,8 +487,8 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         record.newton_step = newton_next
         record.h_newton_step = h_newton_next
 
-        if g_next_norm <= threshold:
-            return finish(CONVERGED, x_next, g_next_norm)
+        if g_next_norm <= run.threshold:
+            return run.finish(CONVERGED)
 
         try:
             sigma = _sigma_or_default(
@@ -524,15 +496,14 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
                                                  q, h_q, exhausted),
                 rng_sigma, trace.warnings)
         except PolicyError as exc:
-            return finish(BREAKDOWN, x_next, g_next_norm, str(exc))
+            return run.finish(BREAKDOWN, str(exc))
 
         if exhausted and norm(newton_next) == 0.0:
-            return finish(BREAKDOWN, x_next, g_next_norm,
-                          "no direction information left while the "
-                          "gradient is above tolerance")
+            return run.finish(BREAKDOWN, "no direction information left while "
+                              "the gradient is above tolerance")
         record.sigma = sigma
 
         x, g, g_norm = x_next, g_next, g_next_norm
         newton_step, h_newton = newton_next, h_newton_next
 
-    return finish(MAX_ITER, x, g_norm)
+    return run.finish(MAX_ITER)

@@ -12,7 +12,8 @@ takes -g + c p, the solver's conjugate-direction rule, and the quasi-Newton
 variants -Mg, with M an inverse approximation updated by the pair. An
 iteration takes one H-product, Hp, and carries the gradient as g + alpha Hp,
 the form of Hestenes and Stiefel's CG; the gradient is evaluated only where
-the run may end.
+the run may end, by the stopping rule of ``trace.Run``, which the
+arbitrary-step solver shares.
 """
 
 import math
@@ -21,8 +22,8 @@ import numpy as np
 
 from .approximation import _upcoming_direction, newton_scaling
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
-from .trace import BREAKDOWN, CONVERGED, IterateRecord, IterateTrace
-from .util import check_run_limits, norm
+from .trace import BREAKDOWN, CONVERGED, IterateRecord, Run
+from .util import check_run_limits
 
 
 def exact_line_search(prob, x, p):
@@ -86,13 +87,9 @@ def memoryless_bfgs_inverse_action(p, h_p, v):
 
 def _exact_line_search_loop(prob, x0, method, tol, max_iter, next_direction):
     """Exact line search from x0 along -g, then along ``next_direction(g, p,
-    h_p)`` of the gradient and the last direction with its image Hp.
-
-    The gradient after a step is carried as g + alpha Hp. Where its norm
-    reaches tol * (1 + ||g0||) or is not finite, g is evaluated at the new
-    iterate instead, and the run converges only if that one passes; a run
-    that ends otherwise evaluates it there too, and converges if it passes,
-    so ``final_grad_norm`` is always that of an evaluated gradient.
+    h_p)`` of the gradient and the last direction with its image Hp. The
+    gradient after a step is carried as g + alpha Hp, and the run stops by
+    the rule of ``trace.Run``.
 
     Breakdowns are reported in the trace, never retried: a gradient that is
     not finite; a direction that does not descend (g'p >= 0), so the
@@ -103,48 +100,29 @@ def _exact_line_search_loop(prob, x0, method, tol, max_iter, next_direction):
     """
     check_run_limits(tol, max_iter)
     x = prob._check_vector(x0, name="x0")
-    g = prob.gradient(x)
-    g_norm = norm(g)
-    threshold = tol * (1.0 + g_norm)
-    carried = False  # whether g is the carried g_prev + alpha Hp, not evaluated
-    trace = IterateTrace(meta={"method": method, "tol": tol})
+    run = Run(prob, x, tol, {"method": method, "tol": tol})
+    g, g_norm = run.g0, run.g0_norm
     cap = max_iter if max_iter is not None else prob.n + 1
-
-    def finish(status, reason=""):
-        # as in subspace_qn_solve: a carried gradient is evaluated where the
-        # run ends, and if that one passes the run converged
-        g_end_norm = g_norm
-        if carried:
-            g_end_norm = norm(prob.gradient(x))
-            if g_end_norm <= threshold:
-                status, reason = CONVERGED, ""
-        return trace.finish(status, x, g_end_norm, reason)
 
     for k in range(cap + 1):
         if not math.isfinite(g_norm):
-            return finish(BREAKDOWN, f"gradient is not finite at iterate {k}")
-        if g_norm <= threshold:
-            return finish(CONVERGED)
+            return run.finish(BREAKDOWN, f"gradient is not finite at iterate {k}")
+        if g_norm <= run.threshold:
+            return run.finish(CONVERGED)
         if k == cap:
-            return finish(BREAKDOWN, f"no convergence within {cap} iterations")
+            return run.finish(BREAKDOWN, f"no convergence within {cap} iterations")
         p = -g if k == 0 else next_direction(g, p, h_p)
         if float(g @ p) >= 0.0:
-            return finish(BREAKDOWN, "approximation lost positive definiteness")
+            return run.finish(BREAKDOWN, "approximation lost positive definiteness")
         h_p = prob.hessian_action(p)
         try:
             alpha = newton_scaling(g, p, h_p)
         except NotPositiveDefiniteError:
-            return finish(BREAKDOWN, "nonpositive curvature along search direction")
-        trace.records.append(IterateRecord(k=k, x=x, g=g, p=p, alpha=alpha,
-                                           grad_norm=g_norm, h_p=h_p))
+            return run.finish(BREAKDOWN, "nonpositive curvature along search direction")
+        run.trace.records.append(IterateRecord(k=k, x=x, g=g, p=p, alpha=alpha,
+                                               grad_norm=g_norm, h_p=h_p))
         x = x + alpha * p
-        # exact on a quadratic; evaluated only where it would end the run
-        g = g + alpha * h_p
-        g_norm = norm(g)
-        carried = threshold < g_norm < math.inf
-        if not carried:
-            g = prob.gradient(x)
-            g_norm = norm(g)
+        g, g_norm = run.gradient_at(x, g + alpha * h_p)
 
 
 def cg_solve(prob, x0, tol=1e-9, max_iter=None):

@@ -314,12 +314,9 @@ def cmd_verify(args):
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot load problem {args.problem}: {exc}")
     try:
-        trace = IterateTrace.load(args.trace)
+        trace = IterateTrace.load(args.trace, prob.n)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot load trace {args.trace}: {exc}")
-    if (n := trace.dimension()) not in (None, prob.n):
-        raise SpecError(f"cannot load trace {args.trace}: vectors of length "
-                        f"{n}, problem dimension {prob.n}")
 
     try:
         reports = verify_trace(trace, prob, x0)

@@ -3,6 +3,8 @@
 Every check recomputes its reference quantities from the problem data
 (Krylov-space minimizers, conjugate directions, the exact solution). Of the
 recorded vectors it trusts only x and p, plus q and pN on qn-subspace records.
+A record's iteration is its position and the count is the number of records,
+not a file's ``k`` or ``status.iterations``; its ``status.kind`` is trusted.
 The checks take those references from one :class:`KrylovOracle` of the
 problem and start point, which every trace of that problem can share.
 
@@ -125,6 +127,13 @@ def _worst(values):
     return float(np.fmax.reduce(values, initial=0.0))
 
 
+def _count_findings(report, trace, name, counts, r):
+    """Add "run converged" and ``name``: the number of records is in ``counts``."""
+    count = len(trace.records)
+    report.add("run converged", trace.status == CONVERGED, f"status {trace.status}")
+    report.add(name, count in counts, f"{count} iterations, grade {r}")
+
+
 def check_newton_onset(trace, oracle):
     """Verify the finite-termination behaviour of an arbitrary-step run.
 
@@ -142,19 +151,19 @@ def check_newton_onset(trace, oracle):
     x_scale = 1.0 + norm(x_star)
     report = CheckReport(check="newton-onset")
     records = trace.records
-    ks = np.array([rec.k for rec in records], dtype=int)
+    count = len(records)
+    ks = np.arange(count)
     alphas = np.array([rec.alpha for rec in records], dtype=float)
     X = _rows([rec.x for rec in records], prob.n)
     P = _rows([rec.p for rec in records], prob.n)
 
-    onset = ks >= r
-    if onset.any():
+    if count > r:
         # Python's max over the list, as the per-record loop took it
-        worst = max(_norms(X[onset] + P[onset] - x_star).tolist()) / x_scale
+        worst = max(_norms(X[r:] + P[r:] - x_star).tolist()) / x_scale
         report.add(
             "full Newton step from the grade onward",
             worst <= NEWTON_ONSET_RTOL,
-            f"max relative miss {worst:.3e} over {int(onset.sum())} iterations "
+            f"max relative miss {worst:.3e} over {count - r} iterations "
             f"(grade {r})",
             worst,
         )
@@ -164,38 +173,28 @@ def check_newton_onset(trace, oracle):
             f"run ended before reaching the grade ({r})",
         )
 
-    unit_ks = ks[onset & (np.abs(alphas - 1.0) <= UNIT_STEP_ATOL)]
+    unit_ks = ks[r:][np.abs(alphas[r:] - 1.0) <= UNIT_STEP_ATOL]
+    converged = trace.status == CONVERGED
     if unit_ks.size:
         k_unit = int(unit_ks.min())
-        ok = trace.status == CONVERGED and trace.iterations == k_unit + 1
-        report.add(
-            "unit step past the grade terminates on the spot", ok,
+        ok, detail = converged and count == k_unit + 1, (
             f"first unit step at iteration {k_unit}; run ended with status "
-            f"{trace.status} after {trace.iterations} iterations",
-        )
-    elif trace.status == CONVERGED and trace.iterations <= r:
-        report.add(
-            "unit step past the grade terminates on the spot", True,
-            "converged before the grade; nothing to check",
-        )
-    elif trace.status == CONVERGED:
-        report.add(
-            "unit step past the grade terminates on the spot", False,
-            f"gradient fell below tolerance after {trace.iterations} "
-            "iterations without any unit step past the grade",
-        )
+            f"{trace.status} after {count} iterations")
+    elif converged and count <= r:
+        ok, detail = True, "converged before the grade; nothing to check"
+    elif converged:
+        ok, detail = False, (f"gradient fell below tolerance after {count} "
+                             "iterations without any unit step past the grade")
     else:
-        report.add(
-            "unit step past the grade terminates on the spot", True,
-            "no unit step taken at or past the grade, and no termination",
-        )
+        ok, detail = True, "no unit step taken at or past the grade, and no termination"
+    report.add("unit step past the grade terminates on the spot", ok, detail)
 
     # each new direction q before the grade, where it is measurable, against
     # the reference conjugate direction of its iteration
     angle_tol = (ANGLE_TOL_ILL if oracle.condition_number > ILL_CONDITIONED
                  else ANGLE_TOL)
-    new = [i for i, rec in enumerate(records)
-           if rec.k < r and rec.q is not None and not rec.exhausted]
+    new = [i for i, rec in enumerate(records[:r])
+           if rec.q is not None and not rec.exhausted]
     Q = _rows([records[i].q for i in new], prob.n)
     floor = DIRECTION_FLOOR * (1.0 + _norms(X[new]) + _norms(P[new]))
     measured = ~(_norms(Q) < floor)
@@ -251,48 +250,41 @@ def check_unit_step_counts(trace, oracle):
     r = oracle.grade
     report = CheckReport(check="unit-step-count")
     records = trace.records
+    count = len(records)
 
     alphas = np.array([rec.alpha for rec in records], dtype=float)
-    off = [records[i].k for i in np.flatnonzero(np.abs(alphas - 1.0) > UNIT_STEP_ATOL)]
+    off = np.flatnonzero(np.abs(alphas - 1.0) > UNIT_STEP_ATOL).tolist()
     report.add(
         "every step has unit length", not off,
         "" if not off else f"non-unit steps at iterations {off}",
     )
-    report.add("run converged", trace.status == CONVERGED,
-               f"status {trace.status}")
-    report.add(
-        "iteration count within one of the grade",
-        trace.iterations in (r, r + 1),
-        f"{trace.iterations} iterations, grade {r}",
-    )
+    _count_findings(report, trace, "iteration count within one of the grade", (r, r + 1), r)
 
     sigmas = SigmaPolicy.from_spec(trace.meta.get("sigma_policy", {}))
     newton_tuned = sigmas.at == r - 2 and sigmas.scale == 1.0
     expected = r if newton_tuned else r + 1
     report.add(
         "iteration count matches the scaling rule",
-        trace.iterations == expected,
+        count == expected,
         f"expected {expected} ({'termination-forcing' if newton_tuned else 'generic'}"
-        f" scaling), got {trace.iterations}",
+        f" scaling), got {count}",
     )
 
-    # the records with a sigma, of which those without pN or q are wide
-    sig = [rec for rec in records if rec.sigma is not None]
-    paired = np.array([rec.newton_step is not None and rec.q is not None
-                       for rec in sig], dtype=bool)
-    both = [rec for rec, has in zip(sig, paired) if has]
-    PN = _rows([rec.newton_step for rec in both], oracle.problem.n)
-    Q = _rows([rec.q for rec in both], oracle.problem.n)
+    # the iterations with a sigma, of which those without pN or q are wide
+    sig = [i for i, rec in enumerate(records) if rec.sigma is not None]
+    both = [i for i in sig if records[i].newton_step is not None and records[i].q is not None]
+    PN = _rows([records[i].newton_step for i in both], oracle.problem.n)
+    Q = _rows([records[i].q for i in both], oracle.problem.n)
     pn_norms, q_norms = _norms(PN), _norms(Q)
     nonzero = (pn_norms != 0.0) & (q_norms != 0.0)  # else |cos| is 0 by convention
     cos = np.divide(np.abs(_dots(PN, Q)), pn_norms * q_norms,
                     where=nonzero, out=np.zeros(len(both)))
     gaps = 1.0 - np.fmin(1.0, cos)
     # span_collapses' rule, unless the span was already exhausted
-    single = np.zeros(len(sig), dtype=bool)
-    single[paired] = (np.array([bool(rec.exhausted) for rec in both], dtype=bool)
-                      | (pn_norms == 0.0) | (gaps <= COLLAPSE_TOL))
-    wide = [rec.k for rec, one in zip(sig, single) if not one]
+    single = (np.array([bool(records[i].exhausted) for i in both], dtype=bool)
+              | (pn_norms == 0.0) | (gaps <= COLLAPSE_TOL))
+    narrow = {i for i, one in zip(both, single) if one}
+    wide = [i for i in sig if i not in narrow]
     gaps = gaps[nonzero]
     detail = [f"two-direction memory at iterations {wide}"] if wide else []
     if gaps.size:
@@ -312,13 +304,7 @@ def check_exact_search_count(trace, oracle):
     """
     r = oracle.grade
     report = CheckReport(check="exact-search-count")
-    report.add("run converged", trace.status == CONVERGED,
-               f"status {trace.status}")
-    report.add(
-        "iteration count equals the grade",
-        trace.iterations == r,
-        f"{trace.iterations} iterations, grade {r}",
-    )
+    _count_findings(report, trace, "iteration count equals the grade", (r,), r)
     return report
 
 
@@ -350,13 +336,7 @@ def check_conjugate_baseline(trace, oracle):
     x_star = oracle.solution
     report = CheckReport(check="conjugate-baseline")
 
-    report.add("run converged", trace.status == CONVERGED,
-               f"status {trace.status}")
-    report.add(
-        "terminates in exactly the subspace grade",
-        trace.iterations == r,
-        f"{trace.iterations} iterations, grade {r}",
-    )
+    _count_findings(report, trace, "terminates in exactly the subspace grade", (r,), r)
 
     # one product H[x_0 ... x_K, final_x, p_0 ... p_K] gives the gradients
     # G = HX + c and the images HP, not the ones the run recorded

@@ -328,37 +328,39 @@ def _alignment(u, v):
 def onset_findings(trace, oracle, V):
     """{name: (passed, value)} of the three newton-onset findings decided per
     record: the misses from the grade on, the first unit step past it, and
-    the angles of the new directions before it."""
+    the angles of the new directions before it. A record's iteration is its
+    position, and the iteration count is the number of records."""
     r = oracle.grade
     x_star = oracle.solution
     x_scale = 1.0 + np.linalg.norm(x_star)
+    count = len(trace.records)
     out = {}
-    onset = [rec for rec in trace.records if rec.k >= r]
+    onset = trace.records[r:]
     if onset:
         worst = max(np.linalg.norm(rec.x + rec.p - x_star) for rec in onset) / x_scale
         out["full Newton step from the grade onward"] = (worst <= V.NEWTON_ONSET_RTOL, worst)
     else:
         out["full Newton step from the grade onward"] = (True, None)
 
-    unit_ks = [rec.k for rec in onset if abs(rec.alpha - 1.0) <= V.UNIT_STEP_ATOL]
+    unit_ks = [k for k, rec in enumerate(trace.records)
+               if k >= r and abs(rec.alpha - 1.0) <= V.UNIT_STEP_ATOL]
     if unit_ks:
-        passed = (trace.status == V.CONVERGED
-                  and trace.iterations == min(unit_ks) + 1)
+        passed = trace.status == V.CONVERGED and count == min(unit_ks) + 1
     else:
-        passed = trace.status != V.CONVERGED or trace.iterations <= r
+        passed = trace.status != V.CONVERGED or count <= r
     out["unit step past the grade terminates on the spot"] = (passed, None)
 
     angle_tol = (V.ANGLE_TOL_ILL if oracle.condition_number > V.ILL_CONDITIONED
                  else V.ANGLE_TOL)
     worst_angle = 0.0
-    for rec in trace.records:
-        if rec.k >= r or rec.q is None or rec.exhausted:
+    for k, rec in enumerate(trace.records):
+        if k >= r or rec.q is None or rec.exhausted:
             continue
         floor = V.DIRECTION_FLOOR * (1.0 + np.linalg.norm(rec.x) + np.linalg.norm(rec.p))
         if np.linalg.norm(rec.q) < floor:
             continue
         worst_angle = max(worst_angle,
-                          _line_angle(rec.q, oracle.conjugate_directions[:, rec.k]))
+                          _line_angle(rec.q, oracle.conjugate_directions[:, k]))
     out["new directions parallel to reference conjugate directions"] = (
         worst_angle <= angle_tol, worst_angle)
     return out

@@ -453,6 +453,26 @@ def test_verify_rejects_a_trace_of_another_dimension(tmp_path, capsys):
     assert "cannot load trace" in capsys.readouterr().err
 
 
+def test_verify_scans_the_trace_dimension_once(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "cg"}, {"kind": "qn-subspace"}]})
+    out = tmp_path / "out"
+    assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_PASS
+    capsys.readouterr()
+    scans = []
+    dimension = IterateTrace.dimension
+    monkeypatch.setattr(IterateTrace, "dimension",
+                        lambda trace: scans.append(trace) or dimension(trace))
+    for path in sorted((out / "traces").iterdir()):
+        scans.clear()
+        assert main(["verify", "--trace", str(path),
+                     "--problem", str(out / "problems" / "p000.json")]) == EXIT_PASS
+        assert len(scans) == 1, path
+        with pytest.raises(ValueError, match="^vectors of length 6, problem dimension 5$"):
+            IterateTrace.load(path, 5)
+
+
 @pytest.mark.parametrize("step_policy, code", [
     ("unit", EXIT_USAGE),
     ({"kind": ["unit"]}, EXIT_USAGE),

@@ -157,6 +157,66 @@ def test_the_fields_a_file_leaves_out_change_no_finding(tmp_path, solve, doctor)
     assert findings(doctored, oracle) == want
 
 
+def shift_k(trace):
+    for rec in trace.records:
+        rec.k -= 3
+
+
+def zero_k(trace):
+    for rec in trace.records:
+        rec.k = 0
+
+
+def iterations_off_by(change):
+    def doctor(trace):
+        trace.iterations += change
+    return doctor
+
+
+COUNT_DOCTORS = {"k-3": shift_k, "k-0": zero_k,
+                 "iterations+1": iterations_off_by(1), "iterations-1": iterations_off_by(-1)}
+
+
+@pytest.mark.parametrize("doctor", COUNT_DOCTORS.values(), ids=COUNT_DOCTORS)
+@pytest.mark.parametrize("solve", HONEST_SOLVERS.values(), ids=HONEST_SOLVERS)
+def test_the_recorded_iteration_numbers_change_no_finding(tmp_path, solve, doctor):
+    # a record's iteration is its position and the count is the number of
+    # records, so a file's k column and status.iterations are not read
+    prob, x0 = generate_problem(8, 5, cond=30.0, seed=100)
+    oracle = KrylovOracle(prob, x0)
+    trace = solve(prob, x0)
+    assert trace.iterations == len(trace.records) > 3
+
+    def lines(trace):
+        return [(rep.check, f.name, f.passed, f.detail, f.value)
+                for rep in verify_trace(trace, prob, x0, oracle) for f in rep.findings]
+
+    want = lines(trace)
+    doctored = copy_trace(trace)
+    doctor(doctored)
+    assert lines(doctored) == want
+    path = tmp_path / "doctored.json"
+    doctored.save(path)
+    loaded = IterateTrace.load(path)
+    assert [rec.k for rec in loaded.records] == [rec.k for rec in doctored.records]
+    assert loaded.iterations == doctored.iterations
+    assert lines(loaded) == want
+
+
+def test_a_count_the_records_do_not_show_fails():
+    # a cg run cut short of the grade, whose file claims the grade's count
+    prob, x0 = generate_problem(16, 4, cond=10.0, seed=104)
+    oracle = KrylovOracle(prob, x0)
+    assert oracle.grade == 4
+    trace = cg_solve(prob, x0, max_iter=3)
+    assert len(trace.records) == 3
+    trace.iterations = 4
+    finding, = (f for f in check_conjugate_baseline(trace, oracle).findings
+                if f.name == "terminates in exactly the subspace grade")
+    assert not finding.passed
+    assert finding.detail == "3 iterations, grade 4"
+
+
 def test_baseline_check_catches_a_wrong_count():
     prob, x0 = generate_problem(8, 5, cond=30.0, seed=101)
     trace = copy_trace(cg_solve(prob, x0, tol=1e-10))
