@@ -47,8 +47,10 @@ class QuadraticProblem:
     """Immutable instance of min x'Hx/2 + c'x with H symmetric positive definite.
 
     H and c are copied, checked finite and frozen at construction. Symmetry
-    is enforced by averaging with the transpose after a tolerance check, and
-    positive definiteness is verified with a Cholesky factorization.
+    is enforced by averaging with the transpose after a tolerance check (an
+    exactly symmetric H is kept as it is, and an entry whose sum with its
+    mirror would overflow is halved first, so H stays finite), and positive
+    definiteness is verified with a Cholesky factorization.
     """
 
     def __init__(self, H, c):
@@ -67,10 +69,16 @@ class QuadraticProblem:
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
         scale = max(1.0, float(np.abs(H).max()))
-        asym = float(np.abs(H - H.T).max())
-        if asym > 1e-12 * scale:
-            raise ValueError(f"H is not symmetric (max asymmetry {asym:.3e})")
-        H = 0.5 * (H + H.T)
+        with np.errstate(over="ignore"):  # a difference or sum may pass the float range
+            asym = float(np.abs(H - H.T).max())
+            if asym > 1e-12 * scale:
+                raise ValueError(f"H is not symmetric (max asymmetry {asym:.3e})")
+            if asym:  # an exactly symmetric H is its own average
+                avg = 0.5 * (H + H.T)
+                overflow = np.isinf(avg)
+                if overflow.any():  # halving first keeps such an entry finite
+                    avg[overflow] = 0.5 * H[overflow] + 0.5 * H.T[overflow]
+                H = avg
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
@@ -298,7 +306,8 @@ def generate_problem(n, grade=None, *, eigenvalues=None, cond=None, seed=0):
     Parameters
     ----------
     n : int
-        Dimension, at most 512.
+        Dimension, an integer in [1, MAX_DIMENSION] (512), checked before
+        anything is drawn.
     grade : int, optional
         Number of distinct eigenvalues the initial gradient touches. Defaults
         to the number of distinct eigenvalues. Must not exceed it.
@@ -316,6 +325,9 @@ def generate_problem(n, grade=None, *, eigenvalues=None, cond=None, seed=0):
         then equals c, built with nonzero components along exactly ``grade``
         eigendirections of distinct eigenvalue, which forces that grade.
     """
+    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+            or not 1 <= n <= MAX_DIMENSION):
+        raise ValueError(f"n must be an integer in [1, {MAX_DIMENSION}], got {n!r}")
     if (eigenvalues is None) == (cond is None):
         raise ValueError("exactly one of eigenvalues and cond must be given")
     if eigenvalues is not None:

@@ -24,8 +24,10 @@ infinities included), and the records that have it, or null for all. So
 ``final.grad_norm`` of a run that broke down on a non-finite gradient, and
 ``json.load`` reads them. ``qnsubspace-trace-v2`` files, with one object per
 record and each vector one base64 string, v1 files, with number lists, and
-v3 files that still hold the four columns load as well. In every form, a
-key that names no record field is ignored.
+v3 files that still hold the four columns load as well. Every form becomes
+one value list per record field, and one row builder makes the records of
+them. In every form, a key that names no record field is ignored, and
+``status.iterations`` is written from the number of records and never read.
 """
 
 import binascii
@@ -106,24 +108,6 @@ class IterateRecord:
     sigma: float | None = None
     exhausted: bool | None = None
 
-    @classmethod
-    def from_dict(cls, d):
-        """Record of a v1 or v2 file's record object; ValueError if malformed."""
-        try:
-            rec = cls(
-                k=int(d["k"]),
-                alpha=float(d["alpha"]),
-                grad_norm=float(d["grad_norm"]),
-                sigma=d.get("sigma"),
-                exhausted=d.get("exhausted"),
-                **{attr: _vec(d.get(key)) for attr, key in _RECORD_VECTORS.items()},
-            )
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed iteration record: {exc}") from None
-        if any(getattr(rec, attr) is None for attr in _REQUIRED):
-            raise ValueError(f"record {rec.k} lacks one of {', '.join(_REQUIRED)}")
-        return rec
-
 
 # (file key, attribute) of every record field, in file key order.
 _COLUMNS = sorted((_RECORD_VECTORS.get(f.name, f.name), f.name)
@@ -150,10 +134,10 @@ def _float_values(column, count, scalar):
     return values
 
 
-def _records_from_columns(columns):
-    """The records of a v3 ``iterations`` object; ValueError if malformed.
-    A vector column fixes only its own width: ``IterateTrace.dimension``
-    compares them."""
+def _column_values(columns):
+    """Per-field value lists of a v3 ``iterations`` object; ValueError if a
+    column is malformed. A vector column fixes only its own width:
+    ``IterateTrace.dimension`` compares them."""
     count = len(columns["k"])
 
     def values(attr):
@@ -164,25 +148,45 @@ def _records_from_columns(columns):
                 if not isinstance(out, list) or len(out) != count:
                     raise ValueError(f"does not hold {count} entries")
                 return [int(k) for k in out] if attr == "k" else out
-            out = _float_values(columns[key], count, attr in _SCALARS)
+            return _float_values(columns[key], count, attr in _SCALARS)
         except ValueError as exc:
             raise ValueError(f"column {key}: {exc}") from None
-        if attr in _REQUIRED and any(v is None for v in out):
-            raise ValueError(f"a record lacks {key}")
-        return out
 
+    return {f.name: values(f.name) for f in fields(IterateRecord)}
+
+
+def _record_values(records):
+    """Per-field value lists of a v1 or v2 record list, every vector decoded."""
+    values = {attr: [_vec(r.get(key)) for r in records]
+              for attr, key in _RECORD_VECTORS.items()}
+    for attr, read in (("k", int), ("alpha", float), ("grad_norm", float)):
+        values[attr] = [read(r[attr]) for r in records]
+    for attr in ("sigma", "exhausted"):
+        values[attr] = [r.get(attr) for r in records]
+    return values
+
+
+def _records(values):
+    """The records of per-field value lists, every file form's one row
+    builder; ValueError if a record lacks a field that every record holds."""
+    for attr in _REQUIRED:
+        if any(v is None for v in values[attr]):
+            raise ValueError(f"a record lacks {attr}")
     # in field order, the order of IterateRecord's positional arguments
     return [IterateRecord(*row)
-            for row in zip(*[values(f.name) for f in fields(IterateRecord)])]
+            for row in zip(*[values[f.name] for f in fields(IterateRecord)])]
 
 
 @dataclass
 class IterateTrace:
-    """Full record of a solver run: per-iteration records plus terminal state."""
+    """Full record of a solver run: per-iteration records plus terminal state.
+
+    ``iterations`` is the number of records, not a field: no caller or file
+    can set a count that disagrees with them.
+    """
 
     records: list = field(default_factory=list)
     status: str = MAX_ITER
-    iterations: int = 0
     reason: str = ""
     final_x: np.ndarray | None = None
     final_grad_norm: float | None = None
@@ -193,10 +197,13 @@ class IterateTrace:
     def converged(self):
         return self.status == CONVERGED
 
+    @property
+    def iterations(self):
+        return len(self.records)
+
     def finish(self, status, x, grad_norm, reason=""):
         """Record the terminal state after the last record; returns the trace."""
         self.status = status
-        self.iterations = len(self.records)
         self.reason = reason
         self.final_x = x
         self.final_grad_norm = float(grad_norm)
@@ -264,12 +271,11 @@ class IterateTrace:
             status = d["status"]
             final = d.get("final", {})
             records = d["iterations"]  # v3 columns, or a v1 or v2 list
-            records = (_records_from_columns(records) if isinstance(records, dict)
-                       else [IterateRecord.from_dict(r) for r in records])
+            records = _records(_column_values(records) if isinstance(records, dict)
+                               else _record_values(records))
             trace = cls(
                 records=records,
                 status=status["kind"],
-                iterations=int(status["iterations"]),
                 reason=status.get("reason") or "",
                 final_x=_vec(final.get("x")),
                 final_grad_norm=final.get("grad_norm"),

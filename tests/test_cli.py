@@ -977,6 +977,22 @@ def test_a_record_without_its_memory_fails_the_collapse_check(tmp_path, capsys, 
     assert "Traceback" not in printed.err
 
 
+@pytest.mark.parametrize("n", [0, 513, 10**6])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_a_problem_n_outside_the_cap_is_refused_before_any_draw(
+        tmp_path, capsys, monkeypatch, command, n):
+    def draw(n, rng):
+        raise AssertionError(f"drew an orthogonal {n} x {n} matrix")
+
+    monkeypatch.setattr(problem, "_haar_orthogonal", draw)
+    spec = write_spec(tmp_path / "spec.json", {
+        "problems": [{"n": n, "r": 2, "cond": 10.0}], "methods": [{"kind": "cg"}]})
+    capsys.readouterr()
+    assert main([command, "--spec", spec, "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "problems[0]: n must be an integer in [1, 512]" in err
+
+
 def test_missing_spec_file_exits_with_usage_code(tmp_path, capsys):
     code = main(["run", "--spec", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path / "out")])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_generate_problem_rejects_bad_requests():
         generate_problem(3, 1, eigenvalues=[-1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("n", [0, 513, 10**6, 6.0])
+def test_generate_problem_checks_n_before_any_draw(monkeypatch, n):
+    def draw(n, rng):
+        raise AssertionError(f"drew an orthogonal {n} x {n} matrix")
+
+    monkeypatch.setattr(problem, "_haar_orthogonal", draw)
+    with pytest.raises(ValueError, match=r"n must be an integer in \[1, 512\]"):
+        generate_problem(n, 2, cond=10.0)
+
+
 def test_ill_conditioned_warning():
     with pytest.warns(UserWarning, match="condition number"):
         generate_problem(4, 2, cond=1e9, seed=0)
@@ -230,6 +241,40 @@ def test_non_finite_values_are_rejected(tmp_path, bad):
     d["x0"] = x0.tolist()
     with pytest.raises(ValueError, match="x0 must be finite"):
         problem_from_dict(d)
+
+
+# H whose sum with its transpose overflows, and the H a problem keeps: a
+# symmetric one as it is, and one a rounding off symmetric averaged.
+HUGE = [(np.diag([1e308, 1e308]), np.diag([1e308, 1e308])),
+        (np.array([[1e308, 1.0], [1.0 + 2.0**-52, 1e308]]),
+         np.array([[1e308, 1.0], [1.0, 1e308]]))]
+
+
+@pytest.mark.parametrize("H, want", HUGE, ids=["symmetric", "asymmetric"])
+def test_symmetrizing_a_huge_h_keeps_it_finite(tmp_path, H, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warns before it gives inf
+        prob = QuadraticProblem(H, np.ones(2))
+        assert np.isfinite(prob.gradient(np.ones(2))).all()
+        path = tmp_path / "huge.json"
+        save_problem(path, prob)
+        loaded, _, _ = load_problem(path)
+    assert np.array_equal(prob.H, want)
+    assert np.array_equal(loaded.H, want)
+
+
+def test_symmetrizing_keeps_the_average_of_a_finite_sum_bit_for_bit():
+    tiny = 5e-324
+    # halving each entry first would round this pair's average to 2 * tiny
+    H = np.array([[2.0, tiny], [5 * tiny, 2.0]])
+    assert QuadraticProblem(H, np.ones(2)).H[0, 1] == 3 * tiny
+    rng = np.random.default_rng(0)
+    for scale in (1e-300, 1.0, 1e300):
+        A = rng.standard_normal((6, 6))
+        H = (A @ A.T + np.eye(6) + 1e-14 * rng.standard_normal((6, 6))) * scale
+        want = 0.5 * (H + H.T)
+        got = QuadraticProblem(H, np.ones(6)).H
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), scale
 
 
 @pytest.mark.parametrize("field", ["H", "c", "x0"])

@@ -2,7 +2,9 @@
 
 import base64
 import json
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -18,6 +20,7 @@ from qnsubspace import (
     load_problem,
     save_problem,
     subspace_qn_solve,
+    traces_match,
 )
 from qnsubspace.problem import problem_to_dict
 
@@ -371,17 +374,61 @@ def test_record_vectors_are_base64_and_final_x_is_numbers(tmp_path):
     assert all(type(v) is float for v in final_x)
 
 
-def test_v1_traces_with_number_lists_load_to_the_same_arrays(tmp_path):
-    run, _ = sample_traces()
-    payload = run.to_dict()
+def v1_document(trace):
+    """The qnsubspace-trace-v1 document of a trace: one object per record,
+    each vector a number list."""
+    payload = trace.to_dict()
     payload["schema"] = "qnsubspace-trace-v1"
-    # one object per record, each vector a number list
     payload["iterations"] = [
         {"k": rec.k, "alpha": rec.alpha, "grad_norm": rec.grad_norm,
          "sigma": rec.sigma, "exhausted": rec.exhausted,
          **{key: None if getattr(rec, attr) is None else getattr(rec, attr).tolist()
             for key, attr in RECORD_VECTORS.items()}}
-        for rec in run.records]
+        for rec in trace.records]
+    return payload
+
+
+def test_v1_traces_with_number_lists_load_to_the_same_arrays(tmp_path):
+    run, _ = sample_traces()
     path = tmp_path / "v1.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    path.write_text(json.dumps(v1_document(run), indent=2, sort_keys=True))
     assert IterateTrace.load(path).to_dict() == run.to_dict()
+
+
+def test_the_iteration_count_is_the_number_of_records():
+    run, breakdown = sample_traces()
+    assert run.iterations == len(run.records) > 0
+    assert breakdown.iterations == 0
+    with pytest.raises(AttributeError):
+        run.iterations = 0
+
+
+# A qn-subspace run saved in the qnsubspace-trace-v2 form.
+V2_TRACE = Path(__file__).parent / "data" / "trace_v2" / "traces" / "p000__m03_qn-subspace.json"
+
+
+@pytest.mark.parametrize("claim", [
+    lambda status: status.pop("iterations"),
+    lambda status: status.update(iterations="x"),
+    lambda status: status.update(iterations=status["iterations"] + 1),
+    lambda status: status.update(iterations=status["iterations"] - 1),
+], ids=["missing", "text", "one-more", "one-less"])
+@pytest.mark.parametrize("form", ["v1", "v2", "v3"])
+def test_a_file_status_iterations_is_never_read(tmp_path, form, claim):
+    honest = tmp_path / "honest.json"
+    if form == "v2":
+        shutil.copyfile(V2_TRACE, honest)
+    else:
+        run, _ = sample_traces()
+        run.save(honest)
+        if form == "v1":
+            honest.write_text(json.dumps(v1_document(run)))
+    doc = json.loads(honest.read_text())
+    assert doc["schema"] == f"qnsubspace-trace-{form}"
+    claim(doc["status"])
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(doc))
+    want, got = IterateTrace.load(honest), IterateTrace.load(doctored)
+    assert got.iterations == len(got.records) == len(want.records) > 0
+    assert traces_match(got, want, rtol=0.0) == (True, [])
+    assert trace_text(got) == trace_text(want)

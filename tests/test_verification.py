@@ -1,6 +1,7 @@
 """Trace checks: they pass on honest runs and catch doctored ones."""
 
 import copy
+import json
 from dataclasses import fields
 
 import warnings
@@ -157,22 +158,34 @@ def test_the_fields_a_file_leaves_out_change_no_finding(tmp_path, solve, doctor)
     assert findings(doctored, oracle) == want
 
 
-def shift_k(trace):
+def shift_k(trace, path):
     for rec in trace.records:
         rec.k -= 3
+    trace.save(path)
 
 
-def zero_k(trace):
+def zero_k(trace, path):
     for rec in trace.records:
         rec.k = 0
+    trace.save(path)
+
+
+def save_with_count(path, trace, count):
+    """Save ``trace`` with ``count`` in place of its file's status.iterations."""
+    trace.save(path)
+    doc = json.loads(path.read_text())
+    doc["status"]["iterations"] = count
+    path.write_text(json.dumps(doc))
 
 
 def iterations_off_by(change):
-    def doctor(trace):
-        trace.iterations += change
+    def doctor(trace, path):
+        # the count is the number of records: only a file can claim another
+        save_with_count(path, trace, trace.iterations + change)
     return doctor
 
 
+# Each doctor edits a trace and saves it, or writes its file with a wrong count.
 COUNT_DOCTORS = {"k-3": shift_k, "k-0": zero_k,
                  "iterations+1": iterations_off_by(1), "iterations-1": iterations_off_by(-1)}
 
@@ -193,24 +206,24 @@ def test_the_recorded_iteration_numbers_change_no_finding(tmp_path, solve, docto
 
     want = lines(trace)
     doctored = copy_trace(trace)
-    doctor(doctored)
-    assert lines(doctored) == want
     path = tmp_path / "doctored.json"
-    doctored.save(path)
+    doctor(doctored, path)
+    assert lines(doctored) == want
     loaded = IterateTrace.load(path)
     assert [rec.k for rec in loaded.records] == [rec.k for rec in doctored.records]
-    assert loaded.iterations == doctored.iterations
+    assert loaded.iterations == len(loaded.records) == trace.iterations
     assert lines(loaded) == want
 
 
-def test_a_count_the_records_do_not_show_fails():
+def test_a_count_the_records_do_not_show_fails(tmp_path):
     # a cg run cut short of the grade, whose file claims the grade's count
     prob, x0 = generate_problem(16, 4, cond=10.0, seed=104)
     oracle = KrylovOracle(prob, x0)
     assert oracle.grade == 4
-    trace = cg_solve(prob, x0, max_iter=3)
+    path = tmp_path / "claims_4.json"
+    save_with_count(path, cg_solve(prob, x0, max_iter=3), 4)
+    trace = IterateTrace.load(path)
     assert len(trace.records) == 3
-    trace.iterations = 4
     finding, = (f for f in check_conjugate_baseline(trace, oracle).findings
                 if f.name == "terminates in exactly the subspace grade")
     assert not finding.passed
@@ -221,7 +234,6 @@ def test_baseline_check_catches_a_wrong_count():
     prob, x0 = generate_problem(8, 5, cond=30.0, seed=101)
     trace = copy_trace(cg_solve(prob, x0, tol=1e-10))
     trace.records.pop()
-    trace.iterations -= 1
     report = check_conjugate_baseline(trace, KrylovOracle(prob, x0))
     assert any(f.name == "terminates in exactly the subspace grade"
                for f in report.failures())
