@@ -1,23 +1,18 @@
 """Restricted Newton steps and the recursion that grows them.
 
 A Newton step restricted to one direction is an exact line search in
-disguise. Restricted to a basis it jumps straight to the minimizer over
-that affine subspace. The extension recursion grows such a step one
-conjugate direction at a time using only the current subspace gradient,
-the previous direction, and Hessian products; composed from scratch it
-reproduces every Krylov-subspace minimizer without any line search.
+disguise. Restricted to a basis S it solves the projected system
+(S'HS) b = -S'g and jumps straight to the minimizer over that affine
+subspace. Growing such a step one conjugate direction at a time needs only
+the gradient at the current minimizer, the previous direction, and Hessian
+products: the next direction is -g_hat + c q with c = g_hat'Hq / q'Hq, the
+solver's own two-term recursion, and one exact step along it lands on the
+next Krylov minimizer without any projected solve.
 """
 
 import numpy as np
 
-from qnsubspace import (
-    KrylovOracle,
-    exact_line_search,
-    extend_step,
-    generate_problem,
-    newton_scaling,
-    subspace_newton_general,
-)
+from qnsubspace import KrylovOracle, exact_line_search, generate_problem, newton_scaling
 
 prob, x0 = generate_problem(n=8, grade=6, cond=40.0, seed=5)
 oracle = KrylovOracle(prob, x0)
@@ -30,24 +25,28 @@ beta = newton_scaling(prob.gradient(x), p, prob.hessian_action(p))
 alpha = exact_line_search(prob, x, p)
 print(f"newton scaling {beta:+.6f}  vs  exact line search {alpha:+.6f}")
 
-# several directions: lands on the minimizer over the affine subspace,
-# so the new gradient is orthogonal to every basis vector
-basis = [rng.standard_normal(prob.n) for _ in range(3)]
-step, scalings = subspace_newton_general(basis, prob, x)
+# several directions: the projected solve lands on the minimizer over the
+# affine subspace, so the new gradient is orthogonal to every basis vector
+S = rng.standard_normal((prob.n, 3))
+HS = np.column_stack([prob.hessian_action(v) for v in S.T])
+step = S @ np.linalg.solve(S.T @ HS, -(S.T @ prob.gradient(x)))
 g_after = prob.gradient(x + step)
-worst = max(abs(g_after @ v) / np.linalg.norm(v) for v in basis)
+worst = max(abs(g_after @ v) / np.linalg.norm(v) for v in S.T)
 print(f"restricted Newton over 3 directions: worst |g'v|/|v| after = {worst:.2e}")
 
 # grow the step one conjugate direction at a time from the steepest
 # descent start; each partial step hits the next Krylov minimizer
 g0 = prob.gradient(x0)
 step = newton_scaling(g0, -g0, prob.hessian_action(-g0)) * (-g0)
-q_prev = step.copy()
+q = step.copy()
 print("\ncomposed extension vs Krylov minimizers:")
 for k in range(1, oracle.grade):
     miss = np.linalg.norm(x0 + step - oracle.minimizer(k))
     print(f"  k={k}: miss {miss:.2e}")
-    ext = extend_step(step, q_prev, prob.gradient(x0 + step), prob.hessian_action)
-    step, q_prev = ext.step, ext.direction
+    g_hat = prob.gradient(x0 + step)
+    h_q = prob.hessian_action(q)
+    d = -g_hat + float(g_hat @ h_q) / float(q @ h_q) * q
+    q = exact_line_search(prob, x0 + step, d) * d
+    step = step + q
 final = np.linalg.norm(x0 + step - prob.solution())
 print(f"  k={oracle.grade}: miss {final:.2e} (the solution)")

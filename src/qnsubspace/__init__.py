@@ -2,13 +2,12 @@
 
 The package provides strictly convex quadratic test problems with exact
 Krylov-space references (:mod:`~qnsubspace.problem`), classical
-conjugate-direction baselines (:mod:`~qnsubspace.baselines`), restricted
-Newton steps with their rank-one extension and the reference Hessian
-approximation, formed as a matrix, that copies curvature on a chosen span
-(:mod:`~qnsubspace.approximation`), the arbitrary-step quasi-Newton solver,
-whose direction is that approximation's in closed form
-(:mod:`~qnsubspace.algorithm`), and independent checks of its termination
-claims (:mod:`~qnsubspace.verification`).
+conjugate-direction baselines (:mod:`~qnsubspace.baselines`), the
+arbitrary-step quasi-Newton solver with its Newton scaling and sigma, whose
+direction is that of a curvature-copying Hessian approximation in closed
+form (:mod:`~qnsubspace.algorithm`), that approximation's dense reference
+(:mod:`~qnsubspace.approximation`), and independent checks of the solver's
+termination claims (:mod:`~qnsubspace.verification`).
 """
 
 from .algorithm import (
@@ -16,19 +15,12 @@ from .algorithm import (
     ORACLE,
     SigmaPolicy,
     StepPolicy,
+    newton_scaling,
+    newton_sigma,
     solve_direction,
     subspace_qn_solve,
 )
-from .approximation import (
-    SpanApprox,
-    StepExtension,
-    SubspaceNewtonStep,
-    build_two_vector,
-    extend_step,
-    newton_scaling,
-    newton_sigma,
-    subspace_newton_general,
-)
+from .approximation import SpanApprox, build_two_vector
 from .baselines import (
     bfgs_inverse_update,
     cg_solve,
@@ -90,9 +82,7 @@ __all__ = [
     "QuadraticProblem",
     "SigmaPolicy",
     "SpanApprox",
-    "StepExtension",
     "StepPolicy",
-    "SubspaceNewtonStep",
     "bfgs_inverse_update",
     "build_two_vector",
     "cg_solve",
@@ -101,7 +91,6 @@ __all__ = [
     "check_newton_onset",
     "check_unit_step_counts",
     "exact_line_search",
-    "extend_step",
     "generate_problem",
     "krylov_grade",
     "load_problem",
@@ -113,7 +102,6 @@ __all__ = [
     "qn_exact_ls_solve",
     "save_problem",
     "solve_direction",
-    "subspace_newton_general",
     "subspace_qn_solve",
     "traces_match",
     "verify_trace",

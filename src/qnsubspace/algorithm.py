@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import _upcoming_direction, newton_scaling, newton_sigma
 # unused here: the traced benchmark wraps these names on this module
 from .approximation import SpanApprox, build_two_vector  # noqa: F401
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
@@ -46,6 +45,48 @@ EXHAUSTED_RTOL = 1e-8
 # Relative floor for q'Hq against ||q|| ||Hq||; below it the curvature along
 # q is numerically degenerate.
 CURVATURE_RTOL = 1e-14
+
+
+def newton_scaling(g, q, h_q):
+    """Coefficient b = -g'q / q'Hq making x + b q stationary along q."""
+    curv = float(q @ h_q)
+    if curv <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"direction has nonpositive curvature q'Hq = {curv:.3e}"
+        )
+    return -float(g @ q) / curv
+
+
+def _upcoming_direction(g_hat, q, h_q):
+    """(c, -g_hat + c q): the next direction conjugate to q from the gradient
+    g_hat at the minimizer along q, c = g_hat'Hq / q'Hq, or 0 while q = 0 (the
+    solver's q before its first step and once its span is exhausted)."""
+    q_h_q = float(q @ h_q)
+    coef = float(g_hat @ h_q) / q_h_q if q_h_q > 0.0 else 0.0
+    return coef, -g_hat + coef * q
+
+
+def newton_sigma(q, h_q, g):
+    """The complement scaling that turns the next solve into a full Newton step.
+
+    For the upcoming conjugate direction q (normalized with unit coefficient
+    on the negated subspace gradient) and the current gradient g, the unique
+    value is sigma = -q'Hq / q'g. It is the reciprocal of the Newton scaling
+    of q at the same point, hence positive in any consistent state; where
+    rounding makes it nonpositive or not finite, DegenerateBasisError.
+    """
+    q = np.asarray(q, dtype=float)
+    g = np.asarray(g, dtype=float)
+    slope = float(q @ g)
+    if abs(slope) <= 1e-300 or abs(slope) <= 1e-15 * norm(q) * norm(g):
+        raise DegenerateBasisError(
+            "q'g vanishes: the point is already optimal over the extended span"
+        )
+    sigma = -float(q @ np.asarray(h_q, dtype=float)) / slope
+    if not 0.0 < sigma < np.inf:
+        raise DegenerateBasisError(f"Newton scaling {sigma:.4g} is not a finite "
+                                   "positive number")
+    return sigma
 
 
 def _newton_value(image, x, g, h_newton_step, q, h_q, exhausted):
@@ -311,9 +352,10 @@ def solve_direction(g, newton_step, h_newton_step, q, h_q, sigma):
     B copies H on P = [newton_step, q] and is sigma I on the complement of
     span(P) (``approximation.SpanApprox``, never built here). The gradient at
     the restricted minimizer, g_hat = g + H newton_step, is orthogonal to
-    span(P), and B sends the upcoming conjugate direction to -sigma g_hat, so
+    span(P), and B sends the upcoming conjugate direction -g_hat + c q of
+    :func:`_upcoming_direction` to -sigma g_hat, so, with c = g_hat'Hq / q'Hq,
 
-        p = newton_step + (-g_hat + c q) / sigma,   c = g_hat'Hq / q'Hq.
+        p = newton_step + (-g_hat + c q) / sigma.
     """
     return newton_step + _upcoming_direction(g + h_newton_step, q, h_q)[1] / sigma
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .approximation import _upcoming_direction, newton_scaling
+from .algorithm import _upcoming_direction, newton_scaling
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
 from .trace import BREAKDOWN, CONVERGED, IterateRecord, Run
 from .util import check_run_limits

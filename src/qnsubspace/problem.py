@@ -180,11 +180,10 @@ class KrylovOracle:
             x0 = np.zeros(prob.n)
         self.origin = prob._check_vector(x0, name="x0")
         g0 = prob.gradient(self.origin)
-        self._g0 = g0
         g0_norm = util.norm(g0)
 
         evals, evecs = prob.spectrum
-        self.condition_number = float(evals[-1] / evals[0])
+        self.condition_number = prob.condition_number()
 
         tol = RANK_RTOL * max(1.0, norm(prob.H, 1))
         # eigenvalues at most tol apart from their neighbour share a cluster c;
@@ -293,6 +292,14 @@ def krylov_grade(prob, x0=None):
     return KrylovOracle(prob, x0).grade
 
 
+def _dimension(n):
+    """``n`` as an int; ValueError unless an integer, not a bool, in [1, MAX_DIMENSION]."""
+    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+            or not 1 <= n <= MAX_DIMENSION):
+        raise ValueError(f"n must be an integer in [1, {MAX_DIMENSION}], got {n!r}")
+    return int(n)
+
+
 def _haar_orthogonal(n, rng):
     """Random orthogonal matrix from Householder-based QR of a Gaussian draw."""
     A = rng.standard_normal((n, n))
@@ -312,9 +319,10 @@ def generate_problem(n, grade=None, *, eigenvalues=None, cond=None, seed=0):
         Number of distinct eigenvalues the initial gradient touches. Defaults
         to the number of distinct eigenvalues. Must not exceed it.
     eigenvalues : array_like, optional
-        Explicit positive spectrum of length n. Mutually exclusive with cond.
+        Finite positive spectrum of length n. Mutually exclusive with cond.
     cond : float, optional
-        Target condition number; eigenvalues are log-spaced in [1, cond].
+        Target condition number, finite and at least 1; eigenvalues are
+        log-spaced in [1, cond]. Both are checked before any draw.
     seed : int
         Seeds all randomness; identical seeds reproduce H and c bit for bit.
 
@@ -325,18 +333,20 @@ def generate_problem(n, grade=None, *, eigenvalues=None, cond=None, seed=0):
         then equals c, built with nonzero components along exactly ``grade``
         eigendirections of distinct eigenvalue, which forces that grade.
     """
-    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
-            or not 1 <= n <= MAX_DIMENSION):
-        raise ValueError(f"n must be an integer in [1, {MAX_DIMENSION}], got {n!r}")
+    n = _dimension(n)
     if (eigenvalues is None) == (cond is None):
         raise ValueError("exactly one of eigenvalues and cond must be given")
     if eigenvalues is not None:
         lam = np.sort(np.asarray(eigenvalues, dtype=float))
         if lam.shape != (n,):
             raise ValueError(f"eigenvalues must have length {n}")
+        if not np.isfinite(lam).all():
+            raise ValueError("eigenvalues must be finite")
     else:
-        if cond < 1.0:
-            raise ValueError("cond must be at least 1")
+        if (isinstance(cond, bool)
+                or not isinstance(cond, (int, float, np.integer, np.floating))
+                or not 1.0 <= cond <= float(np.finfo(float).max)):
+            raise ValueError(f"cond must be a finite number of at least 1, got {cond!r}")
         lam = np.geomspace(1.0, float(cond), n) if n > 1 else np.ones(1)
     if lam[0] <= 0.0:
         raise ValueError("eigenvalues must be positive")
@@ -411,7 +421,7 @@ def _float_array(values):
 def problem_from_dict(d):
     """Inverse of :func:`problem_to_dict`. Returns (problem, x0, meta)."""
     try:
-        n = int(d["n"])
+        n = _dimension(d["n"])
         H = _float_array(d["H"])
         if H.shape != (n * n,):
             raise ValueError(f"H must hold {n * n} row-major entries, got {H.size}")

@@ -9,6 +9,7 @@ expected trace values carry no rounding at all.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -212,6 +213,66 @@ def memoryless_bfgs_dense(p, h_p):
 def operator_matrix(matvec, n):
     """The n x n matrix of a linear operator, one unit vector at a time."""
     return np.column_stack([matvec(e) for e in np.eye(n)])
+
+
+# ---------------------------------------------------------------------------
+# the rank-one step extension (criterion 3)
+
+# Relative floor for the 2x2 determinant in extend_step; below it the new
+# gradient is (numerically) inside the current span.
+EXTEND_DET_RTOL = 1e-14
+
+
+class StepExtension(NamedTuple):
+    """Result of growing a restricted Newton step by one direction.
+
+    ``direction`` is the increment beta * g_hat + gamma * q_prev: the next
+    conjugate direction, already scaled so that adding it to the previous
+    constrained minimizer lands exactly on the next one.
+    """
+
+    step: np.ndarray
+    beta: float
+    gamma: float
+    direction: np.ndarray
+
+
+def extend_step(newton_prev, q_prev, g_hat, h_action):
+    """Extend a restricted Newton step across one more direction, in closed form.
+
+    Given the Newton step ``newton_prev`` over the current span from some
+    point x, the most recent conjugate direction ``q_prev``, and the gradient
+    ``g_hat`` at the minimizer over that span, returns the Newton step from x
+    over the span grown by g_hat. The 2x2 system in (g_hat, q_prev) is solved
+    with the explicit adjugate:
+
+        D     = (g'Hg)(q'Hq) - (g'Hq)^2
+        beta  = -(g'g)(q'Hq) / D
+        gamma =  (g'g)(q'Hg) / D
+
+    beta and the product gamma * q_prev do not depend on the scaling of
+    q_prev. A determinant at or below the relative floor means the span
+    cannot grow: the minimizer over it is already stationary (or the inputs
+    are degenerate), reported as ``np.linalg.LinAlgError``.
+    """
+    newton_prev = np.asarray(newton_prev, dtype=float)
+    q_prev = np.asarray(q_prev, dtype=float)
+    g_hat = np.asarray(g_hat, dtype=float)
+    h_g = np.asarray(h_action(g_hat), dtype=float)
+    h_q = np.asarray(h_action(q_prev), dtype=float)
+    gg = float(g_hat @ g_hat)
+    g_h_g = float(g_hat @ h_g)
+    q_h_q = float(q_prev @ h_q)
+    g_h_q = float(g_hat @ h_q)
+    det = g_h_g * q_h_q - g_h_q**2
+    if det <= EXTEND_DET_RTOL * gg * q_h_q:
+        raise np.linalg.LinAlgError(
+            "new gradient adds no direction: converged or degenerate state"
+        )
+    beta = -gg * q_h_q / det
+    gamma = gg * g_h_q / det
+    direction = beta * g_hat + gamma * q_prev
+    return StepExtension(newton_prev + direction, beta, gamma, direction)
 
 
 # ---------------------------------------------------------------------------

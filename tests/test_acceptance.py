@@ -23,7 +23,6 @@ from qnsubspace import (
     SpanApprox,
     StepPolicy,
     cg_solve,
-    extend_step,
     generate_problem,
     newton_scaling,
     qn_exact_ls_solve,
@@ -173,7 +172,7 @@ def test_criterion_3_extension_composes():
         checked += 1
         for k in range(1, r):
             g_hat = prob.gradient(x0 + step)
-            ext = extend_step(step, q_prev, g_hat, prob.hessian_action)
+            ext = oracles.extend_step(step, q_prev, g_hat, prob.hessian_action)
             step, q_prev = ext.step, ext.direction
             ref = oracle.minimizer(k + 1)
             worst = max(worst, norm(x0 + step - ref) / (1.0 + norm(ref)))

@@ -728,6 +728,16 @@ def test_problem_files_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys,
                             doctored_copy(tmp_path, problem_path, doctor))
 
 
+@pytest.mark.parametrize("n", [2.7, True, 0, -2], ids=["fraction", "true", "zero", "negative"])
+def test_a_problem_file_n_outside_the_cap_exits_with_usage_code(tmp_path, capsys, n):
+    trace_path, problem_path = run_one(tmp_path)
+    doctored = doctored_copy(tmp_path, problem_path, lambda d: {**d, "n": n})
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace_path), "--problem", str(doctored)])
+    assert code == EXIT_USAGE
+    assert f"n must be an integer in [1, 512], got {n!r}" in capsys.readouterr().err
+
+
 class Unpickled:
     """Pickles to a call that makes the directory ``marker``, so that
     unpickling it leaves a trace on disk."""
@@ -991,6 +1001,25 @@ def test_a_problem_n_outside_the_cap_is_refused_before_any_draw(
     assert main([command, "--spec", spec, "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "problems[0]: n must be an integer in [1, 512]" in err
+
+
+@pytest.mark.parametrize("spectrum, message", [
+    ({"cond": float("inf")}, "cond must be a finite number of at least 1"),
+    ({"cond": float("nan")}, "cond must be a finite number of at least 1"),
+    ({"eigenvalues": [1.0, 2.0, 3.0, float("inf")]}, "eigenvalues must be finite"),
+], ids=["inf-cond", "nan-cond", "inf-eigenvalue"])
+def test_a_non_finite_spectrum_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                          spectrum, message):
+    def draw(n, rng):
+        raise AssertionError(f"drew an orthogonal {n} x {n} matrix")
+
+    monkeypatch.setattr(problem, "_haar_orthogonal", draw)
+    # json.dumps writes the non-finite values as Infinity and NaN
+    spec = write_spec(tmp_path / "spec.json", {
+        "problems": [{"n": 4, "r": 2, **spectrum}], "methods": [{"kind": "cg"}]})
+    capsys.readouterr()
+    assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"problems[0]: {message}" in capsys.readouterr().err
 
 
 def test_missing_spec_file_exits_with_usage_code(tmp_path, capsys):

@@ -13,3 +13,11 @@ def test_all_lists_every_public_name_once_and_sorted():
     assert set(qnsubspace.__all__) == public
     for name in qnsubspace.__all__:
         assert getattr(qnsubspace, name) is not None
+
+
+def test_the_restricted_newton_constructions_are_not_shipped():
+    assert len(qnsubspace.__all__) == 40
+    gone = ("StepExtension", "SubspaceNewtonStep", "extend_step", "subspace_newton_general")
+    for name in gone:
+        assert not hasattr(qnsubspace, name)
+        assert not hasattr(qnsubspace.approximation, name)

@@ -201,6 +201,26 @@ def test_generate_problem_checks_n_before_any_draw(monkeypatch, n):
         generate_problem(n, 2, cond=10.0)
 
 
+@pytest.mark.parametrize("spectrum, message", [
+    ({"cond": np.inf}, "cond must be a finite number of at least 1"),
+    ({"cond": np.nan}, "cond must be a finite number of at least 1"),
+    ({"cond": 0.5}, "cond must be a finite number of at least 1"),
+    ({"cond": 10**400}, "cond must be a finite number of at least 1"),
+    ({"cond": "10"}, "cond must be a finite number of at least 1"),
+    ({"eigenvalues": [1.0, np.inf, 2.0, 3.0]}, "eigenvalues must be finite"),
+    ({"eigenvalues": [1.0, np.nan, 2.0, 3.0]}, "eigenvalues must be finite"),
+], ids=["inf", "nan", "below-one", "past-float", "text", "inf-eigenvalue",
+        "nan-eigenvalue"])
+def test_generate_problem_checks_the_spectrum_before_any_draw(monkeypatch, spectrum,
+                                                              message):
+    def draw(n, rng):
+        raise AssertionError(f"drew an orthogonal {n} x {n} matrix")
+
+    monkeypatch.setattr(problem, "_haar_orthogonal", draw)
+    with pytest.raises(ValueError, match=message):
+        generate_problem(4, 2, **spectrum)
+
+
 def test_ill_conditioned_warning():
     with pytest.warns(UserWarning, match="condition number"):
         generate_problem(4, 2, cond=1e9, seed=0)
@@ -240,6 +260,15 @@ def test_non_finite_values_are_rejected(tmp_path, bad):
     d = problem_to_dict(prob)
     d["x0"] = x0.tolist()
     with pytest.raises(ValueError, match="x0 must be finite"):
+        problem_from_dict(d)
+
+
+# n as a problem file may give it, with the H and c of that many (rounded) rows
+@pytest.mark.parametrize("n, rows", [(2.7, 2), (True, 1), (0, 0), (-2, 2)],
+                         ids=["fraction", "true", "zero", "negative"])
+def test_a_problem_file_n_must_be_an_integer_in_range(n, rows):
+    d = {"n": n, "H": np.eye(rows).ravel().tolist(), "c": [1.0] * rows}
+    with pytest.raises(ValueError, match=rf"n must be an integer in \[1, 512\], got {n!r}"):
         problem_from_dict(d)
 
 
