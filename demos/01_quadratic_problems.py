@@ -13,7 +13,7 @@ from qnsubspace import KrylovOracle, QuadraticProblem, generate_problem
 # a hand-built 2x2 instance with solution (1, 1/2)
 prob = QuadraticProblem(np.diag([1.0, 2.0]), np.array([-1.0, -1.0]))
 print(f"hand-built: n={prob.n}, cond={prob.condition_number():.1f}, "
-      f"solution={prob.solution()}")
+      f"solution={KrylovOracle(prob).solution}")
 print(f"gradient at origin: {prob.gradient(np.zeros(2))}")
 
 # a generated instance: 8 dimensions but only 5 touched eigenvalues,
@@ -26,7 +26,7 @@ print(f"\ngenerated: n={prob.n}, cond={prob.condition_number():.1f}, "
 # minimizers over growing Krylov subspaces walk toward the solution;
 # the grade-th one is the solution itself
 for k in range(oracle.grade + 1):
-    gap = np.linalg.norm(oracle.minimizer(k) - prob.solution())
+    gap = np.linalg.norm(oracle.minimizer(k) - oracle.solution)
     print(f"  distance from minimizer({k}) to solution: {gap:.3e}")
 
 # consecutive minimizer gaps are mutually conjugate directions

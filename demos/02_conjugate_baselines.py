@@ -10,7 +10,17 @@ method is measured against.
 import numpy as np
 
 from qnsubspace import KrylovOracle, cg_solve, generate_problem, qn_exact_ls_solve
-from qnsubspace.util import direction_angle
+
+
+def line_angle(u, v):
+    """Angle between the lines of u and v, from the chord of their unit
+    vectors: accurate near zero, where arccos of u'v/(|u||v|) is not."""
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    if u @ v < 0.0:
+        v = -v
+    return 2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(u - v)))
+
 
 prob, x0 = generate_problem(n=10, grade=6, cond=25.0, seed=7)
 oracle = KrylovOracle(prob, x0)
@@ -24,7 +34,7 @@ traces = {
 }
 
 for name, trace in traces.items():
-    err = np.linalg.norm(trace.final_x - prob.solution())
+    err = np.linalg.norm(trace.final_x - oracle.solution)
     print(f"{name:>10}: {trace.status} in {trace.iterations} iterations "
         f"(grade {oracle.grade}), |x - x*| = {err:.2e}")
 
@@ -33,7 +43,7 @@ for name, trace in traces.items():
 print("\nper-iteration direction angles against the oracle (radians):")
 for name, trace in traces.items():
     angles = [
-        direction_angle(rec.p, oracle.conjugate_direction(rec.k))
+        line_angle(rec.p, oracle.conjugate_direction(rec.k))
         for rec in trace.records
     ]
     print(f"{name:>10}: max {max(angles):.2e}")

@@ -48,5 +48,5 @@ for k in range(1, oracle.grade):
     d = -g_hat + float(g_hat @ h_q) / float(q @ h_q) * q
     q = exact_line_search(prob, x0 + step, d) * d
     step = step + q
-final = np.linalg.norm(x0 + step - prob.solution())
+final = np.linalg.norm(x0 + step - oracle.solution)
 print(f"  k={oracle.grade}: miss {final:.2e} (the solution)")

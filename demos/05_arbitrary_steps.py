@@ -21,7 +21,8 @@ from qnsubspace import (
 )
 
 prob, x0 = generate_problem(n=9, grade=6, cond=20.0, seed=3)
-r = KrylovOracle(prob, x0).grade
+oracle = KrylovOracle(prob, x0)
+r = oracle.grade
 print(f"instance: n={prob.n}, grade={r}, cond={prob.condition_number():.1f}\n")
 
 # random steps for r iterations, then unit steps: terminates immediately
@@ -37,7 +38,7 @@ for rec in trace.records:
 
 # after the grade the proposed step is the exact remaining gap
 final = trace.records[r]
-gap = np.linalg.norm((final.x + final.p) - prob.solution())
+gap = np.linalg.norm((final.x + final.p) - oracle.solution)
 print(f"at k={r} the proposed step lands {gap:.2e} from the solution\n")
 
 # tuned sigma at iteration r-2 makes the final steps full Newton steps:

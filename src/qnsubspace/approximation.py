@@ -23,7 +23,7 @@ reading those names (ROADMAP item 1).
 import numpy as np
 
 from .errors import DegenerateBasisError
-from .util import cosine_alignment, norm
+from .util import norm
 
 # Two spanning vectors closer than this (in 1 - |cos|) collapse to one column.
 COLLAPSE_TOL = 1e-10
@@ -109,8 +109,8 @@ class SpanApprox:
 
 def span_collapses(newton_step, align_gap):
     """Whether the two-vector span drops to the single column q: the Newton
-    step is zero, or ``align_gap = 1 - cosine_alignment(newton_step, q)`` is
-    within COLLAPSE_TOL."""
+    step is zero, or ``align_gap = 1 - |cos(newton_step, q)|`` is within
+    COLLAPSE_TOL."""
     return bool(norm(newton_step) == 0.0 or align_gap <= COLLAPSE_TOL)
 
 
@@ -125,7 +125,10 @@ def build_two_vector(newton_step, h_newton_step, q, h_q, sigma):
         raise DegenerateBasisError("conjugate direction is zero")
     newton_step = np.asarray(newton_step, dtype=float)
     h_newton_step = np.asarray(h_newton_step, dtype=float)
-    if span_collapses(newton_step, 1.0 - cosine_alignment(newton_step, q)):
+    # |cos(pN, q)|, 0 for a zero pN, which collapses whatever its gap
+    pn_norm = norm(newton_step)
+    cos = abs(float(newton_step @ q)) / (pn_norm * norm(q)) if pn_norm else 0.0
+    if span_collapses(newton_step, 1.0 - min(1.0, cos)):
         return SpanApprox(q[:, None], h_q[:, None], sigma)
     return SpanApprox(
         np.column_stack([newton_step, q]),

@@ -105,11 +105,14 @@ def _resolve_problem(pspec, idx, base_seed):
     where = f"problems[{idx}]"
     _require(isinstance(pspec, dict), where, "must be an object")
     if "path" in pspec:
+        path = pspec["path"]
+        _require(isinstance(path, str) and path, where,
+                 f"path must be a non-empty string, got {path!r}")
         try:
-            prob, x0, meta = load_problem(pspec["path"])
+            prob, x0, meta = load_problem(path)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise SpecError(f"{where}: cannot load {pspec['path']}: {exc}")
-        pid = pspec.get("id") or Path(pspec["path"]).stem
+            raise SpecError(f"{where}: cannot load {path}: {exc}")
+        pid = pspec.get("id") or Path(path).stem
         return prob, x0, pid, meta.get("spec"), meta.get("seed")
 
     _require("n" in pspec, where, "needs either 'path' or 'n'")

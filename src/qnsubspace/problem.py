@@ -125,16 +125,6 @@ class QuadraticProblem:
         v = self._check_vector(v, name="v")
         return self._H @ v
 
-    def solution(self):
-        """The unique minimizer, solving Hx + c = 0 densely.
-
-        One step of iterative refinement keeps the residual well below
-        1e-10 * (1 + ||c||) even for poorly scaled spectra.
-        """
-        x = np.linalg.solve(self._H, -self._c)
-        x += np.linalg.solve(self._H, -(self._H @ x + self._c))
-        return x
-
     @cached_property
     def spectrum(self):
         """Read-only (eigenvalues ascending, eigenvectors as columns) of H, from
@@ -232,7 +222,8 @@ class KrylovOracle:
     @cached_property
     def solution(self):
         """The problem's unique minimizer, -V((V'c) / lambda) for the
-        eigendecomposition H = V diag(lambda) V', refined once the same way."""
+        eigendecomposition H = V diag(lambda) V', plus one step of iterative
+        refinement: the same formula applied to the residual Hx + c."""
         (lam, V), H, c = self.problem.spectrum, self.problem.H, self.problem.c
         x = -(V @ ((V.T @ c) / lam))
         x -= V @ ((V.T @ (H @ x + c)) / lam)
@@ -317,7 +308,8 @@ def generate_problem(n, grade=None, *, eigenvalues=None, cond=None, seed=0):
         anything is drawn.
     grade : int, optional
         Number of distinct eigenvalues the initial gradient touches. Defaults
-        to the number of distinct eigenvalues. Must not exceed it.
+        to the number of distinct eigenvalues. An integer, not a bool, in
+        [1, that number], checked before anything is drawn.
     eigenvalues : array_like, optional
         Finite positive spectrum of length n. Mutually exclusive with cond.
     cond : float, optional
@@ -361,11 +353,10 @@ def generate_problem(n, grade=None, *, eigenvalues=None, cond=None, seed=0):
     distinct_starts = [0] + [i for i in range(1, n) if lam[i] != lam[i - 1]]
     if grade is None:
         grade = len(distinct_starts)
-    if not 1 <= grade <= len(distinct_starts):
+    if (not isinstance(grade, (int, np.integer)) or isinstance(grade, bool)
+            or not 1 <= grade <= len(distinct_starts)):
         raise ValueError(
-            f"grade {grade} must lie in [1, {len(distinct_starts)}], the number "
-            "of distinct eigenvalues"
-        )
+            f"grade must be an integer in [1, {len(distinct_starts)}], got {grade!r}")
 
     rng = np.random.default_rng(seed)
     Q = _haar_orthogonal(n, rng)

@@ -11,9 +11,13 @@ problem and start point, which every trace of that problem can share.
 
 A check stacks each record field it reads once, as the rows of one array,
 and computes every per-record quantity (distances, angles, alignments) in
-one array expression whose rows are bit for bit what the per-record helpers
-in :mod:`qnsubspace.util` give. ``tests/oracles.py`` keeps the per-record
-loops the checks replaced, as references the tests compare them against.
+one array expression. ``tests/oracles.py`` keeps the per-record loops the
+checks replaced, with their vector helpers written out, as references the
+tests compare them against.
+
+A finding over many records or pairs takes the worst of their values, and
+always through :func:`_worst`: a NaN among them makes the finding's value
+NaN, and the finding fails.
 """
 
 from dataclasses import dataclass, field, fields
@@ -110,22 +114,24 @@ def _norms(A):
 
 
 def _angles(U, V):
-    """``direction_angle`` of each pair of rows of two (K, n) arrays, by its
-    chord formula; ValueError on a zero row, as ``unit`` raises."""
+    """Angle between the lines of each pair of rows of two (K, n) arrays.
+
+    Taken from the chord between the unit rows, signs aligned, which stays
+    accurate near zero where arccos of their inner product does not; a NaN
+    chord reads as the widest angle, pi. ValueError on a zero row.
+    """
     u_norms, v_norms = _norms(U), _norms(V)
     if not (u_norms.all() and v_norms.all()):
         raise ValueError("cannot normalize the zero vector")
     U = U / u_norms[:, None]
     V = V / v_norms[:, None]
     V[_dots(U, V) < 0.0] *= -1.0
-    # fmin, like the scalar min(1.0, chord / 2), takes 1.0 over a NaN chord
     return 2.0 * np.arcsin(np.fmin(1.0, 0.5 * _norms(U - V)))
 
 
 def _worst(values):
-    """max(0.0, v_0, v_1, ...) of a float array; a NaN value is passed over,
-    as ``max(worst, v)`` passes it over in a loop."""
-    return float(np.fmax.reduce(values, initial=0.0))
+    """max(0.0, v_0, v_1, ...) of a float array, NaN if any value is NaN."""
+    return float(np.maximum.reduce(values, initial=0.0))
 
 
 def _count_findings(report, trace, name, counts, r):
@@ -159,8 +165,7 @@ def check_newton_onset(trace, oracle):
     P = _rows([rec.p for rec in records], prob.n)
 
     if count > r:
-        # Python's max over the list, as the per-record loop took it
-        worst = max(_norms(X[r:] + P[r:] - x_star).tolist()) / x_scale
+        worst = _worst(_norms(X[r:] + P[r:] - x_star)) / x_scale
         report.add(
             "full Newton step from the grade onward",
             worst <= NEWTON_ONSET_RTOL,
@@ -228,8 +233,7 @@ def check_newton_onset(trace, oracle):
                            out=np.zeros((len(tracked), Q.shape[1])))
         mask = np.arange(r)[None, :] < np.minimum(ks[tracked] + 1, r)[:, None]
         pairs = int(mask.sum())
-        if pairs:
-            worst_orth = float(scaled[mask].max())
+        worst_orth = _worst(scaled[mask])
     report.add(
         "restricted Newton step reaches the subspace minimizer",
         worst_orth <= ORTHOGONALITY_RTOL,
@@ -280,19 +284,20 @@ def check_unit_step_counts(trace, oracle):
     nonzero = (pn_norms != 0.0) & (q_norms != 0.0)  # else |cos| is 0 by convention
     cos = np.divide(np.abs(_dots(PN, Q)), pn_norms * q_norms,
                     where=nonzero, out=np.zeros(len(both)))
-    gaps = 1.0 - np.fmin(1.0, cos)
+    gaps = 1.0 - np.minimum(1.0, cos)
     # span_collapses' rule, unless the span was already exhausted
     single = (np.array([bool(records[i].exhausted) for i in both], dtype=bool)
               | (pn_norms == 0.0) | (gaps <= COLLAPSE_TOL))
     narrow = {i for i, one in zip(both, single) if one}
     wide = [i for i in sig if i not in narrow]
     gaps = gaps[nonzero]
+    worst_gap = _worst(gaps) if gaps.size else None
     detail = [f"two-direction memory at iterations {wide}"] if wide else []
     if gaps.size:
-        detail.append(f"max 1 - |cos(pN, q)| {gaps.max():.3e} over {gaps.size} "
+        detail.append(f"max 1 - |cos(pN, q)| {worst_gap:.3e} over {gaps.size} "
                       f"iterations (COLLAPSE_TOL {COLLAPSE_TOL:.0e})")
     report.add("memory stays a single direction", not wide, "; ".join(detail),
-               float(gaps.max()) if gaps.size else None)
+               worst_gap)
     return report
 
 
@@ -313,14 +318,10 @@ def _conjugacy_defect(P, HP):
     """max over i != j of |p_i'Hp_j| / (||Hp_i|| ||p_j||) for the columns p_i
     of P and Hp_i of HP, pairs with a zero norm left out; 0.0 for fewer than
     two directions."""
-    if P.shape[1] < 2:
-        return 0.0
     denom = np.outer(np.linalg.norm(HP, axis=0), np.linalg.norm(P, axis=0))
     keep = denom != 0.0
     np.fill_diagonal(keep, False)
-    if not keep.any():
-        return 0.0
-    return float(np.max(np.abs(HP.T @ P)[keep] / denom[keep]))
+    return _worst(np.abs(HP.T @ P)[keep] / denom[keep])
 
 
 def check_conjugate_baseline(trace, oracle):
@@ -367,13 +368,14 @@ def check_conjugate_baseline(trace, oracle):
         defect,
     )
 
-    # every gradient g_j, the final one included, against every p_i, i < j
+    # every gradient g_j, the final one included, against every p_i, i < j;
+    # a zero recorded direction has an unbounded scaled component
     worst_orth = 0.0
     if g0_norm > 0.0:
-        scaled = np.abs(G.T @ P) / (g0_norm * np.linalg.norm(P, axis=0))
-        earlier = np.tril(np.ones(scaled.shape, dtype=bool), k=-1)
-        if earlier.any():
-            worst_orth = float(scaled[earlier].max())
+        denom = g0_norm * np.linalg.norm(P, axis=0)
+        scaled = np.divide(np.abs(G.T @ P), denom, where=denom > 0.0,
+                           out=np.full((G.shape[1], P.shape[1]), np.inf))
+        worst_orth = _worst(scaled[np.tri(*scaled.shape, k=-1, dtype=bool)])
     report.add(
         "gradients orthogonal to all earlier directions",
         worst_orth <= ORTHOGONALITY_RTOL,
@@ -384,9 +386,10 @@ def check_conjugate_baseline(trace, oracle):
     # iterate j against minimizer j, for j in 1..r
     x_scale = 1.0 + norm(x_star)
     m = min(len(trace.records), r + 1)
-    worst_iter = _worst(_norms(M[:, 1:m].T - oracle.minimizers.T[1:m]) / x_scale)
+    misses = _norms(M[:, 1:m].T - oracle.minimizers.T[1:m]) / x_scale
     if trace.final_x is not None and trace.status == CONVERGED:
-        worst_iter = max(worst_iter, norm(trace.final_x - x_star) / x_scale)
+        misses = np.append(misses, norm(trace.final_x - x_star) / x_scale)
+    worst_iter = _worst(misses)
     report.add(
         "iterates are the subspace minimizers",
         worst_iter <= ITERATE_MATCH_RTOL,

@@ -150,6 +150,15 @@ def grade_by_rank(H, g0):
     return int(np.linalg.matrix_rank(K))
 
 
+def dense_solution(H, c):
+    """The minimizer, solving Hx + c = 0 by LU with one refinement step."""
+    H = np.asarray(H, float)
+    c = np.asarray(c, float)
+    x = np.linalg.solve(H, -c)
+    x += np.linalg.solve(H, -(H @ x + c))
+    return x
+
+
 def brute_krylov_minimizer(H, c, x0, k):
     """Minimize the quadratic over x0 + (span of the first k Krylov columns).
 
@@ -366,10 +375,12 @@ def krylov_reference(H, c, x0, rtol):
 # These are the loops the checks ran before they stacked each record field
 # into one array, one record and one vector helper call at a time. ``V`` is
 # the verification module, which the tolerances and status names are read
-# from; the vector helpers are written out here.
+# from; the vector helpers are written out here. They are compared with the
+# checks on finite traces only: how a check treats a NaN is pinned by its
+# own tests, not by these loops.
 
 
-def _line_angle(u, v):
+def line_angle(u, v):
     """Angle between the lines of u and v from the chord of their unit vectors."""
     uu = u / np.linalg.norm(u)
     vv = v / np.linalg.norm(v)
@@ -378,7 +389,7 @@ def _line_angle(u, v):
     return 2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(uu - vv)))
 
 
-def _alignment(u, v):
+def alignment(u, v):
     """|cos(u, v)|, 0.0 if either is zero."""
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
@@ -421,7 +432,7 @@ def onset_findings(trace, oracle, V):
         if np.linalg.norm(rec.q) < floor:
             continue
         worst_angle = max(worst_angle,
-                          _line_angle(rec.q, oracle.conjugate_directions[:, k]))
+                          line_angle(rec.q, oracle.conjugate_directions[:, k]))
     out["new directions parallel to reference conjugate directions"] = (
         worst_angle <= angle_tol, worst_angle)
     return out
@@ -435,7 +446,7 @@ def unit_step_findings(trace, oracle, V):
     wide, gaps = False, []
     for rec in (rec for rec in trace.records if rec.sigma is not None):
         pN, q = rec.newton_step, rec.q
-        gap = None if pN is None or q is None else 1.0 - _alignment(pN, q)
+        gap = None if pN is None or q is None else 1.0 - alignment(pN, q)
         if gap is None or not (rec.exhausted or np.linalg.norm(pN) == 0.0
                                or gap <= V.COLLAPSE_TOL):
             wide = True

@@ -83,7 +83,8 @@ def test_cg_terminates_in_grade_iterations(seed, n, r):
     assert trace.status == CONVERGED
     assert trace.iterations == r
     assert trace.final_grad_norm <= 1e-8 * (1.0 + g0)
-    assert norm(trace.final_x - prob.solution()) <= 1e-8 * (1.0 + norm(prob.solution()))
+    x_star = oracles.dense_solution(prob.H, prob.c)
+    assert norm(trace.final_x - x_star) <= 1e-8 * (1.0 + norm(x_star))
 
 
 def baseline(method):
@@ -225,7 +226,8 @@ def test_quasi_newton_terminates_in_grade_iterations(variant, seed, n, r):
     trace = qn_exact_ls_solve(prob, x0, variant=variant, tol=1e-8)
     assert trace.status == CONVERGED
     assert trace.iterations == r
-    assert norm(trace.final_x - prob.solution()) <= 1e-8 * (1.0 + norm(prob.solution()))
+    x_star = oracles.dense_solution(prob.H, prob.c)
+    assert norm(trace.final_x - x_star) <= 1e-8 * (1.0 + norm(x_star))
     assert trace.meta["method"] == variant
 
 

@@ -512,21 +512,14 @@ GRID_METHODS = [
 
 def count_reference_work(monkeypatch):
     """Call counters on the eigensolvers the problem module reaches, on the
-    inverse behind each batch of Krylov minimizers and on the exact solve."""
-    counts = {"eigh": 0, "eigvalsh": 0, "inv": 0, "solution": 0}
-    for name in ("eigh", "eigvalsh", "inv"):
+    inverse behind each batch of Krylov minimizers and on dense solves."""
+    counts = {"eigh": 0, "eigvalsh": 0, "inv": 0, "solve": 0}
+    for name in counts:
         def counted(*args, _fn=getattr(problem.np.linalg, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(problem.np.linalg, name, counted)
-    solution = problem.QuadraticProblem.solution
-
-    def counted_solution(self):
-        counts["solution"] += 1
-        return solution(self)
-
-    monkeypatch.setattr(problem.QuadraticProblem, "solution", counted_solution)
     return counts
 
 
@@ -543,7 +536,7 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
     assert len(rows) == 7
     assert (counts["eigh"], counts["eigvalsh"]) == (1, 0)
     assert counts["inv"] == 1
-    assert counts["solution"] == 0
+    assert counts["solve"] == 0
 
     # verify reads the spectrum that run saved
     problem_path = out / "problems" / "p000.json"
@@ -552,7 +545,7 @@ def test_run_and_verify_decompose_each_problem_once(tmp_path, monkeypatch):
         main(["verify", "--trace", str(trace_path), "--problem", str(problem_path)])
     assert (counts["eigh"], counts["eigvalsh"]) == (1, 0)
     assert counts["inv"] == 1 + len(traces)
-    assert counts["solution"] == 0
+    assert counts["solve"] == 0
 
     # a file that names no spectrum is decomposed once more
     bare = doctored_copy(tmp_path, problem_path,
@@ -973,6 +966,19 @@ def test_a_collapsed_column_is_ignored(tmp_path, capsys):
     assert verify_output(capsys, doctored, problem_path) == (code, printed)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_zero_recorded_direction_fails_without_a_warning(tmp_path, capsys):
+    # its scaled component against each later gradient is unbounded
+    trace_path, problem_path = run_one(tmp_path)
+    trace = IterateTrace.load(trace_path)
+    trace.records[1].p = np.zeros_like(trace.records[1].p)
+    trace.save(trace_path)
+    code, printed = verify_output(capsys, trace_path, problem_path)
+    assert code == EXIT_CHECK_FAIL
+    assert "FAIL gradients orthogonal to all earlier directions: " \
+        "max scaled component inf" in printed.out
+
+
 @pytest.mark.parametrize("attr", ["q", "newton_step"])
 def test_a_record_without_its_memory_fails_the_collapse_check(tmp_path, capsys, attr):
     trace_path, problem_path = run_one(tmp_path, UNIT_STEPS)
@@ -1001,6 +1007,40 @@ def test_a_problem_n_outside_the_cap_is_refused_before_any_draw(
     assert main([command, "--spec", spec, "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "problems[0]: n must be an integer in [1, 512]" in err
+
+
+@pytest.mark.parametrize("grade", [True, 2.0, 2.5, "2"])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_a_problem_grade_that_is_not_an_integer_is_refused_before_any_draw(
+        tmp_path, capsys, monkeypatch, command, grade):
+    def draw(n, rng):
+        raise AssertionError(f"drew an orthogonal {n} x {n} matrix")
+
+    monkeypatch.setattr(problem, "_haar_orthogonal", draw)
+    spec = write_spec(tmp_path / "spec.json", {
+        "problems": [{"n": 6, "r": grade, "cond": 10.0}], "methods": [{"kind": "cg"}]})
+    capsys.readouterr()
+    assert main([command, "--spec", spec, "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"problems[0]: grade must be an integer in [1, 6], got {grade!r}" in err
+
+
+@pytest.mark.parametrize("path", [0, 1, True, 3.5, ["a"], ""])
+def test_a_problem_path_that_is_not_a_string_is_refused(tmp_path, path):
+    # 0 would read a problem from stdin, and 1 and True the stdout descriptor
+    prob, x0 = problem.generate_problem(6, 3, cond=10.0, seed=1)
+    problem.save_problem(tmp_path / "piped.json", prob, x0)
+    spec = write_spec(tmp_path / "spec.json", {
+        "problems": [{"path": path}], "methods": [{"kind": "cg"}]})
+    with open(tmp_path / "piped.json") as stdin:
+        done = subprocess.run(
+            [sys.executable, "-m", "qnsubspace", "run", "--spec", spec,
+             "--out-dir", str(tmp_path / "out")],
+            stdin=stdin, capture_output=True, text=True,
+        )
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert f"problems[0]: path must be a non-empty string, got {path!r}" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("spectrum, message", [

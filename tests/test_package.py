@@ -21,3 +21,11 @@ def test_the_restricted_newton_constructions_are_not_shipped():
     for name in gone:
         assert not hasattr(qnsubspace, name)
         assert not hasattr(qnsubspace.approximation, name)
+
+
+def test_each_reference_quantity_has_one_implementation():
+    # the angle, the alignment and the dense solve live in tests/oracles.py;
+    # the library's solution is KrylovOracle.solution
+    for name in ("unit", "cosine_alignment", "direction_angle"):
+        assert not hasattr(qnsubspace.util, name)
+    assert not hasattr(qnsubspace.QuadraticProblem, "solution")

@@ -34,7 +34,7 @@ def test_gradient_objective_solution():
     x = np.array([0.3, -1.2, 2.0])
     assert np.allclose(prob.gradient(x), prob.H @ x + prob.c)
     assert prob.objective(x) == pytest.approx(0.5 * x @ prob.H @ x + prob.c @ x)
-    xstar = prob.solution()
+    xstar = KrylovOracle(prob).solution
     assert norm(prob.gradient(xstar)) <= 1e-12 * (1 + norm(prob.c))
 
 
@@ -118,11 +118,11 @@ def test_oracle_matches_the_per_eigenvalue_reference():
 
 @pytest.mark.parametrize("cond", [10.0, 1e2, 1e4])
 def test_oracle_solution_agrees_with_the_dense_solve(cond):
-    # the oracle solves through its eigendecomposition, the problem by LU
+    # the oracle solves through its eigendecomposition, the reference by LU
     for n in (16, 128, 256):
         for seed in range(3):
             prob, x0 = generate_problem(n, 8, cond=cond, seed=[n, seed])
-            x_lu = prob.solution()
+            x_lu = oracles.dense_solution(prob.H, prob.c)
             x = KrylovOracle(prob, x0).solution
             assert norm(x - x_lu) <= 1e-12 * (1.0 + norm(x_lu))
 
@@ -132,7 +132,7 @@ def test_minimizer_endpoints_and_bounds():
     oracle = KrylovOracle(prob, x0)
     assert oracle.grade == 4
     assert np.array_equal(oracle.minimizer(0), x0)
-    assert norm(oracle.minimizer(4) - prob.solution()) <= 1e-10
+    assert norm(oracle.minimizer(4) - oracles.dense_solution(prob.H, prob.c)) <= 1e-10
     with pytest.raises(ValueError):
         oracle.minimizer(5)
     with pytest.raises(ValueError):
@@ -219,6 +219,16 @@ def test_generate_problem_checks_the_spectrum_before_any_draw(monkeypatch, spect
     monkeypatch.setattr(problem, "_haar_orthogonal", draw)
     with pytest.raises(ValueError, match=message):
         generate_problem(4, 2, **spectrum)
+
+
+@pytest.mark.parametrize("grade", [True, 2.0, 2.5, "2", 0, 5])
+def test_generate_problem_checks_grade_before_any_draw(monkeypatch, grade):
+    def draw(n, rng):
+        raise AssertionError(f"drew an orthogonal {n} x {n} matrix")
+
+    monkeypatch.setattr(problem, "_haar_orthogonal", draw)
+    with pytest.raises(ValueError, match=r"grade must be an integer in \[1, 4\], got "):
+        generate_problem(4, grade, cond=10.0)
 
 
 def test_ill_conditioned_warning():

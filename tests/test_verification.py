@@ -31,7 +31,7 @@ from qnsubspace import (
     verify_trace,
 )
 from qnsubspace import verification as V
-from qnsubspace.util import cosine_alignment, direction_angle, norm, unit
+from qnsubspace.util import norm
 
 import oracles
 
@@ -42,16 +42,14 @@ def copy_trace(trace):
 
 
 def test_direction_angle_basics():
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert direction_angle(e1, -e1) == 0.0
-    assert direction_angle(e1, e2) == pytest.approx(np.pi / 2, abs=1e-12)
-    tiny = direction_angle(e1, e1 + 1e-9 * e2)
+    e1 = np.array([[1.0, 0.0]])
+    e2 = np.array([[0.0, 1.0]])
+    assert V._angles(e1, -3.0 * e1).tolist() == [0.0]  # the line, not the sign
+    assert V._angles(e1, e2)[0] == pytest.approx(np.pi / 2, abs=1e-12)
+    tiny = V._angles(e1, e1 + 1e-9 * e2)[0]
     assert tiny == pytest.approx(1e-9, rel=1e-6)  # stays accurate near zero
-    assert cosine_alignment(e1, -3.0 * e1) == 1.0
-    assert cosine_alignment(e1, np.zeros(2)) == 0.0
     with pytest.raises(ValueError):
-        unit(np.zeros(3))
+        V._angles(e1, np.zeros((1, 2)))
 
 
 def test_norm_matches_numpy_bit_for_bit():
@@ -292,12 +290,50 @@ def test_unit_step_count_check():
     wide = copy_trace(trace)
     rec = wide.records[1]
     assert rec.sigma is not None
-    rec.newton_step = rec.q + norm(rec.q) * unit(np.arange(1.0, 8.0))
+    off = np.arange(1.0, 8.0)
+    rec.newton_step = rec.q + norm(rec.q) * (off / norm(off))
     finding, = (f for f in check_unit_step_counts(wide, oracle).findings
                 if f.name == "memory stays a single direction")
     assert not finding.passed
     assert finding.detail.startswith("two-direction memory at iterations [1]")
-    assert finding.value == 1.0 - cosine_alignment(rec.newton_step, rec.q) > 1e-3
+    assert finding.value == 1.0 - oracles.alignment(rec.newton_step, rec.q) > 1e-3
+
+
+# (run, field, record, the findings that read that field there): the record
+# is never the first one a finding reads, so a check that passed a NaN over
+# would see a finite worst value
+NAN_CASES = {
+    "onset": (lambda prob, x0: subspace_qn_solve(
+                  prob, x0, steps=StepPolicy.constant(0.5), tol=1e-9, max_iter=9),
+              "x", 6, {"full Newton step from the grade onward",
+                       "restricted Newton step reaches the subspace minimizer"}),
+    "memory": (lambda prob, x0: subspace_qn_solve(prob, x0, tol=1e-9),
+               "newton_step", 2, {"memory stays a single direction",
+                                  "restricted Newton step reaches the subspace minimizer"}),
+    "iterates": (lambda prob, x0: cg_solve(prob, x0, tol=1e-9),
+                 "x", 2, {"gradients orthogonal to all earlier directions",
+                          "iterates are the subspace minimizers"}),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(NAN_CASES))
+def test_a_nan_fails_every_finding_that_reads_it(case):
+    solve, attr, k, names = NAN_CASES[case]
+    prob, x0 = generate_problem(12, 4, cond=10.0, seed=2)
+    honest = solve(prob, x0)
+    oracle = KrylovOracle(prob, x0)
+    assert oracle.grade == 4 and len(honest.records) > k
+
+    def findings(trace):
+        return {f.name: f for rep in verify_trace(trace, prob, x0, oracle)
+                for f in rep.findings}
+
+    assert all(findings(honest)[name].passed for name in names)
+    doctored = copy_trace(honest)
+    setattr(doctored.records[k], attr, np.full(prob.n, np.nan))
+    failed = {name for name, f in findings(doctored).items() if not f.passed}
+    assert names <= failed, case
 
 
 def test_exact_search_count_check():
@@ -416,7 +452,7 @@ def per_pair_values(trace, prob, x0, basis):
         for rec in records:
             if rec.k < r and rec.q is not None and not rec.exhausted and \
                     norm(rec.q) >= V.DIRECTION_FLOOR * (1.0 + norm(rec.x) + norm(rec.p)):
-                angles.append(direction_angle(rec.q, qs[rec.k]))
+                angles.append(oracles.line_angle(rec.q, qs[rec.k]))
             if rec.newton_step is not None and g0_norm > 0.0:
                 g_hat = prob.gradient(rec.x + rec.alpha * rec.p + rec.newton_step)
                 orth += [abs(g_hat @ q) / (g0_norm * norm(q)) for q in qs[:rec.k + 1]]
@@ -437,10 +473,11 @@ def per_pair_values(trace, prob, x0, basis):
     if g0_norm > 0.0:
         orth += [abs(g_j @ rec.p) / (g0_norm * norm(rec.p))
                  for j, g_j in enumerate(grads) for rec in records[:j]]
-    x_scale = 1.0 + norm(prob.solution())
+    x_star = oracles.dense_solution(prob.H, prob.c)
+    x_scale = 1.0 + norm(x_star)
     misses = [norm(rec.x - xs[j]) / x_scale for j, rec in enumerate(records) if 1 <= j <= r]
     if trace.final_x is not None and trace.converged:
-        misses.append(norm(trace.final_x - prob.solution()) / x_scale)
+        misses.append(norm(trace.final_x - x_star) / x_scale)
     return {
         ("conjugate-baseline", "directions mutually conjugate"): (defect, V.CONJUGACY_TOL),
         ("conjugate-baseline", "gradients orthogonal to all earlier directions"):
@@ -478,7 +515,8 @@ def swapped_q(trace):
 
 def pN_off_the_line_of_q(trace):
     rec = next(rec for rec in trace.records if rec.sigma is not None and rec.q is not None)
-    rec.newton_step = rec.q + norm(rec.q) * unit(np.arange(1.0, rec.q.size + 1.0))
+    off = np.arange(1.0, rec.q.size + 1.0)
+    rec.newton_step = rec.q + norm(rec.q) * (off / norm(off))
 
 
 def reversed_q(trace):
