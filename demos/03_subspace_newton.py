@@ -12,18 +12,19 @@ next Krylov minimizer without any projected solve.
 
 import numpy as np
 
-from qnsubspace import KrylovOracle, exact_line_search, generate_problem, newton_scaling
+from qnsubspace import KrylovOracle, generate_problem, newton_scaling
 
 prob, x0 = generate_problem(n=8, grade=6, cond=40.0, seed=5)
 oracle = KrylovOracle(prob, x0)
 
-# one direction: the Newton scaling equals the exact line search step
+# one direction: the Newton scaling -g'p / p'Hp is the exact line search
+# step, so the slope along p vanishes where it lands
 rng = np.random.default_rng(0)
 x = x0 + rng.standard_normal(prob.n)
 p = rng.standard_normal(prob.n)
 beta = newton_scaling(prob.gradient(x), p, prob.hessian_action(p))
-alpha = exact_line_search(prob, x, p)
-print(f"newton scaling {beta:+.6f}  vs  exact line search {alpha:+.6f}")
+slope = prob.gradient(x + beta * p) @ p / np.linalg.norm(p)
+print(f"newton scaling {beta:+.6f}: slope g'p/|p| after the step = {slope:.2e}")
 
 # several directions: the projected solve lands on the minimizer over the
 # affine subspace, so the new gradient is orthogonal to every basis vector
@@ -46,7 +47,7 @@ for k in range(1, oracle.grade):
     g_hat = prob.gradient(x0 + step)
     h_q = prob.hessian_action(q)
     d = -g_hat + float(g_hat @ h_q) / float(q @ h_q) * q
-    q = exact_line_search(prob, x0 + step, d) * d
+    q = newton_scaling(g_hat, d, prob.hessian_action(d)) * d
     step = step + q
 final = np.linalg.norm(x0 + step - oracle.solution)
 print(f"  k={oracle.grade}: miss {final:.2e} (the solution)")

@@ -10,13 +10,8 @@ split as a closed form and never builds the operator.
 
 import numpy as np
 
-from qnsubspace import (
-    KrylovOracle,
-    SpanApprox,
-    generate_problem,
-    newton_sigma,
-    solve_direction,
-)
+from qnsubspace import KrylovOracle, generate_problem, solve_direction
+from qnsubspace.approximation import SpanApprox
 
 prob, x0 = generate_problem(n=7, grade=5, cond=20.0, seed=11)
 oracle = KrylovOracle(prob, x0)
@@ -41,15 +36,15 @@ Q3 = np.column_stack([oracle.conjugate_direction(k) for k in range(3)])
 H_Q3 = prob.H @ Q3
 x3 = oracle.minimizer(3)
 
-# with the tuned sigma, solving B p = -g from the third minimizer lands
-# exactly on the fourth; the upcoming conjugate direction is the negated
-# subspace gradient made conjugate to the previous direction
+# with the tuned sigma* = -q'Hq / q'g of the upcoming conjugate direction q
+# (the negated subspace gradient made conjugate to the previous direction),
+# solving B p = -g from the third minimizer lands exactly on the fourth
 g3 = prob.gradient(x3)
 q2 = oracle.conjugate_direction(2)
 h_q2 = prob.hessian_action(q2)
 coef = float(g3 @ h_q2) / float(q2 @ h_q2)
 q_up = -g3 + coef * q2
-sigma_star = newton_sigma(q_up, prob.hessian_action(q_up), g3)
+sigma_star = -float(q_up @ prob.hessian_action(q_up)) / float(q_up @ g3)
 p = SpanApprox(Q3, H_Q3, sigma_star).solve(-g3)
 miss = np.linalg.norm(x3 + p - oracle.minimizer(4))
 print(f"\ntuned sigma {sigma_star:.4f}: one solve from minimizer(3) "

@@ -3,11 +3,12 @@
 The package provides strictly convex quadratic test problems with exact
 Krylov-space references (:mod:`~qnsubspace.problem`), classical
 conjugate-direction baselines (:mod:`~qnsubspace.baselines`), the
-arbitrary-step quasi-Newton solver with its Newton scaling and sigma, whose
-direction is that of a curvature-copying Hessian approximation in closed
-form (:mod:`~qnsubspace.algorithm`), that approximation's dense reference
-(:mod:`~qnsubspace.approximation`), and independent checks of the solver's
-termination claims (:mod:`~qnsubspace.verification`).
+arbitrary-step quasi-Newton solver with its Newton scaling, whose direction
+is that of a curvature-copying Hessian approximation in closed form
+(:mod:`~qnsubspace.algorithm`), and independent checks of the solver's
+termination claims (:mod:`~qnsubspace.verification`). That approximation's
+dense reference is not part of this API; it stays in
+:mod:`~qnsubspace.approximation`.
 """
 
 from .algorithm import (
@@ -16,15 +17,12 @@ from .algorithm import (
     SigmaPolicy,
     StepPolicy,
     newton_scaling,
-    newton_sigma,
     solve_direction,
     subspace_qn_solve,
 )
-from .approximation import SpanApprox, build_two_vector
 from .baselines import (
     bfgs_inverse_update,
     cg_solve,
-    exact_line_search,
     memoryless_bfgs_inverse_action,
     qn_exact_ls_solve,
 )
@@ -81,22 +79,18 @@ __all__ = [
     "PolicyError",
     "QuadraticProblem",
     "SigmaPolicy",
-    "SpanApprox",
     "StepPolicy",
     "bfgs_inverse_update",
-    "build_two_vector",
     "cg_solve",
     "check_conjugate_baseline",
     "check_exact_search_count",
     "check_newton_onset",
     "check_unit_step_counts",
-    "exact_line_search",
     "generate_problem",
     "krylov_grade",
     "load_problem",
     "memoryless_bfgs_inverse_action",
     "newton_scaling",
-    "newton_sigma",
     "problem_from_dict",
     "problem_to_dict",
     "qn_exact_ls_solve",

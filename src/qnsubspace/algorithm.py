@@ -66,36 +66,14 @@ def _upcoming_direction(g_hat, q, h_q):
     return coef, -g_hat + coef * q
 
 
-def newton_sigma(q, h_q, g):
-    """The complement scaling that turns the next solve into a full Newton step.
-
-    For the upcoming conjugate direction q (normalized with unit coefficient
-    on the negated subspace gradient) and the current gradient g, the unique
-    value is sigma = -q'Hq / q'g. It is the reciprocal of the Newton scaling
-    of q at the same point, hence positive in any consistent state; where
-    rounding makes it nonpositive or not finite, DegenerateBasisError.
-    """
-    q = np.asarray(q, dtype=float)
-    g = np.asarray(g, dtype=float)
-    slope = float(q @ g)
-    if abs(slope) <= 1e-300 or abs(slope) <= 1e-15 * norm(q) * norm(g):
-        raise DegenerateBasisError(
-            "q'g vanishes: the point is already optimal over the extended span"
-        )
-    sigma = -float(q @ np.asarray(h_q, dtype=float)) / slope
-    if not 0.0 < sigma < np.inf:
-        raise DegenerateBasisError(f"Newton scaling {sigma:.4g} is not a finite "
-                                   "positive number")
-    return sigma
-
-
 def _newton_value(image, x, g, h_newton_step, q, h_q, exhausted):
-    """The unique scaling that makes the next solve a full Newton step.
-
-    Applies the closed form -q'Hq / q'g to the upcoming conjugate direction
-    q at the iterate x with gradient g; ``image(x, g, v)`` gives Hv.
-    DegenerateBasisError when q is rounding noise: the span is complete,
-    though exhaustion is not yet flagged.
+    """The termination-forcing sigma = -q_up'H q_up / q_up'g, which makes the
+    next solve a full Newton step. q_up is the upcoming conjugate direction
+    at the iterate x with gradient g, and sigma the reciprocal of its Newton
+    scaling there, so positive in any consistent state; ``image(x, g, v)``
+    gives Hv. DegenerateBasisError when q_up is rounding noise (the span is
+    complete, though exhaustion is not yet flagged), when q_up'g vanishes,
+    and where rounding makes sigma nonpositive or not finite.
     """
     if exhausted:
         raise DegenerateBasisError(
@@ -103,12 +81,22 @@ def _newton_value(image, x, g, h_newton_step, q, h_q, exhausted):
         )
     g_hat = g + h_newton_step
     coef, q_up = _upcoming_direction(g_hat, q, h_q)
-    floor = EXHAUSTED_RTOL * (norm(g) + norm(h_newton_step))
-    if norm(q_up) <= floor:
-        raise DegenerateBasisError(f"upcoming direction {norm(q_up):.3e} is "
+    g_norm, q_up_norm = norm(g), norm(q_up)
+    floor = EXHAUSTED_RTOL * (g_norm + norm(h_newton_step))
+    if q_up_norm <= floor:
+        raise DegenerateBasisError(f"upcoming direction {q_up_norm:.3e} is "
                                    f"below the exhaustion floor {floor:.3e}")
     h_q_up = -image(x, g, g_hat) + coef * h_q
-    return newton_sigma(q_up, h_q_up, g)
+    slope = float(q_up @ g)
+    if abs(slope) <= 1e-300 or abs(slope) <= 1e-15 * q_up_norm * g_norm:
+        raise DegenerateBasisError(
+            "q'g vanishes: the point is already optimal over the extended span"
+        )
+    sigma = -float(q_up @ h_q_up) / slope
+    if not 0.0 < sigma < np.inf:
+        raise DegenerateBasisError(f"Newton scaling {sigma:.4g} is not a finite "
+                                   "positive number")
+    return sigma
 
 
 # A row of a policy kind table: the name of the public constructor, which holds

@@ -16,8 +16,8 @@ the operator here is its reference, so B is formed as the n x n matrix of the
 formula above and solved densely. The module holds only what the traced
 benchmark still binds on ``algorithm``, :class:`SpanApprox` and
 :func:`build_two_vector`, plus their collapse rule, whose tolerance
-verification reads. It moves to the test oracles once the benchmark stops
-reading those names (ROADMAP item 1).
+verification reads; the package namespace exports none of them. It moves
+to the test oracles when the benchmark stops reading them (ROADMAP item 1).
 """
 
 import numpy as np

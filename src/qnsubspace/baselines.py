@@ -26,16 +26,6 @@ from .trace import BREAKDOWN, CONVERGED, IterateRecord, Run
 from .util import check_run_limits
 
 
-def exact_line_search(prob, x, p):
-    """Minimizing step length along p from x: alpha = -g'p / p'Hp.
-
-    Zero is a legitimate return (when p is orthogonal to the gradient);
-    nonpositive curvature p'Hp is not and raises.
-    """
-    p = np.asarray(p, dtype=float)
-    return newton_scaling(prob.gradient(x), p, prob.hessian_action(p))
-
-
 def bfgs_inverse_update(M, p, h_p):
     """BFGS update of an inverse approximation M along p with image h_p = Hp.
 

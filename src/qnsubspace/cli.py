@@ -100,27 +100,50 @@ def _require_seed(seed, where):
              f"must be an integer in [0, 2**64) or a list of them, got {seed!r}")
 
 
+def _problem_ids(problems):
+    """Each problem's id: its own, its file's stem, or ``pNNN``. Checked, with
+    each entry's shape and path, before anything is written: an id names one
+    file in the output directory, and no two problems share one."""
+    pids = []
+    for idx, pspec in enumerate(problems):
+        where = f"problems[{idx}]"
+        _require(isinstance(pspec, dict), where, "must be an object")
+        if "path" in pspec:
+            path = pspec["path"]
+            _require(isinstance(path, str) and path, where,
+                     f"path must be a non-empty string, got {path!r}")
+        pid = pspec.get("id")
+        if pid is None:
+            pid = Path(pspec["path"]).stem if "path" in pspec else f"p{idx:03d}"
+        else:
+            _require(isinstance(pid, str) and pid not in ("", ".", "..")
+                     and not any(c in pid for c in "/\\\0"), where,
+                     f"id must name one file: a non-empty string other than "
+                     f"'.' and '..', without '/', '\\' or NUL, got {pid!r}")
+        if pid in pids:
+            raise SpecError(f"{where}: id {pid!r} is already the id of "
+                            f"problems[{pids.index(pid)}]")
+        pids.append(pid)
+    return pids
+
+
 def _resolve_problem(pspec, idx, base_seed):
-    """Return (problem, x0, pid, gen_spec, seed_used)."""
+    """Return (problem, x0, gen_spec, seed_used) of an entry that
+    :func:`_problem_ids` has checked."""
     where = f"problems[{idx}]"
-    _require(isinstance(pspec, dict), where, "must be an object")
     if "path" in pspec:
         path = pspec["path"]
-        _require(isinstance(path, str) and path, where,
-                 f"path must be a non-empty string, got {path!r}")
         try:
             prob, x0, meta = load_problem(path)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             raise SpecError(f"{where}: cannot load {path}: {exc}")
-        pid = pspec.get("id") or Path(path).stem
-        return prob, x0, pid, meta.get("spec"), meta.get("seed")
+        return prob, x0, meta.get("spec"), meta.get("seed")
 
     _require("n" in pspec, where, "needs either 'path' or 'n'")
     n = pspec["n"]
     grade = pspec.get("r", pspec.get("grade"))
     seed = pspec.get("seed")
     if seed is None:
-        _require_seed(base_seed, "seed")
         seed = [base_seed, idx]
     else:
         _require_seed(seed, f"{where}.seed")
@@ -133,8 +156,7 @@ def _resolve_problem(pspec, idx, base_seed):
         )
     except (ValueError, TypeError) as exc:
         raise SpecError(f"{where}: {exc}")
-    pid = pspec.get("id") or f"p{idx:03d}"
-    return prob, x0, pid, gen_spec, seed
+    return prob, x0, gen_spec, seed
 
 
 class _Method:
@@ -201,10 +223,12 @@ def cmd_generate(args):
     _require(isinstance(problems, list) and problems, "problems",
              "must be a non-empty list")
     base_seed = args.seed if args.seed is not None else spec.get("seed", 0)
+    _require_seed(base_seed, "seed")
+    pids = _problem_ids(problems)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for idx, pspec in enumerate(problems):
-        prob, x0, pid, gen_spec, seed_used = _resolve_problem(pspec, idx, base_seed)
+    for idx, (pspec, pid) in enumerate(zip(problems, pids)):
+        prob, x0, gen_spec, seed_used = _resolve_problem(pspec, idx, base_seed)
         grade = krylov_grade(prob, x0)
         path = out_dir / f"{pid}.json"
         save_problem(path, prob, x0, seed=seed_used, spec=gen_spec)
@@ -222,6 +246,7 @@ def cmd_run(args):
              "must be a non-empty list")
 
     base_seed = args.seed if args.seed is not None else spec.get("seed", 0)
+    _require_seed(base_seed, "seed")
     tol = args.tol if args.tol is not None else spec.get("tol", DEFAULT_TOL)
     max_iter = args.max_iter if args.max_iter is not None else spec.get("max_iter")
     try:
@@ -230,6 +255,7 @@ def cmd_run(args):
         raise SpecError(str(exc))
     methods = [_Method(m, i, mode_override=args.mode)
                for i, m in enumerate(methods_spec)]
+    pids = _problem_ids(problems)
 
     out_dir = Path(args.out_dir)
     (out_dir / "problems").mkdir(parents=True, exist_ok=True)
@@ -239,8 +265,8 @@ def cmd_run(args):
     curves = []
     n_breakdown = 0
     n_fail = 0
-    for pi, pspec in enumerate(problems):
-        prob, x0, pid, gen_spec, seed_used = _resolve_problem(pspec, pi, base_seed)
+    for pi, (pspec, pid) in enumerate(zip(problems, pids)):
+        prob, x0, gen_spec, seed_used = _resolve_problem(pspec, pi, base_seed)
         # one reference per problem: its eigendecomposition and minimizers
         # serve the grade column and the checks of every method
         oracle = KrylovOracle(prob, x0)

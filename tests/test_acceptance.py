@@ -20,7 +20,6 @@ from qnsubspace import (
     KrylovOracle,
     QuadraticProblem,
     SigmaPolicy,
-    SpanApprox,
     StepPolicy,
     cg_solve,
     generate_problem,
@@ -29,6 +28,7 @@ from qnsubspace import (
     subspace_qn_solve,
     traces_match,
 )
+from qnsubspace.approximation import SpanApprox
 from qnsubspace.cli import main as cli_main
 
 import _report

@@ -5,12 +5,11 @@ from numpy.linalg import norm
 from qnsubspace import (
     DegenerateBasisError,
     KrylovOracle,
-    SpanApprox,
-    build_two_vector,
     generate_problem,
-    newton_sigma,
     solve_direction,
 )
+from qnsubspace.algorithm import _newton_value
+from qnsubspace.approximation import SpanApprox, build_two_vector
 
 import oracles
 
@@ -194,7 +193,7 @@ def test_closed_form_direction_solves_the_two_vector_approximation():
             assert norm(got - want) <= 1e-9 * (1 + norm(want))
 
 
-def test_newton_sigma_lands_on_the_next_restricted_minimizer():
+def test_newton_value_lands_on_the_next_restricted_minimizer():
     prob, x0 = generate_problem(6, 4, cond=12.0, seed=12)
     oracle = KrylovOracle(prob, x0)
     k = 2
@@ -202,9 +201,10 @@ def test_newton_sigma_lands_on_the_next_restricted_minimizer():
     g = prob.gradient(x)
     q_prev = oracle.conjugate_direction(k - 1)
     h_q = prob.hessian_action(q_prev)
-    coef = float(g @ h_q) / float(q_prev @ h_q)
-    q_up = -g + coef * q_prev
-    sigma = newton_sigma(q_up, prob.hessian_action(q_up), g)
+    # at the restricted minimizer the restricted Newton step is zero, and
+    # the upcoming direction is -g + (g'Hq / q'Hq) q
+    sigma = _newton_value(lambda x, g, v: prob.hessian_action(v), x, g,
+                          np.zeros(6), q_prev, h_q, False)
     assert sigma > 0.0
     B = SpanApprox(q_prev[:, None], h_q[:, None], sigma)
     p = B.solve(-g)
@@ -213,10 +213,20 @@ def test_newton_sigma_lands_on_the_next_restricted_minimizer():
     assert norm(x + p - ref) <= 1e-9 * (1 + norm(ref))
 
 
-def test_newton_sigma_degenerate_guard():
-    q = np.array([1.0, 0.0])
-    h_q = np.array([2.0, 0.0])
-    with pytest.raises(DegenerateBasisError):
-        newton_sigma(q, h_q, np.array([0.0, 1.0]))  # q'g = 0
+def test_newton_value_degenerate_guard():
+    # a 2-D state with no memory (q = 0), so the upcoming direction is
+    # -(g + H pN), where the restricted Newton step's image H pN is chosen
+    H = np.diag([2.0, 1.0])
+
+    def image(x, g, v):
+        return H @ v
+
+    x, zero = np.zeros(2), np.zeros(2)
+    with pytest.raises(DegenerateBasisError, match="q'g vanishes"):
+        # upcoming direction (-1, 0) against g = (0, 1): q'g = 0
+        _newton_value(image, x, np.array([0.0, 1.0]), np.array([1.0, -1.0]),
+                      zero, zero, False)
     with pytest.raises(DegenerateBasisError, match="not a finite positive"):
-        newton_sigma(q, h_q, np.array([1.0, 0.0]))  # -q'Hq / q'g = -2
+        # upcoming direction (1, 0) against g = (1, 0): -q'Hq / q'g = -2
+        _newton_value(image, x, np.array([1.0, 0.0]), np.array([-2.0, 0.0]),
+                      zero, zero, False)

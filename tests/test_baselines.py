@@ -1,4 +1,5 @@
-"""Conjugate-direction baselines: line search, updates, and r-step runs."""
+"""Conjugate-direction baselines: inverse updates and r-step runs under exact
+line search."""
 
 import functools
 import json
@@ -16,7 +17,6 @@ from qnsubspace import (
     QuadraticProblem,
     bfgs_inverse_update,
     cg_solve,
-    exact_line_search,
     generate_problem,
     memoryless_bfgs_inverse_action,
     qn_exact_ls_solve,
@@ -28,34 +28,6 @@ import oracles
 
 def two_by_two():
     return QuadraticProblem(np.diag([1.0, 2.0]), np.array([-1.0, -1.0]))
-
-
-def test_exact_line_search_matches_scalar_minimization():
-    prob, x0 = generate_problem(6, 6, cond=40.0, seed=20)
-    rng = np.random.default_rng(21)
-    x = x0 + rng.standard_normal(6)
-    for _ in range(5):
-        p = rng.standard_normal(6)
-        alpha = exact_line_search(prob, x, p)
-        ref = oracles.line_search_oracle(prob.H, prob.c, x, p)
-        # Brent's default xtol caps the oracle's own accuracy near 1e-8
-        assert alpha == pytest.approx(ref, abs=1e-6)
-        g = prob.gradient(x)
-        assert alpha == pytest.approx(-float(g @ p) / float(p @ prob.H @ p), rel=1e-12)
-
-
-def test_exact_line_search_zero_when_orthogonal_to_gradient():
-    prob, x0 = generate_problem(5, 5, cond=8.0, seed=22)
-    x = x0 + np.ones(5)
-    g = prob.gradient(x)
-    p = np.eye(5)[0] - (g[0] / float(g @ g)) * g
-    assert exact_line_search(prob, x, p) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_exact_line_search_rejects_zero_direction():
-    prob, x0 = generate_problem(4, 4, cond=5.0, seed=23)
-    with pytest.raises(NotPositiveDefiniteError):
-        exact_line_search(prob, x0, np.zeros(4))
 
 
 def test_cg_hand_values_on_the_two_by_two():

@@ -1043,6 +1043,67 @@ def test_a_problem_path_that_is_not_a_string_is_refused(tmp_path, path):
     assert "Traceback" not in done.stderr
 
 
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("pid", ["../../escaped", "a/b", "a\\b", ".", "..", "",
+                                 "a\0b", 5, True, ["a"]])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_a_problem_id_that_names_no_single_file_is_refused(tmp_path, capsys, command, pid):
+    spec = write_spec(tmp_path / "spec.json", {
+        "problems": [{"n": 6, "r": 3, "cond": 10.0, "id": "fine"},
+                     {"id": pid, "n": 4, "r": 2, "cond": 5.0}],
+        "methods": [{"kind": "cg"}]})
+    capsys.readouterr()
+    code = main([command, "--spec", spec, "--out-dir", str(tmp_path / "out" / "a" / "b")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "problems[1]: id must name one file" in err and repr(pid) in err
+    # checked before the first file is written, so not even the valid problem's
+    assert files_under(tmp_path) == ["spec.json"]
+
+
+@pytest.mark.parametrize("problems, pid", [
+    ([{"id": "a", "n": 4, "r": 2, "cond": 5.0}, {"id": "a", "n": 6, "r": 3, "cond": 5.0}],
+     "a"),
+    ([{"n": 4, "r": 2, "cond": 5.0}, {"id": "p000", "n": 6, "r": 3, "cond": 5.0}], "p000"),
+    ([{"n": 4, "r": 2, "cond": 5.0}, {"path": "PROBLEM"}], "p000"),
+], ids=["explicit", "default", "path-stem"])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_problem_ids_are_unique(tmp_path, capsys, command, problems, pid):
+    saved = tmp_path / "saved" / "p000.json"
+    saved.parent.mkdir()
+    problem.save_problem(saved, *problem.generate_problem(6, 3, cond=10.0, seed=1))
+    problems = [{"path": str(saved)} if p.get("path") == "PROBLEM" else p for p in problems]
+    spec = write_spec(tmp_path / "spec.json", {"problems": problems,
+                                               "methods": [{"kind": "cg"}]})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--spec", spec, "--out-dir", str(out)]) == EXIT_USAGE
+    assert f"problems[1]: id {pid!r} is already the id of problems[0]" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed_arg, spec_seed", [
+    (["--seed", "-1"], 0), (["--seed", str(2**64)], 0), ([], 1.5), ([], "7"), ([], -3)],
+    ids=["option-negative", "option-past-64-bits", "spec-fraction", "spec-text",
+         "spec-negative"])
+@pytest.mark.parametrize("method", [UNIT_STEPS, CG], ids=["qn-subspace", "cg"])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_the_base_seed_is_checked_where_every_problem_has_its_own(
+        tmp_path, capsys, command, method, seed_arg, spec_seed):
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": spec_seed, "problems": [{"n": 6, "r": 3, "cond": 10.0, "seed": 4}],
+        "methods": [method]})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--spec", spec, "--out-dir", str(out), *seed_arg]) == EXIT_USAGE
+    assert "error: seed: must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spectrum, message", [
     ({"cond": float("inf")}, "cond must be a finite number of at least 1"),
     ({"cond": float("nan")}, "cond must be a finite number of at least 1"),

@@ -41,6 +41,21 @@ def test_newton_scaling_is_exact_line_search():
     assert b == pytest.approx(ref, abs=1e-6)
 
 
+def test_newton_scaling_zero_when_orthogonal_to_gradient():
+    prob, x0 = generate_problem(5, 5, cond=8.0, seed=22)
+    x = x0 + np.ones(5)
+    g = prob.gradient(x)
+    p = np.eye(5)[0] - (g[0] / float(g @ g)) * g
+    assert newton_scaling(g, p, prob.hessian_action(p)) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_newton_scaling_rejects_zero_direction():
+    prob, x0 = generate_problem(4, 4, cond=5.0, seed=23)
+    p = np.zeros(4)
+    with pytest.raises(NotPositiveDefiniteError):
+        newton_scaling(prob.gradient(x0), p, prob.hessian_action(p))
+
+
 def test_subspace_newton_reaches_restricted_minimizer():
     prob, x0 = generate_problem(6, 5, cond=25.0, seed=2)
     rng = np.random.default_rng(0)
