@@ -77,18 +77,36 @@ def _fmt(x):
 
 
 def _load_spec(path):
+    """The JSON object in the spec file at ``path``, read as UTF-8."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"spec file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read spec {path}: {exc}")
+    _require(isinstance(spec, dict), "spec", "must be a JSON object")
+    return spec
 
 
 def _require(cond, where, msg):
     if not cond:
         raise SpecError(f"{where}: {msg}")
+
+
+def _read_spec(args, *lists):
+    """The spec at ``args.spec`` and its base seed (``--seed``, else the
+    spec's ``seed``, else 0), with each top-level field named in ``lists``
+    checked to be a non-empty list."""
+    spec = _load_spec(args.spec)
+    for key in lists:
+        _require(isinstance(spec.get(key), list) and spec[key], key,
+                 "must be a non-empty list")
+    base_seed = args.seed if args.seed is not None else spec.get("seed", 0)
+    _require_seed(base_seed, "seed")
+    return spec, base_seed
 
 
 def _require_seed(seed, where):
@@ -162,7 +180,7 @@ def _resolve_problem(pspec, idx, base_seed):
 class _Method:
     """One resolved method column of the experiment matrix."""
 
-    def __init__(self, mspec, idx, mode_override=None):
+    def __init__(self, mspec, idx):
         where = f"methods[{idx}]"
         _require(isinstance(mspec, dict), where, "must be an object")
         self.idx = idx
@@ -174,7 +192,7 @@ class _Method:
                 self.sigma = SigmaPolicy.from_spec(mspec.get("sigma", {}))
             except PolicyError as exc:
                 raise SpecError(f"{where}: {exc}")
-            self.mode = mode_override or mspec.get("mode", ORACLE)
+            self.mode = mspec.get("mode", ORACLE)
             _require(self.mode in (ORACLE, MATRIX_FREE), where,
                      f"unknown mode {self.mode!r}")
         else:
@@ -218,12 +236,8 @@ def _verdicts(trace, prob, x0, oracle):
 
 
 def cmd_generate(args):
-    spec = _load_spec(args.spec)
-    problems = spec.get("problems")
-    _require(isinstance(problems, list) and problems, "problems",
-             "must be a non-empty list")
-    base_seed = args.seed if args.seed is not None else spec.get("seed", 0)
-    _require_seed(base_seed, "seed")
+    spec, base_seed = _read_spec(args, "problems")
+    problems = spec["problems"]
     pids = _problem_ids(problems)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,24 +251,15 @@ def cmd_generate(args):
 
 
 def cmd_run(args):
-    spec = _load_spec(args.spec)
-    problems = spec.get("problems")
-    _require(isinstance(problems, list) and problems, "problems",
-             "must be a non-empty list")
-    methods_spec = spec.get("methods")
-    _require(isinstance(methods_spec, list) and methods_spec, "methods",
-             "must be a non-empty list")
-
-    base_seed = args.seed if args.seed is not None else spec.get("seed", 0)
-    _require_seed(base_seed, "seed")
-    tol = args.tol if args.tol is not None else spec.get("tol", DEFAULT_TOL)
-    max_iter = args.max_iter if args.max_iter is not None else spec.get("max_iter")
+    spec, base_seed = _read_spec(args, "problems", "methods")
+    problems = spec["problems"]
+    tol = spec.get("tol", DEFAULT_TOL)
+    max_iter = spec.get("max_iter")
     try:
         check_run_limits(tol, max_iter)
     except PolicyError as exc:
         raise SpecError(str(exc))
-    methods = [_Method(m, i, mode_override=args.mode)
-               for i, m in enumerate(methods_spec)]
+    methods = [_Method(m, i) for i, m in enumerate(spec["methods"])]
     pids = _problem_ids(problems)
 
     out_dir = Path(args.out_dir)
@@ -296,28 +301,19 @@ def cmd_run(args):
                 "terminal_grad_norm": _fmt(trace.final_grad_norm),
                 "termination_check": termination,
                 "unit_step_check": unit,
-                "_order": (pid, method.idx),
             })
             for rec in trace.records:
                 curves.append((pid, method.label, rec.k, _fmt(rec.grad_norm)))
             curves.append((pid, method.label, trace.iterations,
                            _fmt(trace.final_grad_norm)))
 
-    rows.sort(key=lambda row: row["_order"])
-    for row in rows:
-        del row["_order"]
-
-    if args.format == "json":
-        summary_path = out_dir / "summary.json"
-        with open(summary_path, "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        summary_path = out_dir / "summary.csv"
-        with open(summary_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+    # stable, so each problem's rows keep the order of the methods
+    rows.sort(key=lambda row: row["problem_id"])
+    summary_path = out_dir / "summary.csv"
+    with open(summary_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
 
     curves.sort(key=lambda row: (row[0], row[1], row[2]))
     with open(out_dir / "curves.csv", "w", newline="") as fh:
@@ -395,16 +391,8 @@ def build_parser():
     )
     run.add_argument("--spec", required=True, help="experiment spec JSON")
     run.add_argument("--out-dir", required=True, help="output directory")
-    run.add_argument("--tol", type=float, default=None,
-                     help=f"relative gradient tolerance (default {DEFAULT_TOL})")
-    run.add_argument("--max-iter", type=int, default=None,
-                     help="iteration budget (default n+5 per problem)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the spec's base seed")
-    run.add_argument("--mode", choices=(ORACLE, MATRIX_FREE), default=None,
-                     help="force this mode on all subspace methods")
-    run.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="summary table format (default csv)")
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser(
@@ -420,7 +408,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
+        # an OSError here is an output path that cannot be written; its
+        # message names the path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

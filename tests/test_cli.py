@@ -4,6 +4,7 @@ import base64
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,7 +146,7 @@ def test_run_seed_override_changes_random_methods(tmp_path):
     assert (out_a / "curves.csv").read_bytes() != (out_b / "curves.csv").read_bytes()
 
 
-def test_run_from_saved_problem_and_json_summary(tmp_path):
+def test_run_from_saved_problem(tmp_path):
     gen_spec = write_spec(tmp_path / "gen.json", {
         "seed": 11,
         "problems": [{"n": 6, "r": 4, "cond": 12.0, "id": "disk"}],
@@ -158,22 +159,20 @@ def test_run_from_saved_problem_and_json_summary(tmp_path):
         "methods": [{"kind": "cg"}],
     })
     out = tmp_path / "out"
-    code = main(["run", "--spec", run_spec, "--out-dir", str(out),
-                 "--format", "json"])
-    assert code == EXIT_PASS
-    rows = json.loads((out / "summary.json").read_text())
+    assert main(["run", "--spec", run_spec, "--out-dir", str(out)]) == EXIT_PASS
+    rows = read_rows(out / "summary.csv")
     assert rows[0]["problem_id"] == "disk"
     assert rows[0]["grade"] == "4"
     assert rows[0]["iterations"] == "4"
 
 
-def test_run_mode_override(tmp_path):
+def test_a_methods_mode_reaches_its_trace(tmp_path):
     spec = write_spec(tmp_path / "spec.json", {
         "problems": [{"n": 5, "r": 2, "cond": 6.0}],
-        "methods": [{"kind": "qn-subspace"}],
+        "methods": [{"kind": "qn-subspace", "mode": "matrix-free"}],
     })
     out = tmp_path / "out"
-    main(["run", "--spec", spec, "--out-dir", str(out), "--mode", "matrix-free"])
+    assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_PASS
     trace = json.loads(next((out / "traces").glob("*.json")).read_text())
     assert trace["meta"]["mode"] == "matrix-free"
     assert "matrix-free" in trace["meta"]["method_label"]
@@ -289,12 +288,12 @@ def test_verify_of_a_trace_with_an_infinite_final_gradient_exits_3(tmp_path, cap
 
 def test_the_shared_parser_behaves_as_a_fresh_one(tmp_path, capsys, monkeypatch):
     spec = write_spec(tmp_path / "spec.json", {
-        "seed": 2, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "seed": 2, "tol": 1e-10, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
         "methods": [{"kind": "cg"}, {"kind": "qn-subspace"}],
     })
     out = tmp_path / "out"
     commands = [
-        ["run", "--spec", spec, "--out-dir", str(out), "--tol", "1e-10"],
+        ["run", "--spec", spec, "--out-dir", str(out)],
         ["verify", "--trace", "missing-problem.json"],  # --problem is required
         ["verify", "--trace", str(out / "traces" / "p000__m01_qn-subspace.json"),
          "--problem", str(out / "problems" / "p000.json")],
@@ -1121,6 +1120,56 @@ def test_a_non_finite_spectrum_is_refused_before_any_draw(tmp_path, capsys, monk
     capsys.readouterr()
     assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     assert f"problems[0]: {message}" in capsys.readouterr().err
+
+
+ONE_CG_RUN = {"problems": [{"n": 4, "r": 2, "cond": 5.0}], "methods": [{"kind": "cg"}]}
+
+
+@pytest.mark.parametrize("make, fragments", [
+    (lambda spec, out: spec.write_text("[]"), ["error: spec: must be a JSON object"]),
+    (lambda spec, out: spec.write_text('"x"'), ["error: spec: must be a JSON object"]),
+    (lambda spec, out: spec.mkdir(), ["error: cannot read spec {spec}: ",
+                                      "Is a directory"]),
+    (lambda spec, out: spec.write_bytes(b"\xff\xfe{}"),
+     ["error: cannot read spec {spec}: ", "can't decode byte 0xff"]),
+    (lambda spec, out: (write_spec(spec, ONE_CG_RUN), out.write_text("")),
+     ["error: [Errno ", "'{out}"]),
+    # past the 255-byte name limit of the common file systems
+    (lambda spec, out: write_spec(spec, {**ONE_CG_RUN, "problems": [
+        {"id": "a" * 300, "n": 4, "r": 2, "cond": 5.0}]}),
+     ["error: [Errno ", "File name too long: '{out}"]),
+], ids=["list-spec", "string-spec", "directory-spec", "non-utf8-spec",
+        "out-dir-is-a-file", "id-past-the-name-limit"])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_an_unusable_spec_or_output_path_exits_with_usage_code(tmp_path, capsys, command,
+                                                               make, fragments):
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    make(spec, out)
+    capsys.readouterr()
+    assert main([command, "--spec", str(spec), "--out-dir", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    for fragment in fragments:
+        assert fragment.format(spec=spec, out=out) in err
+
+
+def test_run_takes_its_settings_from_the_spec_alone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == EXIT_PASS
+    options = re.findall(r"(?m)^  (--[a-z-]+)", capsys.readouterr().out)
+    assert sorted(options) == ["--out-dir", "--seed", "--spec"]
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--max-iter", "5"],
+                                  ["--mode", "matrix-free"], ["--format", "json"]])
+def test_the_removed_run_options_are_refused(tmp_path, capsys, flag):
+    spec = write_spec(tmp_path / "spec.json", ONE_CG_RUN)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--spec", spec, "--out-dir", str(out), *flag])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_spec_file_exits_with_usage_code(tmp_path, capsys):
