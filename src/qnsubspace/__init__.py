@@ -6,9 +6,9 @@ conjugate-direction baselines (:mod:`~qnsubspace.baselines`), the
 arbitrary-step quasi-Newton solver with its Newton scaling, whose direction
 is that of a curvature-copying Hessian approximation in closed form
 (:mod:`~qnsubspace.algorithm`), and independent checks of the solver's
-termination claims (:mod:`~qnsubspace.verification`). That approximation's
-dense reference is not part of this API; it stays in
-:mod:`~qnsubspace.approximation`.
+termination claims (:mod:`~qnsubspace.verification`). The package never
+forms that approximation as a matrix; its one dense form is the test suite's
+reference, ``tests/oracles.py``.
 """
 
 from .algorithm import (

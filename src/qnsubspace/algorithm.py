@@ -21,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused here: the traced benchmark wraps these names on this module
-from .approximation import SpanApprox, build_two_vector  # noqa: F401
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
 from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, Run
 from .util import _integer, _real, check_run_limits, norm
 
 ORACLE = "oracle"
 MATRIX_FREE = "matrix-free"
+
+# Never called: the traced benchmark looks both names up on this module and
+# wraps them. ROADMAP item 1 drops them with the benchmark's lookup.
+SpanApprox = build_two_vector = None
 
 # Steps sampled at random keep away from zero by at least this much.
 MIN_RANDOM_STEP = 0.05
@@ -338,9 +340,9 @@ def solve_direction(g, newton_step, h_newton_step, q, h_q, sigma):
     """The p solving B p = -g for the two-vector approximation, in closed form.
 
     B copies H on P = [newton_step, q] and is sigma I on the complement of
-    span(P) (``approximation.SpanApprox``, never built here). The gradient at
-    the restricted minimizer, g_hat = g + H newton_step, is orthogonal to
-    span(P), and B sends the upcoming conjugate direction -g_hat + c q of
+    span(P). It is never built here; its dense form is the tests' reference,
+    ``oracles.span_approx``. The gradient at the restricted minimizer,
+    g_hat = g + H newton_step, is orthogonal to span(P), and B sends the upcoming conjugate direction -g_hat + c q of
     :func:`_upcoming_direction` to -sigma g_hat, so, with c = g_hat'Hq / q'Hq,
 
         p = newton_step + (-g_hat + c q) / sigma.

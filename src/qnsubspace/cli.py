@@ -40,8 +40,9 @@ EXIT_BREAKDOWN = 3
 
 DEFAULT_TOL = 1e-9
 
-# Problem files store their seed, and their codec holds integers in [0, 2**64).
-SEED_LIMIT = 2**64
+# Problem files store their seed and spec fields, and their codec holds
+# integers in [-2**63, 2**64); a seed must also be nonnegative.
+INT_FLOOR, SEED_LIMIT = -(2**63), 2**64
 
 SUMMARY_COLUMNS = (
     "problem_id", "n", "grade", "method", "status", "iterations",
@@ -167,6 +168,13 @@ def _resolve_problem(pspec, idx, base_seed):
         _require_seed(seed, f"{where}.seed")
     gen_spec = {k: pspec[k] for k in ("n", "r", "grade", "eigenvalues", "cond")
                 if k in pspec}
+    for key, value in gen_spec.items():
+        listed = key == "eigenvalues" and isinstance(value, list)
+        for i, v in enumerate(value if listed else [value]):
+            _require(not isinstance(v, int) or INT_FLOOR <= v < SEED_LIMIT,
+                     f"{where}.{key}" + (f"[{i}]" if listed else ""),
+                     f"integer {v} is outside [-2**63, 2**64), the integers "
+                     "a problem file holds")
     try:
         prob, x0 = generate_problem(
             n, grade, eigenvalues=pspec.get("eigenvalues"),

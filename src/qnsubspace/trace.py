@@ -247,7 +247,7 @@ class IterateTrace:
         }
 
     def _columns(self):
-        """(file key, column) of every record field in key order, one at a time."""
+        """(file key, column) of every record field in key order."""
         for key, attr in _COLUMNS:
             if attr in _UNWRITTEN:
                 yield key, None
@@ -291,22 +291,16 @@ class IterateTrace:
 
     def save(self, path):
         """Write the trace as one line of sorted-key JSON and a newline: the
-        text of ``json.dumps(self.to_dict(), sort_keys=True)``, but each
-        column is ``orjson.dumps`` text, several times faster on base64 and
-        exact, as no float of a column is outside base64. The columns go out
-        one at a time, so the document never exists as one string, and the
-        unread ``g``, ``h_p``, ``h_q`` and ``h_pN`` columns are null."""
+        text of ``json.dumps(self.to_dict(), sort_keys=True)``, but the
+        columns are ``orjson.dumps`` text, several times faster on base64 and
+        exact, as no float of a column is outside base64. The unread ``g``,
+        ``h_p``, ``h_q`` and ``h_pN`` columns are null."""
         # "final", the only key before "iterations", holds no key of that name
         head, tail = json.dumps(self._fields(), sort_keys=True).split(
             '"iterations": null', 1)
+        columns = orjson.dumps(dict(self._columns()), option=orjson.OPT_SORT_KEYS)
         with open(path, "wb") as fh:
-            fh.write(f'{head}"iterations": '.encode())
-            sep = b"{"
-            for key, column in self._columns():
-                fh.write(b'%s"%s":' % (sep, key.encode()))
-                fh.write(orjson.dumps(column, option=orjson.OPT_SORT_KEYS))
-                sep = b","
-            fh.write(f"}}{tail}\n".encode())
+            fh.write(b'%s"iterations": %s%s\n' % (head.encode(), columns, tail.encode()))
 
     @classmethod
     def load(cls, path, n=None):

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .algorithm import SigmaPolicy
-from .approximation import COLLAPSE_TOL
 from .problem import ILL_CONDITIONED, KrylovOracle
 from .trace import CONVERGED, IterateRecord
 from .util import norm
@@ -35,6 +34,10 @@ METHODS = ("cg", "bfgs", "memoryless", "qn-subspace")
 
 # |alpha - 1| below this counts as a deliberate unit step.
 UNIT_STEP_ATOL = 1e-12
+
+# pN and q closer than this in 1 - |cos(pN, q)| span one direction: the
+# memory collapses to q.
+COLLAPSE_TOL = 1e-10
 
 # Relative distance of x_k + p_k from the exact solution once the generated
 # subspace is complete.
@@ -285,7 +288,8 @@ def check_unit_step_counts(trace, oracle):
     cos = np.divide(np.abs(_dots(PN, Q)), pn_norms * q_norms,
                     where=nonzero, out=np.zeros(len(both)))
     gaps = 1.0 - np.minimum(1.0, cos)
-    # span_collapses' rule, unless the span was already exhausted
+    # one direction where pN is zero or within COLLAPSE_TOL of q's line,
+    # unless the span was already exhausted
     single = (np.array([bool(records[i].exhausted) for i in both], dtype=bool)
               | (pn_norms == 0.0) | (gaps <= COLLAPSE_TOL))
     narrow = {i for i, one in zip(both, single) if one}

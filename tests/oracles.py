@@ -190,16 +190,26 @@ def line_search_oracle(H, c, x, p):
     return float(res.x)
 
 
-def span_approx_dense(P, HP, sigma):
-    """The approximation assembled literally from its defining formula."""
+def span_approx(P, HP, sigma):
+    """The paper's approximation as a dense n x n matrix:
+
+        B = sigma (I - P (P'P)^-1 P') + HP (P'HP)^-1 (HP)'
+
+    sigma I on the orthogonal complement of span(P), H on span(P). B depends
+    only on span(P), so the columns are first scaled to unit length (mixed
+    scales would square into the Gram solves), and P'HP is replaced by its
+    symmetric part. An empty P gives sigma I.
+    """
     P = np.atleast_2d(np.asarray(P, float))
     HP = np.atleast_2d(np.asarray(HP, float))
-    n = P.shape[0]
-    if P.shape[1] == 0:
-        return sigma * np.eye(n)
-    proj = P @ np.linalg.solve(P.T @ P, P.T)
-    curv = HP @ np.linalg.solve(P.T @ HP, HP.T)
-    return sigma * (np.eye(n) - proj) + curv
+    B = sigma * np.eye(P.shape[0])
+    if P.shape[1]:
+        scales = np.linalg.norm(P, axis=0)
+        P, HP = P / scales, HP / scales
+        cross = P.T @ HP
+        B -= sigma * P @ np.linalg.solve(P.T @ P, P.T)
+        B += HP @ np.linalg.solve(0.5 * (cross + cross.T), HP.T)
+    return B
 
 
 def bfgs_update_dense(B, p, h_p):

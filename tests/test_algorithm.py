@@ -26,7 +26,7 @@ from qnsubspace import (
     subspace_qn_solve,
     traces_match,
 )
-from qnsubspace import algorithm, approximation
+from qnsubspace import algorithm
 
 import oracles
 
@@ -347,24 +347,6 @@ def test_a_newton_at_sigma_costs_one_image(monkeypatch, mode, at, iterations, gr
                               tol=1e-9)
     assert (trace.status, trace.iterations) == (CONVERGED, iterations)
     assert counts == {"gradient": grads, "hessian_action": hess}
-
-
-def test_the_solver_computes_no_alignment(monkeypatch):
-    # no step reads whether pN and q are parallel: verification derives it
-    calls = []
-    collapses = approximation.span_collapses
-
-    def counted(newton_step, align_gap):
-        calls.append(1)
-        return collapses(newton_step, align_gap)
-
-    monkeypatch.setattr(approximation, "span_collapses", counted)
-    prob, x0 = generate_problem(12, 6, cond=20.0, seed=97)
-    for steps in (StepPolicy.unit(), StepPolicy.uniform()):
-        trace = subspace_qn_solve(prob, x0, steps=steps, tol=1e-9, max_iter=10, seed=3)
-        assert any(rec.sigma is not None and not rec.exhausted
-                   for rec in trace.records)
-    assert calls == []
 
 
 def test_no_operator_is_built_or_solved_once_the_span_is_exhausted(monkeypatch):

@@ -1122,6 +1122,29 @@ def test_a_non_finite_spectrum_is_refused_before_any_draw(tmp_path, capsys, monk
     assert f"problems[0]: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, field, value", [
+    ({"n": 2**64, "r": 2, "cond": 5.0}, "n", 2**64),
+    ({"n": 4, "r": 2**64, "cond": 5.0}, "r", 2**64),
+    # an alias that generate_problem never reads is still recorded
+    ({"n": 4, "r": 2, "grade": 10**23, "cond": 5.0}, "grade", 10**23),
+    ({"n": 4, "r": 2, "cond": 10**30}, "cond", 10**30),
+    ({"n": 2, "r": 2, "eigenvalues": [2**64, 2**65]}, "eigenvalues[0]", 2**64),
+], ids=["n", "r", "grade", "cond", "eigenvalue"])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_a_recorded_integer_a_problem_file_cannot_hold_is_refused(
+        tmp_path, capsys, command, entry, field, value):
+    spec = write_spec(tmp_path / "spec.json", {"problems": [entry],
+                                               "methods": [{"kind": "cg"}]})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--spec", spec, "--out-dir", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: problems[0].{field}: integer {value} is outside " \
+        "[-2**63, 2**64)" in err
+    assert "Traceback" not in err
+    assert not out.exists() or files_under(out) == []
+
+
 ONE_CG_RUN = {"problems": [{"n": 4, "r": 2, "cond": 5.0}], "methods": [{"kind": "cg"}]}
 
 
