@@ -39,11 +39,11 @@ for name, trace in traces.items():
         f"(grade {oracle.grade}), |x - x*| = {err:.2e}")
 
 # search directions agree across methods up to scale, and match the
-# oracle's conjugate directions
+# oracle's conjugate directions; a record's iteration is its position
 print("\nper-iteration direction angles against the oracle (radians):")
 for name, trace in traces.items():
     angles = [
-        line_angle(rec.p, oracle.conjugate_direction(rec.k))
-        for rec in trace.records
+        line_angle(rec.p, oracle.conjugate_direction(k))
+        for k, rec in enumerate(trace.records)
     ]
     print(f"{name:>10}: max {max(angles):.2e}")

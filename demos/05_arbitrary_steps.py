@@ -32,9 +32,10 @@ trace = subspace_qn_solve(
     tol=1e-8, seed=1,
 )
 print(f"random-then-unit steps: {trace.status} in {trace.iterations} iterations")
-for rec in trace.records:
+for k, rec in enumerate(trace.records):
+    # the solver's report: q is zero once the span is complete
     note = "exhausted" if rec.exhausted else "collecting"
-    print(f"  k={rec.k}: alpha={rec.alpha:+.3f}  |g|={rec.grad_norm:.2e}  {note}")
+    print(f"  k={k}: alpha={rec.alpha:+.3f}  |g|={rec.grad_norm:.2e}  {note}")
 
 # after the grade the proposed step is the exact remaining gap
 final = trace.records[r]

@@ -363,7 +363,7 @@ def _sigma_or_default(sigmas, k, probe, rng, warnings):
 
 
 def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
-                      tol=1e-9, max_iter=None, seed=0, initial_sigma=None):
+                      tol=1e-9, max_iter=None, seed=0):
     """Run the arbitrary-step method on a quadratic problem.
 
     Parameters
@@ -392,18 +392,18 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         Nonnegative step budget, default n + 5.
     seed : int or tuple of int
         Seeds the policies' random draws; fully determines the run.
-    initial_sigma : float, optional
-        Finite positive scale of the identity the run starts from, default
-        1. A newton-at(-1) sigma policy overrides this with the computed value.
 
     Returns
     -------
     IterateTrace
         One record per step plus the terminal status: converged(iterations),
         max-iter, or breakdown(reason). Its ``final_grad_norm`` is that of
-        the gradient evaluated at ``final_x``. Only invalid arguments raise,
-        before the first gradient; a policy that fails later ends it as a
-        breakdown.
+        the gradient evaluated at ``final_x``, and its
+        ``meta["initial_sigma"]`` the scale of the identity the run starts
+        from: 1, or a newton-at(-1) sigma policy's value at the start point
+        (its ``default`` where that value does not exist). Only invalid
+        arguments raise, before the first gradient; a policy that fails later
+        ends it as a breakdown.
     """
     steps = steps if steps is not None else StepPolicy.unit()
     sigmas = sigmas if sigmas is not None else SigmaPolicy.constant(1.0)
@@ -411,9 +411,6 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         raise ValueError(f"unknown mode {mode!r}")
     check_run_limits(tol, max_iter)
     x = prob._check_vector(x0, name="x0")
-    sigma = 1.0 if initial_sigma is None else _real("initial_sigma", initial_sigma)
-    if sigma <= 0.0:
-        raise PolicyError(f"initial sigma must be positive, got {sigma!r}")
     if max_iter is None:
         max_iter = prob.n + 5
 
@@ -434,12 +431,13 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         "seed": list(seed) if isinstance(seed, (tuple, list)) else seed,
         "step_policy": steps.spec(),
         "sigma_policy": sigmas.spec(),
-        "initial_sigma": sigma,
+        "initial_sigma": 1.0,
     })
     g, g_norm, trace = run.g0, run.g0_norm, run.trace
     n = prob.n
     newton_step, h_newton, q, h_q = (np.zeros(n) for _ in range(4))
 
+    sigma = 1.0
     if sigmas.at == -1 and 0.0 < g_norm < math.inf:
         try:
             sigma = _sigma_or_default(
@@ -484,7 +482,7 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
         exhausted = bool(norm(q_raw) <= EXHAUSTED_RTOL * (norm(p) + norm(newton_step)))
 
         record = IterateRecord(
-            k=k, x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm,
+            x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm,
             h_p=h_p, exhausted=exhausted,
         )
         trace.records.append(record)

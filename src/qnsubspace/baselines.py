@@ -109,7 +109,7 @@ def _exact_line_search_loop(prob, x0, method, tol, max_iter, next_direction):
             alpha = newton_scaling(g, p, h_p)
         except NotPositiveDefiniteError:
             return run.finish(BREAKDOWN, "nonpositive curvature along search direction")
-        run.trace.records.append(IterateRecord(k=k, x=x, g=g, p=p, alpha=alpha,
+        run.trace.records.append(IterateRecord(x=x, g=g, p=p, alpha=alpha,
                                                grad_norm=g_norm, h_p=h_p))
         x = x + alpha * p
         g, g_norm = run.gradient_at(x, g + alpha * h_p)

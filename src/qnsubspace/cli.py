@@ -248,11 +248,12 @@ def cmd_generate(args):
     problems = spec["problems"]
     pids = _problem_ids(problems)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for idx, (pspec, pid) in enumerate(zip(problems, pids)):
         prob, x0, gen_spec, seed_used = _resolve_problem(pspec, idx, base_seed)
         grade = krylov_grade(prob, x0)
         path = out_dir / f"{pid}.json"
+        if idx == 0:  # made once an entry resolves: a refused spec leaves none
+            out_dir.mkdir(parents=True, exist_ok=True)
         save_problem(path, prob, x0, seed=seed_used, spec=gen_spec)
         print(f"{pid}: n={prob.n} grade={grade} -> {path}")
     return EXIT_PASS
@@ -271,8 +272,6 @@ def cmd_run(args):
     pids = _problem_ids(problems)
 
     out_dir = Path(args.out_dir)
-    (out_dir / "problems").mkdir(parents=True, exist_ok=True)
-    (out_dir / "traces").mkdir(parents=True, exist_ok=True)
 
     rows = []
     curves = []
@@ -283,6 +282,9 @@ def cmd_run(args):
         # one reference per problem: its eigendecomposition and minimizers
         # serve the grade column and the checks of every method
         oracle = KrylovOracle(prob, x0)
+        if pi == 0:  # made once an entry resolves: a refused spec leaves none
+            (out_dir / "problems").mkdir(parents=True, exist_ok=True)
+            (out_dir / "traces").mkdir(parents=True, exist_ok=True)
         save_problem(out_dir / "problems" / f"{pid}.json", prob, x0,
                      seed=seed_used, spec=gen_spec)
         for method in methods:
@@ -310,8 +312,8 @@ def cmd_run(args):
                 "termination_check": termination,
                 "unit_step_check": unit,
             })
-            for rec in trace.records:
-                curves.append((pid, method.label, rec.k, _fmt(rec.grad_norm)))
+            for k, rec in enumerate(trace.records):
+                curves.append((pid, method.label, k, _fmt(rec.grad_norm)))
             curves.append((pid, method.label, trace.iterations,
                            _fmt(trace.final_grad_norm)))
 

@@ -158,8 +158,8 @@ class KrylovOracle:
 
     One oracle is the whole reference for a problem and start point: the
     problem's one eigendecomposition (:attr:`QuadraticProblem.spectrum`), the
-    only factorization of H it uses, gives the grade, the basis,
-    :attr:`condition_number` and :attr:`solution`.
+    only factorization of H it uses, gives the grade, the basis and
+    :attr:`solution`.
     :attr:`basis`, :attr:`minimizers`, :attr:`conjugate_directions` and
     :attr:`solution` are computed once, on first use.
     """
@@ -173,7 +173,6 @@ class KrylovOracle:
         g0_norm = util.norm(g0)
 
         evals, evecs = prob.spectrum
-        self.condition_number = prob.condition_number()
 
         tol = RANK_RTOL * max(1.0, norm(prob.H, 1))
         # eigenvalues at most tol apart from their neighbour share a cluster c;

@@ -11,23 +11,27 @@ rounding; in matrix-free mode they are evaluated. The terminal
 
 A trace file is one line of sorted-key JSON. Its top level is the text of
 ``json.dumps``, separators included, so readers can find ``"final": `` in it.
-In the ``qnsubspace-trace-v3`` form, ``iterations`` is compact orjson text of
-one column per record field. ``k`` and ``exhausted`` are lists with one
-entry per record. A file holds only what verification reads: its ``g``,
-``h_p``, ``h_q`` and ``h_pN`` columns are null, so in-memory records keep
-those fields and loaded ones hold None. Each other float field (``alpha``,
-``grad_norm``, ``sigma``, ``x``, ``p``, ``q``, ``pN``) is null if no
-record has it, else ``{"data": ..., "rows": ...}``: the base64 text of the
-little-endian float64 bytes of its values, which keeps every bit (NaN and
-infinities included), and the records that have it, or null for all. So
-``NaN`` and ``Infinity`` literals appear only in ``final``, as in the
-``final.grad_norm`` of a run that broke down on a non-finite gradient, and
-``json.load`` reads them. ``qnsubspace-trace-v2`` files, with one object per
-record and each vector one base64 string, v1 files, with number lists, and
-v3 files that still hold the four columns load as well. Every form becomes
-one value list per record field, and one row builder makes the records of
-them. In every form, a key that names no record field is ignored, and
-``status.iterations`` is written from the number of records and never read.
+In the ``qnsubspace-trace-v3`` form, ``iterations`` is compact orjson text
+of one column per record field, and ``k``. ``k`` and ``exhausted`` are lists
+with one entry per record, written for readers and never read back as facts:
+``k`` is 0..K-1, which a reader checks but keeps no value of, as a record's
+iteration is its position; ``exhausted`` is the solver's report, and
+verification reads exhaustion from a zero q. A file holds only what
+verification reads: its ``g``, ``h_p``, ``h_q`` and ``h_pN`` columns are
+null, so in-memory records keep those fields and loaded ones hold None. Each
+other float field (``alpha``, ``grad_norm``, ``sigma``, ``x``, ``p``, ``q``,
+``pN``) is null if no record has it, else ``{"data": ..., "rows": ...}``:
+the base64 text of the little-endian float64 bytes of its values, which
+keeps every bit (NaN and infinities included), and the records that have it,
+or null for all. So ``NaN`` and ``Infinity`` literals appear only in
+``final``, as in the ``final.grad_norm`` of a run that broke down on a
+non-finite gradient, and ``json.load`` reads them. ``qnsubspace-trace-v2``
+files, with one object per record and each vector one base64 string, v1
+files, with number lists, and v3 files that still hold the four columns load
+as well. Every form becomes one value list per record field, and one row
+builder makes the records of them. In every form, a key that names no record
+field is ignored, and ``status.iterations`` is written from the number of
+records and never read.
 """
 
 import binascii
@@ -74,7 +78,7 @@ _RECORD_VECTORS = {"x": "x", "g": "g", "p": "p", "h_p": "h_p", "q": "q",
 _record_vectors = attrgetter(*_RECORD_VECTORS)
 
 _SCALARS = ("alpha", "grad_norm", "sigma")
-# JSON-list fields, with the type that makes a value JSON serializable
+# JSON-list columns, with the type that makes a value JSON serializable
 _LISTS = {"k": int, "exhausted": bool}
 # Fields every record of a file holds, and fields that no check reads,
 # which a file holds as null columns.
@@ -86,15 +90,15 @@ _UNWRITTEN = ("g", "h_p", "h_q", "h_newton_step")
 class IterateRecord:
     """State recorded at one iteration, taken at the start of the step.
 
-    ``x``, ``g`` and ``p`` describe the step from iterate k; ``q``,
-    ``newton_step`` and their Hessian images describe the direction split
-    computed after the step was taken. ``exhausted`` marks iterations where
-    the new conjugate direction vanished because the generated subspace was
+    ``x``, ``g`` and ``p`` describe the step from iterate k, the record's
+    position in the trace; ``q``, ``newton_step`` and their Hessian images
+    describe the direction split computed after the step was taken.
+    ``exhausted`` is the solver's report of an iteration whose new conjugate
+    direction q vanished, exactly zero, because the generated subspace was
     already complete; from then on every direction is the stored restricted
     Newton step.
     """
 
-    k: int
     x: np.ndarray
     g: np.ndarray | None  # None where a file left it out
     p: np.ndarray
@@ -109,9 +113,10 @@ class IterateRecord:
     exhausted: bool | None = None
 
 
-# (file key, attribute) of every record field, in file key order.
-_COLUMNS = sorted((_RECORD_VECTORS.get(f.name, f.name), f.name)
-                  for f in fields(IterateRecord))
+# (file key, attribute) of every column, in file key order; ``k``, each
+# record's position, is no record field.
+_COLUMNS = sorted([("k", "k")] + [(_RECORD_VECTORS.get(f.name, f.name), f.name)
+                                  for f in fields(IterateRecord)])
 
 
 def _float_values(column, count, scalar):
@@ -135,7 +140,7 @@ def _float_values(column, count, scalar):
 
 
 def _column_values(columns):
-    """Per-field value lists of a v3 ``iterations`` object; ValueError if a
+    """Per-column value lists of a v3 ``iterations`` object; ValueError if a
     column is malformed. A vector column fixes only its own width:
     ``IterateTrace.dimension`` compares them."""
     count = len(columns["k"])
@@ -152,11 +157,11 @@ def _column_values(columns):
         except ValueError as exc:
             raise ValueError(f"column {key}: {exc}") from None
 
-    return {f.name: values(f.name) for f in fields(IterateRecord)}
+    return {attr: values(attr) for _, attr in _COLUMNS}
 
 
 def _record_values(records):
-    """Per-field value lists of a v1 or v2 record list, every vector decoded."""
+    """Per-column value lists of a v1 or v2 record list, every vector decoded."""
     values = {attr: [_vec(r.get(key)) for r in records]
               for attr, key in _RECORD_VECTORS.items()}
     for attr, read in (("k", int), ("alpha", float), ("grad_norm", float)):
@@ -167,7 +172,7 @@ def _record_values(records):
 
 
 def _records(values):
-    """The records of per-field value lists, every file form's one row
+    """The records of per-column value lists, every file form's one row
     builder; ValueError if a record lacks a field that every record holds."""
     for attr in _REQUIRED:
         if any(v is None for v in values[attr]):
@@ -192,10 +197,6 @@ class IterateTrace:
     final_grad_norm: float | None = None
     meta: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
-
-    @property
-    def converged(self):
-        return self.status == CONVERGED
 
     @property
     def iterations(self):
@@ -252,7 +253,8 @@ class IterateTrace:
             if attr in _UNWRITTEN:
                 yield key, None
                 continue
-            values = [getattr(r, attr) for r in self.records]
+            values = (range(len(self.records)) if attr == "k"
+                      else [getattr(r, attr) for r in self.records])
             if attr in _LISTS:
                 yield key, [v if v is None else _LISTS[attr](v) for v in values]
                 continue

@@ -3,9 +3,11 @@
 Every check recomputes its reference quantities from the problem data
 (Krylov-space minimizers, conjugate directions, the exact solution). Of the
 recorded vectors it trusts only x and p, plus q and pN on qn-subspace records.
-A record's iteration is its position and the count is the number of records,
-not a file's ``k``; a file's ``status.iterations`` is written from the records
-and never read, and its ``status.kind`` is trusted.
+A record's iteration is its position and the count is the number of records;
+a file's ``status.iterations`` is written from the records and never read,
+and its ``status.kind`` is trusted. A record whose q is all exact zeros is
+exhausted, the solver's own rule: the recorded ``exhausted`` flag is the
+solver's report, which no check reads.
 The checks take those references from one :class:`KrylovOracle` of the
 problem and start point, which every trace of that problem can share.
 
@@ -200,10 +202,8 @@ def check_newton_onset(trace, oracle):
 
     # each new direction q before the grade, where it is measurable, against
     # the reference conjugate direction of its iteration
-    angle_tol = (ANGLE_TOL_ILL if oracle.condition_number > ILL_CONDITIONED
-                 else ANGLE_TOL)
-    new = [i for i, rec in enumerate(records[:r])
-           if rec.q is not None and not rec.exhausted]
+    angle_tol = ANGLE_TOL_ILL if prob.condition_number() > ILL_CONDITIONED else ANGLE_TOL
+    new = [i for i, rec in enumerate(records[:r]) if rec.q is not None and rec.q.any()]
     Q = _rows([records[i].q for i in new], prob.n)
     floor = DIRECTION_FLOOR * (1.0 + _norms(X[new]) + _norms(P[new]))
     measured = ~(_norms(Q) < floor)
@@ -289,9 +289,8 @@ def check_unit_step_counts(trace, oracle):
                     where=nonzero, out=np.zeros(len(both)))
     gaps = 1.0 - np.minimum(1.0, cos)
     # one direction where pN is zero or within COLLAPSE_TOL of q's line,
-    # unless the span was already exhausted
-    single = (np.array([bool(records[i].exhausted) for i in both], dtype=bool)
-              | (pn_norms == 0.0) | (gaps <= COLLAPSE_TOL))
+    # unless the span was already exhausted: q is all exact zeros
+    single = ~Q.any(axis=1) | (pn_norms == 0.0) | (gaps <= COLLAPSE_TOL)
     narrow = {i for i, one in zip(both, single) if one}
     wide = [i for i in sig if i not in narrow]
     gaps = gaps[nonzero]
@@ -406,13 +405,11 @@ def check_conjugate_baseline(trace, oracle):
 def _field_mismatch(name, a, b, rtol):
     """How one field differs between two traces, or None when it matches.
 
-    Integers and flags (unset reads as False) must be equal; numbers and
-    vectors must agree to ``rtol`` relative to the larger magnitude.
+    Flags (unset reads as False) must be equal; numbers and vectors must
+    agree to ``rtol`` relative to the larger magnitude.
     """
-    flag = isinstance(a, (bool, np.bool_)) or isinstance(b, (bool, np.bool_))
-    if flag or isinstance(a, int):
-        same = bool(a) == bool(b) if flag else a == b
-        return None if same else f"{name} {a} vs {b}"
+    if isinstance(a, (bool, np.bool_)) or isinstance(b, (bool, np.bool_)):
+        return None if bool(a) == bool(b) else f"{name} {a} vs {b}"
     if a is None or b is None:
         return None if a is b else f"{name} present in only one trace"
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -438,8 +435,9 @@ def traces_match(a, b, rtol=1e-6):
             f"record count: {len(a.records)} vs {len(b.records)}"
         )
 
-    pairs = [(f"record {ra.k}: {f.name}", getattr(ra, f.name), getattr(rb, f.name))
-             for ra, rb in zip(a.records, b.records) for f in fields(IterateRecord)]
+    pairs = [(f"record {k}: {f.name}", getattr(ra, f.name), getattr(rb, f.name))
+             for k, (ra, rb) in enumerate(zip(a.records, b.records))
+             for f in fields(IterateRecord)]
     pairs += [("final x", a.final_x, b.final_x),
               ("final grad_norm", a.final_grad_norm, b.final_grad_norm)]
     mismatches += filter(None, (_field_mismatch(*pair, rtol) for pair in pairs))

@@ -432,11 +432,12 @@ def onset_findings(trace, oracle, V):
         passed = trace.status != V.CONVERGED or count <= r
     out["unit step past the grade terminates on the spot"] = (passed, None)
 
-    angle_tol = (V.ANGLE_TOL_ILL if oracle.condition_number > V.ILL_CONDITIONED
+    angle_tol = (V.ANGLE_TOL_ILL if oracle.problem.condition_number() > V.ILL_CONDITIONED
                  else V.ANGLE_TOL)
     worst_angle = 0.0
     for k, rec in enumerate(trace.records):
-        if k >= r or rec.q is None or rec.exhausted:
+        # an all-zero q marks an exhausted span
+        if k >= r or rec.q is None or not rec.q.any():
             continue
         floor = V.DIRECTION_FLOOR * (1.0 + np.linalg.norm(rec.x) + np.linalg.norm(rec.p))
         if np.linalg.norm(rec.q) < floor:
@@ -457,7 +458,7 @@ def unit_step_findings(trace, oracle, V):
     for rec in (rec for rec in trace.records if rec.sigma is not None):
         pN, q = rec.newton_step, rec.q
         gap = None if pN is None or q is None else 1.0 - alignment(pN, q)
-        if gap is None or not (rec.exhausted or np.linalg.norm(pN) == 0.0
+        if gap is None or not (not q.any() or np.linalg.norm(pN) == 0.0
                                or gap <= V.COLLAPSE_TOL):
             wide = True
         if gap is not None and np.linalg.norm(pN) and np.linalg.norm(q):

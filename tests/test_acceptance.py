@@ -245,8 +245,8 @@ def test_criterion_5_arbitrary_steps():
             sigmas=SigmaPolicy.uniform(0.5, 2.0),
             tol=RUN_TOL, max_iter=r + 4, seed=10_000 + i,
         )
-        for rec in free.records:
-            if rec.k >= r:
+        for k, rec in enumerate(free.records):
+            if k >= r:
                 worst_miss = max(worst_miss, norm(rec.x + rec.p - x_star) / scale)
 
         k0 = r + i % 3

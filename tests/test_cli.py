@@ -1148,6 +1148,31 @@ def test_a_recorded_integer_a_problem_file_cannot_hold_is_refused(
 ONE_CG_RUN = {"problems": [{"n": 4, "r": 2, "cond": 5.0}], "methods": [{"kind": "cg"}]}
 
 
+@pytest.mark.parametrize("entry", ['{"n": 513, "r": 2, "cond": 5.0}',
+                                   '{"n": 4, "r": 2, "cond": 1e999}',
+                                   f'{{"n": 4, "r": 2, "cond": {2**65}}}'],
+                         ids=["n-513", "cond-1e999", "cond-2**65"])
+@pytest.mark.parametrize("command, existing", [("run", False), ("run", True),
+                                               ("generate", False)],
+                         ids=["run", "run-in-existing", "generate"])
+def test_a_refused_first_problem_leaves_no_output_directory(tmp_path, capsys, command,
+                                                            existing, entry):
+    # the output directories are made once the first problem entry resolves,
+    # and a directory that already existed is left as it is: run makes none
+    # inside it
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"problems": [{entry}], "methods": [{{"kind": "cg"}}]}}')
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    left = [out] if existing else []
+    capsys.readouterr()
+    target = out if existing else out / "a"
+    assert main([command, "--spec", str(spec), "--out-dir", str(target)]) == EXIT_USAGE
+    assert "error: problems[0]" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [*left, spec]
+
+
 @pytest.mark.parametrize("make, fragments", [
     (lambda spec, out: spec.write_text("[]"), ["error: spec: must be a JSON object"]),
     (lambda spec, out: spec.write_text('"x"'), ["error: spec: must be a JSON object"]),

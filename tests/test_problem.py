@@ -450,6 +450,6 @@ def test_a_problem_is_decomposed_at_most_once(monkeypatch):
     assert calls == []  # the generator hands over no spectrum
     cond = prob.condition_number()
     oracles_ = [KrylovOracle(prob, x0), KrylovOracle(prob, np.ones(8))]
-    assert [oracle.condition_number for oracle in oracles_] == [cond, cond]
+    assert [oracle.problem.condition_number() for oracle in oracles_] == [cond, cond]
     assert oracles_[0].solution is not None
     assert calls == ["eigh"]

@@ -76,7 +76,7 @@ TINY_TRACE_TEXT = (
 
 
 def tiny_trace():
-    rec = IterateRecord(k=0, x=np.array([1.0]), g=np.array([-0.5]),
+    rec = IterateRecord(x=np.array([1.0]), g=np.array([-0.5]),
                         p=np.array([0.5]), alpha=2.0, grad_norm=0.5, sigma=1e-05,
                         exhausted=False)
     return IterateTrace(records=[rec], meta={"method": "cg", "tol": 1e-05}).finish(
@@ -200,7 +200,7 @@ def awkward_record(n):
     vecs = [np.resize(np.concatenate([special, rng.standard_normal(n)]), n)
             for _ in RECORD_VECTORS]
     x, g, p, h_p, q, pN, h_q, h_pN = vecs
-    return IterateRecord(k=0, x=x, g=g, p=p, alpha=1.0, grad_norm=1.0, h_p=h_p,
+    return IterateRecord(x=x, g=g, p=p, alpha=1.0, grad_norm=1.0, h_p=h_p,
                          q=q, newton_step=pN, h_q=h_q, h_newton_step=h_pN,
                          sigma=1.0, exhausted=False)
 
@@ -222,9 +222,9 @@ def test_record_vectors_round_trip_bit_for_bit(tmp_path):
 
 def test_record_scalars_round_trip_bit_for_bit(tmp_path):
     records = []
-    for k, value in enumerate(AWKWARD):
+    for value in AWKWARD:
         rec = awkward_record(3)
-        rec.k, rec.alpha, rec.grad_norm, rec.sigma = k, value, -value, value
+        rec.alpha, rec.grad_norm, rec.sigma = value, -value, value
         records.append(rec)
     trace = IterateTrace(records=records, final_x=records[0].x, final_grad_norm=0.0)
     path = tmp_path / "scalars.json"
@@ -238,7 +238,7 @@ def test_record_scalars_round_trip_bit_for_bit(tmp_path):
 
 def test_non_finite_record_scalars_sit_inside_base64(tmp_path):
     odd = awkward_record(2)
-    odd.k, odd.alpha, odd.grad_norm, odd.sigma = 1, np.nan, np.inf, -np.inf
+    odd.alpha, odd.grad_norm, odd.sigma = np.nan, np.inf, -np.inf
     plain = awkward_record(2)
     trace = IterateTrace(records=[plain, odd], final_x=odd.x,
                          final_grad_norm=np.inf)
@@ -279,7 +279,7 @@ def patterned_records(count, present):
         def vec(j, vals=vals):
             return np.resize(np.roll(vals, j), 3)
 
-        rec = IterateRecord(k=k, x=vec(0), g=vec(1), p=vec(2), alpha=vals[0],
+        rec = IterateRecord(x=vec(0), g=vec(1), p=vec(2), alpha=vals[0],
                             grad_norm=vals[1])
         if present(k):
             rec.h_p, rec.q, rec.newton_step = vec(3), vec(4), vec(5)
@@ -319,7 +319,7 @@ def test_every_field_round_trips_bit_for_bit_in_each_presence_pattern(
             want, value = getattr(rec, f.name), getattr(got, f.name)
             if f.name in UNWRITTEN.values():
                 assert value is None, f.name
-            elif want is None or f.name in ("k", "exhausted"):
+            elif want is None or f.name == "exhausted":
                 assert value == want and type(value) is type(want), f.name
             elif f.name in ("alpha", "grad_norm", "sigma"):
                 assert type(value) is float and same_bits(value, want), f.name
@@ -331,8 +331,7 @@ def test_every_field_round_trips_bit_for_bit_in_each_presence_pattern(
 
 
 def test_every_record_field_survives_a_json_round_trip():
-    values = {"k": 7, "alpha": -0.375, "grad_norm": 2.5, "sigma": 1.75,
-              "exhausted": False}
+    values = {"alpha": -0.375, "grad_norm": 2.5, "sigma": 1.75, "exhausted": False}
     for i, attr in enumerate(RECORD_VECTORS.values()):
         values[attr] = np.arange(5.0) + 10.0 * i
     names = {f.name for f in fields(IterateRecord)}
@@ -380,11 +379,11 @@ def v1_document(trace):
     payload = trace.to_dict()
     payload["schema"] = "qnsubspace-trace-v1"
     payload["iterations"] = [
-        {"k": rec.k, "alpha": rec.alpha, "grad_norm": rec.grad_norm,
+        {"k": k, "alpha": rec.alpha, "grad_norm": rec.grad_norm,
          "sigma": rec.sigma, "exhausted": rec.exhausted,
          **{key: None if getattr(rec, attr) is None else getattr(rec, attr).tolist()
             for key, attr in RECORD_VECTORS.items()}}
-        for rec in trace.records]
+        for k, rec in enumerate(trace.records)]
     return payload
 
 
@@ -432,3 +431,29 @@ def test_a_file_status_iterations_is_never_read(tmp_path, form, claim):
     assert got.iterations == len(got.records) == len(want.records) > 0
     assert traces_match(got, want, rtol=0.0) == (True, [])
     assert trace_text(got) == trace_text(want)
+
+
+@pytest.mark.parametrize("form", ["v1", "v2", "v3"])
+def test_a_file_k_is_required_but_never_kept(tmp_path, form):
+    # a record's iteration is its position: a file's k is checked to be an
+    # integer per record, and the records are the same whatever it holds
+    honest = tmp_path / "honest.json"
+    if form == "v2":
+        shutil.copyfile(V2_TRACE, honest)
+    else:
+        run, _ = sample_traces()
+        run.save(honest)
+        if form == "v1":
+            honest.write_text(json.dumps(v1_document(run)))
+    doc = json.loads(honest.read_text())
+    if form == "v3":
+        doc["iterations"]["k"] = [k - 3 for k in doc["iterations"]["k"]]
+    else:
+        for rec in doc["iterations"]:
+            rec["k"] -= 3
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(doc))
+    want, got = IterateTrace.load(honest), IterateTrace.load(doctored)
+    assert traces_match(got, want, rtol=0.0) == (True, [])
+    assert trace_text(got) == trace_text(want)
+    assert json.loads(trace_text(got))["iterations"]["k"] == list(range(len(got.records)))

@@ -156,16 +156,73 @@ def test_the_fields_a_file_leaves_out_change_no_finding(tmp_path, solve, doctor)
     assert findings(doctored, oracle) == want
 
 
-def shift_k(trace, path):
-    for rec in trace.records:
-        rec.k -= 3
+def save_with_k(path, trace, renumber):
+    """Save ``trace`` with its file's k column renumbered: the records have
+    no k, so only a file can give one."""
     trace.save(path)
+    doc = json.loads(path.read_text())
+    doc["iterations"]["k"] = [renumber(k) for k in doc["iterations"]["k"]]
+    path.write_text(json.dumps(doc))
+
+
+def rolled_q(trace):
+    rec = trace.records[2]
+    rec.q = np.roll(rec.q, 3)
+    return rec
+
+
+# (run, doctor that moves one record's q or pN and returns the record, the
+# finding the move fails)
+FLAGGED = {
+    "uniform-rolled-q": (
+        lambda prob, x0: subspace_qn_solve(prob, x0, steps=StepPolicy.uniform(),
+                                           seed=1, max_iter=40),
+        rolled_q, "new directions parallel to reference conjugate directions"),
+    "unit-moved-pN": (lambda prob, x0: subspace_qn_solve(prob, x0, seed=1),
+                      lambda trace: pN_off_the_line_of_q(trace),  # defined below
+                      "memory stays a single direction"),
+}
+
+
+@pytest.mark.parametrize("solve, doctor, name", FLAGGED.values(), ids=FLAGGED)
+def test_an_exhausted_flag_hides_no_failure(tmp_path, solve, doctor, name):
+    # exhaustion is read from q, which the solver zeroes exactly where it
+    # flags it: a record that claims an exhausted span keeps its findings
+    prob, x0 = generate_problem(20, 8, cond=30.0, seed=5)
+    oracle = KrylovOracle(prob, x0)
+    doctored = copy_trace(solve(prob, x0))
+    rec = doctor(doctored)
+    assert not rec.exhausted and rec.q.any()
+    want = findings(doctored, oracle)
+    assert [passed for _, found, passed, _ in want if found == name] == [False]
+    rec.exhausted = True
+    assert findings(doctored, oracle) == want
+    path = tmp_path / "flagged.json"
+    doctored.save(path)
+    loaded = IterateTrace.load(path)
+    assert [r.exhausted for r in loaded.records] == [r.exhausted for r in doctored.records]
+    assert findings(loaded, oracle) == want
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_the_solver_flags_exhaustion_exactly_where_q_is_zero(seed):
+    prob, x0 = generate_problem(20, 8, cond=30.0, seed=seed)
+    flagged = 0
+    for solve in GRID_SOLVERS[3:]:
+        trace = solve(prob, x0)
+        for rec in trace.records:
+            if rec.q is not None:
+                assert rec.exhausted == (not rec.q.any())
+                flagged += rec.exhausted
+    assert flagged
+
+
+def shift_k(trace, path):
+    save_with_k(path, trace, lambda k: k - 3)
 
 
 def zero_k(trace, path):
-    for rec in trace.records:
-        rec.k = 0
-    trace.save(path)
+    save_with_k(path, trace, lambda k: 0)
 
 
 def save_with_count(path, trace, count):
@@ -183,7 +240,7 @@ def iterations_off_by(change):
     return doctor
 
 
-# Each doctor edits a trace and saves it, or writes its file with a wrong count.
+# Each doctor saves a trace with its file's k column or count changed.
 COUNT_DOCTORS = {"k-3": shift_k, "k-0": zero_k,
                  "iterations+1": iterations_off_by(1), "iterations-1": iterations_off_by(-1)}
 
@@ -203,14 +260,14 @@ def test_the_recorded_iteration_numbers_change_no_finding(tmp_path, solve, docto
                 for rep in verify_trace(trace, prob, x0, oracle) for f in rep.findings]
 
     want = lines(trace)
-    doctored = copy_trace(trace)
-    path = tmp_path / "doctored.json"
-    doctor(doctored, path)
-    assert lines(doctored) == want
+    honest, path = tmp_path / "honest.json", tmp_path / "doctored.json"
+    trace.save(honest)
+    doctor(trace, path)
     loaded = IterateTrace.load(path)
-    assert [rec.k for rec in loaded.records] == [rec.k for rec in doctored.records]
     assert loaded.iterations == len(loaded.records) == trace.iterations
     assert lines(loaded) == want
+    # no record keeps a file's k: both files load to the same records
+    assert traces_match(IterateTrace.load(honest), loaded, rtol=0.0) == (True, [])
 
 
 def test_a_count_the_records_do_not_show_fails(tmp_path):
@@ -399,9 +456,7 @@ def test_traces_match_reports_field_level_differences():
     assert any(m.startswith("status:") for m in mismatches)
 
     def perturbed(value):
-        if isinstance(value, bool):
-            return not value
-        return value + 1 if isinstance(value, int) else value + 1.0
+        return not value if isinstance(value, bool) else value + 1.0
 
     assert all(getattr(a.records[1], f.name) is not None for f in fields(IterateRecord))
     for f in fields(IterateRecord):
@@ -449,13 +504,13 @@ def per_pair_values(trace, prob, x0, basis):
     if trace.meta["method"] == "qn-subspace":
         angles = [0.0]
         orth = [0.0]
-        for rec in records:
-            if rec.k < r and rec.q is not None and not rec.exhausted and \
+        for k, rec in enumerate(records):
+            if k < r and rec.q is not None and rec.q.any() and \
                     norm(rec.q) >= V.DIRECTION_FLOOR * (1.0 + norm(rec.x) + norm(rec.p)):
-                angles.append(oracles.line_angle(rec.q, qs[rec.k]))
+                angles.append(oracles.line_angle(rec.q, qs[k]))
             if rec.newton_step is not None and g0_norm > 0.0:
                 g_hat = prob.gradient(rec.x + rec.alpha * rec.p + rec.newton_step)
-                orth += [abs(g_hat @ q) / (g0_norm * norm(q)) for q in qs[:rec.k + 1]]
+                orth += [abs(g_hat @ q) / (g0_norm * norm(q)) for q in qs[:k + 1]]
         return {
             ("newton-onset", "new directions parallel to reference conjugate directions"):
                 (max(angles), V.ANGLE_TOL),
@@ -476,7 +531,7 @@ def per_pair_values(trace, prob, x0, basis):
     x_star = oracles.dense_solution(prob.H, prob.c)
     x_scale = 1.0 + norm(x_star)
     misses = [norm(rec.x - xs[j]) / x_scale for j, rec in enumerate(records) if 1 <= j <= r]
-    if trace.final_x is not None and trace.converged:
+    if trace.final_x is not None and trace.status == V.CONVERGED:
         misses.append(norm(trace.final_x - x_star) / x_scale)
     return {
         ("conjugate-baseline", "directions mutually conjugate"): (defect, V.CONJUGACY_TOL),
@@ -517,6 +572,7 @@ def pN_off_the_line_of_q(trace):
     rec = next(rec for rec in trace.records if rec.sigma is not None and rec.q is not None)
     off = np.arange(1.0, rec.q.size + 1.0)
     rec.newton_step = rec.q + norm(rec.q) * (off / norm(off))
+    return rec
 
 
 def reversed_q(trace):
