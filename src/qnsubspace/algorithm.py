@@ -13,6 +13,9 @@ With H, the gradient is carried too, as g + alpha Hp, by the stopping rule of
 Finite termination does not need exact line search: once the generated
 subspace reaches its grade r, every direction is the full Newton step, and
 taking a unit step at any iteration k >= r lands exactly on the minimizer.
+
+:func:`_iterate` is the one loop of this method and of the baselines: a
+direction rule supplies p and keeps its state, and the loop does the rest.
 """
 
 import math
@@ -350,16 +353,166 @@ def solve_direction(g, newton_step, h_newton_step, q, h_q, sigma):
     return newton_step + _upcoming_direction(g + h_newton_step, q, h_q)[1] / sigma
 
 
-def _sigma_or_default(sigmas, k, probe, rng, warnings):
-    """The policy's sigma at iteration k or, where its Newton value does not
-    exist or its scaled value is not finite, its default, with a warning
-    appended to ``warnings``."""
+def _iterate(prob, x0, rule, steps, mode, tol, max_iter):
+    """The one iteration of every method: ``rule`` gives each direction,
+    p = ``rule.direction(g)``, and every end of a run is here.
+
+    A rule that ``descends`` ends the run where g'p >= 0, before the
+    H-product. Oracle mode takes Hp before the step policy, so the exact
+    step reuses it, and carries g + alpha Hp by the rule of ``trace.Run``;
+    matrix-free mode takes Hp from the gradient difference. A record, with
+    ``rule.exhausted``, is kept before the new gradient is checked finite;
+    ``rule.update(k, record, x_next, g_next, converged)`` fills the rest,
+    raising NotPositiveDefiniteError for degenerate curvature above
+    tolerance and PolicyError or DegenerateBasisError to end the run.
+    ``rule.begin`` gives the meta and the step generator, ``rule.start``
+    runs before the start checks, and the cap, default n +
+    ``rule.cap_over_n``, ends the run as ``rule.at_cap``.
+    """
+    if mode not in (ORACLE, MATRIX_FREE):
+        raise ValueError(f"unknown mode {mode!r}")
+    check_run_limits(tol, max_iter)
+    x = prob._check_vector(x0, name="x0")
+    cap = max_iter if max_iter is not None else prob.n + rule.cap_over_n
+    meta, rng = rule.begin(tol, cap, mode, steps)
+
+    def image(x_ref, g_ref, v):  # matrix-free: one more gradient, exact on a quadratic
+        return prob.hessian_action(v) if mode == ORACLE else prob.gradient(x_ref + v) - g_ref
+
+    run = Run(prob, x, tol, meta)
+    g, g_norm = run.g0, run.g0_norm
     try:
-        return sigmas.sigma(k, probe, rng)
-    except DegenerateBasisError as exc:
-        warnings.append(f"iteration {k}: sigma policy fell back to "
-                        f"{sigmas.default:g} ({exc})")
-        return sigmas.default
+        rule.start(image, x, g, g_norm, run.trace)
+    except PolicyError as exc:
+        return run.finish(BREAKDOWN, str(exc))
+    if not math.isfinite(g_norm):
+        return run.finish(BREAKDOWN, "gradient is not finite at iterate 0")
+    if g_norm <= run.threshold:
+        return run.finish(CONVERGED)
+
+    for k in range(cap):
+        p = rule.direction(g)
+        if rule.descends and float(g @ p) >= 0.0:
+            return run.finish(BREAKDOWN, "approximation lost positive definiteness")
+        h_p = prob.hessian_action(p) if mode == ORACLE else None
+        try:
+            alpha = steps.alpha(
+                k, lambda: newton_scaling(g, p, h_p if mode == ORACLE else image(x, g, p)),
+                rng)
+        except NotPositiveDefiniteError:  # from the exact step
+            return run.finish(BREAKDOWN, "nonpositive curvature along search direction")
+        except PolicyError as exc:  # a schedule runs out, a draw gives up
+            return run.finish(BREAKDOWN, str(exc))
+        x_next = x + alpha * p
+        g_next, g_next_norm = run.gradient_at(
+            x_next, g + alpha * h_p if mode == ORACLE else None)
+        if mode == MATRIX_FREE:
+            h_p = (g_next - g) / alpha
+        record = IterateRecord(x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm,
+                               h_p=h_p, exhausted=rule.exhausted)
+        run.trace.records.append(record)
+        if not math.isfinite(g_next_norm):
+            return run.finish(BREAKDOWN, f"gradient is not finite at iterate {k + 1}")
+        converged = g_next_norm <= run.threshold
+        try:
+            rule.update(k, record, x_next, g_next, converged)
+        except NotPositiveDefiniteError as exc:
+            return run.finish(BREAKDOWN, f"{exc} with gradient above tolerance")
+        except (PolicyError, DegenerateBasisError) as exc:
+            return run.finish(BREAKDOWN, str(exc))
+        if converged:
+            return run.finish(CONVERGED)
+        x, g, g_norm = x_next, g_next, g_next_norm
+
+    if rule.at_cap == MAX_ITER:
+        return run.finish(MAX_ITER)
+    return run.finish(BREAKDOWN, f"no convergence within {cap} iterations")
+
+
+class _SubspaceRule:
+    """The ``"qn-subspace"`` rule of :func:`_iterate`: the direction of
+    :func:`solve_direction` from pN, q, their Hessian images and sigma, or
+    pN itself once the span is exhausted. An update runs the recursion of
+    :func:`_conjugate_images` and, short of convergence, draws sigma."""
+
+    descends = False
+    cap_over_n = 5
+    at_cap = MAX_ITER
+
+    def __init__(self, sigmas, seed):
+        self.sigmas, self.seed = sigmas, seed
+
+    def begin(self, tol, max_iter, mode, steps):
+        rng_step, self.rng_sigma = (np.random.default_rng(s)
+                                    for s in np.random.SeedSequence(self.seed).spawn(2))
+        seed = list(self.seed) if isinstance(self.seed, (tuple, list)) else self.seed
+        return {"method": "qn-subspace", "mode": mode, "tol": tol, "max_iter": max_iter,
+                "seed": seed, "step_policy": steps.spec(),
+                "sigma_policy": self.sigmas.spec(), "initial_sigma": 1.0}, rng_step
+
+    def start(self, image, x, g, g_norm, trace):
+        """Zero state, and sigma 1 or a newton-at(-1) policy's value at x0."""
+        self.image, self.warnings = image, trace.warnings
+        self.newton_step, self.h_newton, self.q, self.h_q = (
+            np.zeros(x.size) for _ in range(4))
+        self.sigma, self.exhausted = 1.0, False
+        if self.sigmas.at == -1 and 0.0 < g_norm < math.inf:
+            self.sigma = trace.meta["initial_sigma"] = self._draw(-1, x, g)
+
+    def _draw(self, k, x, g):
+        """The policy's sigma at iteration k or, where its Newton value at
+        (x, g) does not exist or scales past the floats, its default."""
+        try:
+            return self.sigmas.sigma(k, lambda: _newton_value(
+                self.image, x, g, self.h_newton, self.q, self.h_q, self.exhausted),
+                self.rng_sigma)
+        except DegenerateBasisError as exc:
+            self.warnings.append(f"iteration {k}: sigma policy fell back to "
+                                 f"{self.sigmas.default:g} ({exc})")
+            return self.sigmas.default
+
+    def direction(self, g):
+        if self.exhausted:  # the span is complete: the closed form would add
+            # its rounding over sigma at every pass, pN's error only contracts
+            p = self.newton_step.copy()
+        else:
+            p = solve_direction(g, self.newton_step, self.h_newton, self.q, self.h_q,
+                                self.sigma)
+        self.q_next = p - self.newton_step
+        self.exhausted = bool(norm(self.q_next)
+                              <= EXHAUSTED_RTOL * (norm(p) + norm(self.newton_step)))
+        return p
+
+    def update(self, k, record, x_next, g_next, converged):
+        alpha, p, h_p = record.alpha, record.p, record.h_p
+        if self.exhausted:
+            # no new conjugate direction exists. Updating by the move taken
+            # (rather than scaling by 1 - alpha, the same in exact arithmetic)
+            # keeps the direction's one-time rounding out of the correction.
+            q, h_q = np.zeros(p.size), np.zeros(p.size)
+            newton_next = self.newton_step - alpha * p
+            h_newton_next = self.h_newton - alpha * h_p
+        else:
+            q = self.q_next
+            try:
+                h_q, h_newton_next, coef = _conjugate_images(
+                    h_p, self.h_newton, q, record.g + self.h_newton, alpha)
+            except NotPositiveDefiniteError:
+                if not converged:
+                    raise
+                record.q, record.h_q = q, h_p - self.h_newton
+                return
+            newton_next = (1.0 - alpha) * self.newton_step - coef * q
+        record.q, record.h_q = self.q, self.h_q = q, h_q
+        record.newton_step = self.newton_step = newton_next
+        record.h_newton_step = self.h_newton = h_newton_next
+        if converged:
+            return
+        sigma = self._draw(k, x_next, g_next)
+        if self.exhausted and norm(newton_next) == 0.0:
+            raise DegenerateBasisError("no direction information left while "
+                                       "the gradient is above tolerance")
+        self.sigma = record.sigma = sigma
 
 
 def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
@@ -376,16 +529,10 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     sigmas : SigmaPolicy
         Complement scaling rule (default constant 1).
     mode : str
-        Where the step's Hessian image Hp comes from: "oracle" applies H
-        once per iteration, before the step policy runs, so the exact step
-        reuses it, and carries the gradient as g_next = g + alpha Hp;
-        "matrix-free" evaluates g_next and takes the gradient difference
-        (g_next - g) / alpha. Both modes then run the same recursion for
-        the images of q and of the restricted Newton step, so neither
-        spends more than one H-product or gradient per iteration beyond
-        what the step and sigma policies probe. Oracle mode evaluates the
-        gradient only at x0 and where the run may end, by the rule of
-        ``trace.Run``.
+        Where the step's Hessian image Hp comes from: "oracle" takes one
+        H-product and carries the gradient as g + alpha Hp, "matrix-free"
+        the gradient difference. Either makes one oracle call per iteration
+        beyond what the step and sigma policies probe.
     tol : float
         Finite and positive; terminate once ||g|| <= tol * (1 + ||g0||).
     max_iter : int, optional
@@ -397,143 +544,11 @@ def subspace_qn_solve(prob, x0, steps=None, sigmas=None, mode=ORACLE,
     -------
     IterateTrace
         One record per step plus the terminal status: converged(iterations),
-        max-iter, or breakdown(reason). Its ``final_grad_norm`` is that of
-        the gradient evaluated at ``final_x``, and its
-        ``meta["initial_sigma"]`` the scale of the identity the run starts
-        from: 1, or a newton-at(-1) sigma policy's value at the start point
-        (its ``default`` where that value does not exist). Only invalid
-        arguments raise, before the first gradient; a policy that fails later
-        ends it as a breakdown.
+        max-iter, or breakdown(reason), with ``final_grad_norm`` evaluated
+        at ``final_x``; ``meta["initial_sigma"]`` is 1, or a newton-at(-1)
+        policy's value at x0 (its ``default`` where that does not exist).
+        Only invalid arguments raise, before the first gradient.
     """
     steps = steps if steps is not None else StepPolicy.unit()
     sigmas = sigmas if sigmas is not None else SigmaPolicy.constant(1.0)
-    if mode not in (ORACLE, MATRIX_FREE):
-        raise ValueError(f"unknown mode {mode!r}")
-    check_run_limits(tol, max_iter)
-    x = prob._check_vector(x0, name="x0")
-    if max_iter is None:
-        max_iter = prob.n + 5
-
-    ss = np.random.SeedSequence(seed)
-    rng_step, rng_sigma = (np.random.default_rng(s) for s in ss.spawn(2))
-
-    def image(x_ref, g_ref, v):
-        if mode == ORACLE:
-            return prob.hessian_action(v)
-        # one extra gradient evaluation per probe; exact on a quadratic
-        return prob.gradient(x_ref + v) - g_ref
-
-    run = Run(prob, x, tol, {
-        "method": "qn-subspace",
-        "mode": mode,
-        "tol": tol,
-        "max_iter": max_iter,
-        "seed": list(seed) if isinstance(seed, (tuple, list)) else seed,
-        "step_policy": steps.spec(),
-        "sigma_policy": sigmas.spec(),
-        "initial_sigma": 1.0,
-    })
-    g, g_norm, trace = run.g0, run.g0_norm, run.trace
-    n = prob.n
-    newton_step, h_newton, q, h_q = (np.zeros(n) for _ in range(4))
-
-    sigma = 1.0
-    if sigmas.at == -1 and 0.0 < g_norm < math.inf:
-        try:
-            sigma = _sigma_or_default(
-                sigmas, -1, lambda: _newton_value(image, x, g, h_newton, q, h_q, False),
-                rng_sigma, trace.warnings)
-        except PolicyError as exc:
-            return run.finish(BREAKDOWN, str(exc))
-        trace.meta["initial_sigma"] = sigma
-    if not math.isfinite(g_norm):
-        return run.finish(BREAKDOWN, "gradient is not finite at iterate 0")
-    if g_norm <= run.threshold:
-        return run.finish(CONVERGED)
-
-    exhausted = False
-    for k in range(max_iter):
-        if exhausted:
-            # exhausted last iteration, so the span is complete: the closed
-            # form would add its rounding noise over sigma at every pass,
-            # while the stored Newton step's error only contracts
-            p = newton_step.copy()
-        else:
-            p = solve_direction(g, newton_step, h_newton, q, h_q, sigma)
-        # the mode decides only where Hp comes from: H once, before the step
-        # policy, so the exact step reuses it, or the gradient difference the
-        # step produces; everything below runs the same recursion on it
-        h_p = prob.hessian_action(p) if mode == ORACLE else None
-        try:
-            alpha = steps.alpha(
-                k, lambda: newton_scaling(g, p, h_p if mode == ORACLE else image(x, g, p)),
-                rng_step)
-        except NotPositiveDefiniteError:  # from the exact step
-            return run.finish(BREAKDOWN, "nonpositive curvature along search direction")
-        except PolicyError as exc:  # a schedule runs out, a draw gives up
-            return run.finish(BREAKDOWN, str(exc))
-        x_next = x + alpha * p
-        g_next, g_next_norm = run.gradient_at(
-            x_next, g + alpha * h_p if mode == ORACLE else None)
-        if mode == MATRIX_FREE:
-            h_p = (g_next - g) / alpha
-
-        q_raw = p - newton_step
-        exhausted = bool(norm(q_raw) <= EXHAUSTED_RTOL * (norm(p) + norm(newton_step)))
-
-        record = IterateRecord(
-            x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm,
-            h_p=h_p, exhausted=exhausted,
-        )
-        trace.records.append(record)
-        if not math.isfinite(g_next_norm):
-            return run.finish(BREAKDOWN, f"gradient is not finite at iterate {k + 1}")
-
-        if exhausted:
-            # the direction reproduced the restricted Newton step: the
-            # subspace is complete and no new conjugate direction exists.
-            # Updating by the move actually taken (rather than scaling the
-            # stored value by 1 - alpha, identical in exact arithmetic) keeps
-            # the direction's one-time rounding out of the stored correction.
-            q = np.zeros(n)
-            h_q = np.zeros(n)
-            newton_next = newton_step - alpha * p
-            h_newton_next = h_newton - alpha * h_p
-        else:
-            q = q_raw
-            try:
-                h_q, h_newton_next, coef = _conjugate_images(
-                    h_p, h_newton, q, g + h_newton, alpha)
-            except NotPositiveDefiniteError as exc:
-                if g_next_norm <= run.threshold:
-                    record.q = q
-                    record.h_q = h_p - h_newton
-                    return run.finish(CONVERGED)
-                return run.finish(BREAKDOWN, f"{exc} with gradient above tolerance")
-            newton_next = (1.0 - alpha) * newton_step - coef * q
-
-        record.q = q
-        record.h_q = h_q
-        record.newton_step = newton_next
-        record.h_newton_step = h_newton_next
-
-        if g_next_norm <= run.threshold:
-            return run.finish(CONVERGED)
-
-        try:
-            sigma = _sigma_or_default(
-                sigmas, k, lambda: _newton_value(image, x_next, g_next, h_newton_next,
-                                                 q, h_q, exhausted),
-                rng_sigma, trace.warnings)
-        except PolicyError as exc:
-            return run.finish(BREAKDOWN, str(exc))
-
-        if exhausted and norm(newton_next) == 0.0:
-            return run.finish(BREAKDOWN, "no direction information left while "
-                              "the gradient is above tolerance")
-        record.sigma = sigma
-
-        x, g, g_norm = x_next, g_next, g_next_norm
-        newton_step, h_newton = newton_next, h_newton_next
-
-    return run.finish(MAX_ITER)
+    return _iterate(prob, x0, _SubspaceRule(sigmas, seed), steps, mode, tol, max_iter)

@@ -6,24 +6,19 @@ gradient-generated subspace, walking the same constrained minimizers with
 mutually conjugate (and pairwise parallel) directions. They are the reference
 the arbitrary-step method is audited against.
 
-All three run :func:`_exact_line_search_loop` and differ only in the next
-direction they form from the new gradient g and the last pair (p, Hp): CG
-takes -g + c p, the solver's conjugate-direction rule, and the quasi-Newton
-variants -Mg, with M an inverse approximation updated by the pair. An
-iteration takes one H-product, Hp, and carries the gradient as g + alpha Hp,
-the form of Hestenes and Stiefel's CG; the gradient is evaluated only where
-the run may end, by the stopping rule of ``trace.Run``, which the
-arbitrary-step solver shares.
+Each is a direction rule of ``algorithm._iterate``, the solver's own loop,
+formed from the new gradient g and the last pair (p, Hp): CG takes -g + c p,
+the solver's conjugate-direction rule, and the quasi-Newton variants -Mg,
+with M an inverse approximation updated by the pair. An iteration takes one
+H-product and carries the gradient as g + alpha Hp, the form of Hestenes
+and Stiefel's CG.
 """
-
-import math
 
 import numpy as np
 
-from .algorithm import _upcoming_direction, newton_scaling
+from .algorithm import ORACLE, StepPolicy, _iterate, _upcoming_direction
 from .errors import DegenerateBasisError, NotPositiveDefiniteError
-from .trace import BREAKDOWN, CONVERGED, IterateRecord, Run
-from .util import check_run_limits
+from .trace import BREAKDOWN
 
 
 def bfgs_inverse_update(M, p, h_p):
@@ -75,53 +70,38 @@ def memoryless_bfgs_inverse_action(p, h_p, v):
     return v - (rpv * h_p + ryv * p) + (1.0 + rho * float(h_p @ h_p)) * rpv * p
 
 
-def _exact_line_search_loop(prob, x0, method, tol, max_iter, next_direction):
-    """Exact line search from x0 along -g, then along ``next_direction(g, p,
-    h_p)`` of the gradient and the last direction with its image Hp. The
-    gradient after a step is carried as g + alpha Hp, and the run stops by
-    the rule of ``trace.Run``.
+class _Baseline:
+    """A baseline's rule: -g, then ``next_direction(g, p, h_p)`` of the last
+    direction and its image. A direction must descend, and the cap, default
+    n + 1, which an exact quadratic never needs, ends a run as a breakdown."""
 
-    Breakdowns are reported in the trace, never retried: a gradient that is
-    not finite; a direction that does not descend (g'p >= 0), so the
-    approximation it comes from lost positive definiteness; curvature
-    p'Hp <= 0; and more than ``max_iter`` iterations, default n + 1, which an
-    exact quadratic never needs. Invalid ``tol`` or ``max_iter`` raise
-    PolicyError before the first gradient.
-    """
-    check_run_limits(tol, max_iter)
-    x = prob._check_vector(x0, name="x0")
-    run = Run(prob, x, tol, {"method": method, "tol": tol})
-    g, g_norm = run.g0, run.g0_norm
-    cap = max_iter if max_iter is not None else prob.n + 1
+    descends = True
+    cap_over_n = 1
+    at_cap = BREAKDOWN
+    exhausted = None
 
-    for k in range(cap + 1):
-        if not math.isfinite(g_norm):
-            return run.finish(BREAKDOWN, f"gradient is not finite at iterate {k}")
-        if g_norm <= run.threshold:
-            return run.finish(CONVERGED)
-        if k == cap:
-            return run.finish(BREAKDOWN, f"no convergence within {cap} iterations")
-        p = -g if k == 0 else next_direction(g, p, h_p)
-        if float(g @ p) >= 0.0:
-            return run.finish(BREAKDOWN, "approximation lost positive definiteness")
-        h_p = prob.hessian_action(p)
-        try:
-            alpha = newton_scaling(g, p, h_p)
-        except NotPositiveDefiniteError:
-            return run.finish(BREAKDOWN, "nonpositive curvature along search direction")
-        run.trace.records.append(IterateRecord(x=x, g=g, p=p, alpha=alpha,
-                                               grad_norm=g_norm, h_p=h_p))
-        x = x + alpha * p
-        g, g_norm = run.gradient_at(x, g + alpha * h_p)
+    def __init__(self, method, next_direction):
+        self.method, self._next, self._last = method, next_direction, None
+
+    def begin(self, tol, max_iter, mode, steps):
+        return {"method": self.method, "tol": tol}, None
+
+    def start(self, image, x, g, g_norm, trace):
+        pass
+
+    def direction(self, g):
+        return -g if self._last is None else self._next(g, *self._last)
+
+    def update(self, k, record, x_next, g_next, converged):
+        self._last = record.p, record.h_p
 
 
 def cg_solve(prob, x0, tol=1e-9, max_iter=None):
     """Conjugate gradients with exact line search: the next direction is
-    -g + c p, c = g'Hp / p'Hp, conjugate to p. Stops as
-    :func:`_exact_line_search_loop` does."""
-    return _exact_line_search_loop(
-        prob, x0, "cg", tol, max_iter,
-        lambda g, p, h_p: _upcoming_direction(g, p, h_p)[1])
+    -g + c p, c = g'Hp / p'Hp, conjugate to p. Stops as :class:`_Baseline`
+    does."""
+    rule = _Baseline("cg", lambda g, p, h_p: _upcoming_direction(g, p, h_p)[1])
+    return _iterate(prob, x0, rule, StepPolicy.exact_line_search(), ORACLE, tol, max_iter)
 
 
 def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
@@ -144,4 +124,5 @@ def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
             return -memoryless_bfgs_inverse_action(p, h_p, g)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return _exact_line_search_loop(prob, x0, variant, tol, max_iter, next_direction)
+    return _iterate(prob, x0, _Baseline(variant, next_direction),
+                    StepPolicy.exact_line_search(), ORACLE, tol, max_iter)

@@ -14,9 +14,9 @@ A trace file is one line of sorted-key JSON. Its top level is the text of
 In the ``qnsubspace-trace-v3`` form, ``iterations`` is compact orjson text
 of one column per record field, and ``k``. ``k`` and ``exhausted`` are lists
 with one entry per record, written for readers and never read back as facts:
-``k`` is 0..K-1, which a reader checks but keeps no value of, as a record's
-iteration is its position; ``exhausted`` is the solver's report, and
-verification reads exhaustion from a zero q. A file holds only what
+``k`` is 0..K-1, which a reader checks are integers but keeps no value of,
+as a record's iteration is its position; ``exhausted`` is the solver's
+report, and verification reads exhaustion from a zero q. A file holds only what
 verification reads: its ``g``, ``h_p``, ``h_q`` and ``h_pN`` columns are
 null, so in-memory records keep those fields and loaded ones hold None. Each
 other float field (``alpha``, ``grad_norm``, ``sigma``, ``x``, ``p``, ``q``,
@@ -152,7 +152,7 @@ def _column_values(columns):
                 out = columns[key]
                 if not isinstance(out, list) or len(out) != count:
                     raise ValueError(f"does not hold {count} entries")
-                return [int(k) for k in out] if attr == "k" else out
+                return out
             return _float_values(columns[key], count, attr in _SCALARS)
         except ValueError as exc:
             raise ValueError(f"column {key}: {exc}") from None
@@ -164,16 +164,20 @@ def _record_values(records):
     """Per-column value lists of a v1 or v2 record list, every vector decoded."""
     values = {attr: [_vec(r.get(key)) for r in records]
               for attr, key in _RECORD_VECTORS.items()}
-    for attr, read in (("k", int), ("alpha", float), ("grad_norm", float)):
+    for attr, read in (("alpha", float), ("grad_norm", float)):
         values[attr] = [read(r[attr]) for r in records]
-    for attr in ("sigma", "exhausted"):
+    for attr in ("k", "sigma", "exhausted"):
         values[attr] = [r.get(attr) for r in records]
     return values
 
 
 def _records(values):
     """The records of per-column value lists, every file form's one row
-    builder; ValueError if a record lacks a field that every record holds."""
+    builder; ValueError if a record lacks a field that every record holds,
+    or if an iteration number is not a JSON integer."""
+    for k in values["k"]:
+        if type(k) is not int:  # a bool is no iteration number either
+            raise ValueError(f"column k: entry {k!r} is not an integer")
     for attr in _REQUIRED:
         if any(v is None for v in values[attr]):
             raise ValueError(f"a record lacks {attr}")

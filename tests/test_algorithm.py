@@ -374,6 +374,20 @@ def test_a_dependent_memory_past_exhaustion_no_longer_raises():
     assert [rec.sigma is not None for rec in exhausted] == [True] * 11 + [False]
 
 
+def test_an_exhausted_newton_step_of_zero_above_tolerance_is_a_breakdown():
+    # the second unit step, along the stored Newton step, lands at 2.4 times
+    # the tolerance and leaves that step exactly zero: no direction is left
+    prob, x0 = generate_problem(512, 8, cond=100.0, seed=[3, 0, 1])
+    trace = subspace_qn_solve(prob, x0, steps=StepPolicy.unit_after(8),
+                              mode=MATRIX_FREE, max_iter=24, seed=1)
+    assert (trace.status, trace.iterations) == (BREAKDOWN, 10)
+    assert trace.reason == ("no direction information left while the gradient "
+                            "is above tolerance")
+    last = trace.records[-1]
+    assert last.exhausted and not last.newton_step.any() and last.sigma is None
+    assert trace.final_grad_norm > 1e-9 * (1.0 + norm(prob.gradient(x0)))
+
+
 @pytest.mark.parametrize("mode", [ORACLE, MATRIX_FREE])
 def test_a_vanishing_upcoming_direction_falls_back_to_the_default_sigma(mode):
     # at k = 3 = grade - 1 the span is complete, so the upcoming direction

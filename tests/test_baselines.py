@@ -15,13 +15,14 @@ from qnsubspace import (
     KrylovOracle,
     NotPositiveDefiniteError,
     QuadraticProblem,
+    StepPolicy,
     bfgs_inverse_update,
     cg_solve,
     generate_problem,
     memoryless_bfgs_inverse_action,
     qn_exact_ls_solve,
 )
-from qnsubspace import baselines
+from qnsubspace import algorithm, baselines
 
 import oracles
 
@@ -71,16 +72,18 @@ def test_cg_iteration_cap_reports_breakdown(method):
     prob, x0 = generate_problem(8, 5, cond=20.0, seed=34)
     trace = baseline(method)(prob, x0, tol=1e-10, max_iter=2)
     assert trace.status == BREAKDOWN
-    assert "2 iterations" in trace.reason
+    assert trace.reason == "no convergence within 2 iterations"
     assert trace.iterations == 2
 
 
 def test_an_ascent_direction_ends_the_run_as_a_breakdown():
     # an approximation that stays positive definite never gives g'p >= 0, so
-    # the loop is handed an ascent direction from the second iteration on
+    # the loop is handed a rule with an ascent direction from the second
+    # iteration on
     prob, x0 = generate_problem(8, 5, cond=20.0, seed=34)
-    trace = baselines._exact_line_search_loop(
-        prob, x0, "ascent", 1e-10, None, lambda g, p, h_p: g)
+    ascent = baselines._Baseline("ascent", lambda g, p, h_p: g)
+    trace = algorithm._iterate(prob, x0, ascent, StepPolicy.exact_line_search(),
+                               algorithm.ORACLE, 1e-10, None)
     assert (trace.status, trace.iterations) == (BREAKDOWN, 1)
     assert trace.reason == "approximation lost positive definiteness"
     # the run keeps its record and ends where that step landed

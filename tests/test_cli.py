@@ -878,9 +878,15 @@ def with_columns(edit):
     ("v2", lambda d: with_record(d, 1, lambda rec: list(rec.values()))),
     ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "k": None})),
     ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "x": None})),
+    # k entries that are no JSON integer: a fraction, text and a bool
+    ("v3", with_columns(lambda c: {**c, "k": [0.5] + c["k"][1:]})),
+    ("v3", with_columns(lambda c: {**c, "k": [0, "1"] + c["k"][2:]})),
+    ("v3", with_columns(lambda c: {**c, "k": [0, True] + c["k"][2:]})),
+    ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "k": 1.5})),
 ], ids=["list", "text-status", "null-iterations", "list-record", "null-k",
         "null-x", "null-final", "list-meta", "short-exhausted", "no-p",
-        "v2-list-record", "v2-null-k", "v2-null-x"])
+        "v2-list-record", "v2-null-k", "v2-null-x", "fractional-k", "text-k",
+        "bool-k", "v2-fractional-k"])
 def test_traces_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys, version,
                                                         doctor):
     if version == "v2":

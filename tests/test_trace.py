@@ -457,3 +457,21 @@ def test_a_file_k_is_required_but_never_kept(tmp_path, form):
     assert traces_match(got, want, rtol=0.0) == (True, [])
     assert trace_text(got) == trace_text(want)
     assert json.loads(trace_text(got))["iterations"]["k"] == list(range(len(got.records)))
+
+
+@pytest.mark.parametrize("entry", [0.5, "1", True], ids=["fractional", "text", "bool"])
+@pytest.mark.parametrize("form", ["v1", "v2", "v3"])
+def test_a_file_k_that_is_not_a_json_integer_is_refused_by_name(form, entry):
+    # a fraction, text and a bool are no iteration numbers, though int()
+    # reads each as one
+    if form == "v2":
+        doc = json.loads(V2_TRACE.read_text())
+    else:
+        run, _ = sample_traces()
+        doc = v1_document(run) if form == "v1" else json.loads(trace_text(run))
+    if form == "v3":
+        doc["iterations"]["k"][1] = entry
+    else:
+        doc["iterations"][1]["k"] = entry
+    with pytest.raises(ValueError, match=f"column k: entry {entry!r} is not an integer"):
+        IterateTrace.from_dict(doc)
