@@ -164,11 +164,18 @@ def _record_values(records):
     """Per-column value lists of a v1 or v2 record list, every vector decoded."""
     values = {attr: [_vec(r.get(key)) for r in records]
               for attr, key in _RECORD_VECTORS.items()}
-    for attr, read in (("alpha", float), ("grad_norm", float)):
-        values[attr] = [read(r[attr]) for r in records]
-    for attr in ("k", "sigma", "exhausted"):
+    for attr in _SCALARS:
+        values[attr] = [_number(r.get(attr), attr) for r in records]
+    for attr in _LISTS:
         values[attr] = [r.get(attr) for r in records]
     return values
+
+
+def _number(value, name):
+    """A JSON number as a float, or None; ValueError naming ``name`` otherwise."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return None if value is None else float(value)
 
 
 def _records(values):
@@ -284,11 +291,12 @@ class IterateTrace:
                 status=status["kind"],
                 reason=status.get("reason") or "",
                 final_x=_vec(final.get("x")),
-                final_grad_norm=final.get("grad_norm"),
+                final_grad_norm=_number(final.get("grad_norm"), "final.grad_norm"),
                 meta={**d.get("meta", {})},  # TypeError unless an object
                 warnings=list(d.get("warnings", [])),
             )
-        except (TypeError, AttributeError, KeyError) as exc:
+        # OverflowError: a JSON integer past the float range in a number field
+        except (TypeError, AttributeError, KeyError, OverflowError) as exc:
             raise ValueError(f"malformed trace: {exc}") from None
         dimension = trace.dimension()  # rejects vectors of mixed lengths
         if n is not None and dimension not in (None, n):

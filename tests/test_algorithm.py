@@ -165,6 +165,26 @@ def test_matrix_free_matches_oracle_field_by_field(seed):
     assert same, mismatches
 
 
+def test_traces_do_not_depend_on_the_order_of_the_product_blocks():
+    # at n = 512 H is read in two row blocks, each product in the reverse order
+    # of the one before; each solve runs twice, starting from the two orders
+    prob, x0 = generate_problem(512, 16, cond=100.0, seed=4)
+
+    def bits(trace):
+        assert trace.records
+        return ([(rec.x.tobytes(), rec.p.tobytes(), rec.alpha) for rec in trace.records],
+                trace.final_x.tobytes())
+
+    for solve in (functools.partial(subspace_qn_solve, mode=ORACLE),
+                  functools.partial(subspace_qn_solve, mode=MATRIX_FREE), cg_solve):
+        first = prob._blocks[0][1].start
+        before = bits(solve(prob, x0))
+        if prob._blocks[0][1].start == first:
+            prob.hessian_action(x0)  # one extra product flips the order
+        assert prob._blocks[0][1].start != first
+        assert bits(solve(prob, x0)) == before
+
+
 def count_work(monkeypatch):
     """Call counters on the problem's gradient and Hessian-product oracles."""
     counts = {"gradient": 0, "hessian_action": 0}

@@ -883,10 +883,19 @@ def with_columns(edit):
     ("v3", with_columns(lambda c: {**c, "k": [0, "1"] + c["k"][2:]})),
     ("v3", with_columns(lambda c: {**c, "k": [0, True] + c["k"][2:]})),
     ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "k": 1.5})),
+    # numbers that are no JSON number, and one past the float range
+    ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "alpha": str(rec["alpha"])})),
+    ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "grad_norm": True})),
+    ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "sigma": "x"})),
+    ("v2", lambda d: with_record(d, 1, lambda rec: {**rec, "alpha": 10**400})),
+    ("v2", lambda d: {**d, "final": {**d["final"], "grad_norm": "abc"}}),
+    ("v3", lambda d: {**d, "final": {**d["final"], "grad_norm": True}}),
 ], ids=["list", "text-status", "null-iterations", "list-record", "null-k",
         "null-x", "null-final", "list-meta", "short-exhausted", "no-p",
         "v2-list-record", "v2-null-k", "v2-null-x", "fractional-k", "text-k",
-        "bool-k", "v2-fractional-k"])
+        "bool-k", "v2-fractional-k", "v2-text-alpha", "v2-bool-grad-norm",
+        "v2-text-sigma", "v2-huge-alpha", "v2-text-final-grad-norm",
+        "bool-final-grad-norm"])
 def test_traces_of_the_wrong_shape_exit_with_usage_code(tmp_path, capsys, version,
                                                         doctor):
     if version == "v2":

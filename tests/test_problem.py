@@ -66,6 +66,57 @@ def test_arrays_are_frozen():
         prob.c[0] = 9.0
 
 
+def block_rows(prob):
+    """(first, last + 1) of each row block of H, in the order its next product reads them."""
+    return [(rows.start, rows.stop) for _, rows in prob._blocks]
+
+
+# 363..511 hold sizes whose half, n // 2, is not a multiple of 4 (363, 367,
+# 383, 447, 511): there an edge off the row grid changes the bits of a row
+PRODUCT_SIZES = [1, 2, 63, 64, 65, 362, 363, 367, 383, 401, 447, 448, 449, 511, 512]
+
+
+def spd_problem(n, rng):
+    """A symmetric, diagonally dominant and so positive definite H and a c."""
+    A = rng.standard_normal((n, n))
+    return QuadraticProblem(A + A.T + 6.0 * n * np.eye(n), rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", PRODUCT_SIZES)
+def test_the_product_reads_h_in_row_blocks_of_at_most_a_mebibyte_on_a_64_row_grid(n):
+    prob = QuadraticProblem(np.eye(n), np.zeros(n))
+    edges = [first for first, _ in block_rows(prob)] + [n]
+    assert edges[0] == 0 and edges == sorted(set(edges))
+    assert all(edge % 64 == 0 for edge in edges[1:-1])
+    # ceil(H.nbytes / 1 MiB) blocks: one for n <= 362, two from 363
+    assert len(edges) - 1 == (1 if n <= 362 else 2)
+    if n == 512:
+        assert block_rows(prob) == [(0, 256), (256, 512)]
+    for block, rows in prob._blocks:
+        assert block.nbytes <= problem.PRODUCT_BLOCK_BYTES
+        assert np.shares_memory(block, prob.H) and (block == prob.H[rows]).all()
+
+
+@pytest.mark.parametrize("n", PRODUCT_SIZES)
+def test_products_are_the_bits_of_h_at_v_in_either_block_order(n):
+    rng = np.random.default_rng(n)
+    prob = spd_problem(n, rng)
+    V = rng.standard_normal((n, 3))
+    for v in (V[:, 1], np.ascontiguousarray(V[:, 1])):  # strided, then contiguous
+        h_v = (prob.H @ v).tobytes()
+        g = (prob.H @ v + prob.c).tobytes()
+        # two calls in a row read the blocks in the two orders
+        orders = []
+        for _ in range(2):
+            orders.append(block_rows(prob))
+            assert prob.hessian_action(v).tobytes() == h_v
+        for _ in range(2):
+            orders.append(block_rows(prob))
+            assert prob.gradient(v).tobytes() == g
+        assert orders[0] == orders[2] and orders[1] == orders[3]
+        assert orders[1] == orders[0][::-1]
+
+
 def test_grade_matches_rank_oracle():
     # distinct eigenvalues touched: 1, 2 (twice), 5 -> grade 3
     H = np.diag([1.0, 2.0, 2.0, 5.0, 7.0])

@@ -2,6 +2,8 @@
 
 import base64
 import json
+import math
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -459,19 +461,72 @@ def test_a_file_k_is_required_but_never_kept(tmp_path, form):
     assert json.loads(trace_text(got))["iterations"]["k"] == list(range(len(got.records)))
 
 
+def form_document(form):
+    """A sample run's document in ``form``; v2 is the saved qn-subspace run."""
+    if form == "v2":
+        return json.loads(V2_TRACE.read_text())
+    run, _ = sample_traces()
+    return v1_document(run) if form == "v1" else json.loads(trace_text(run))
+
+
 @pytest.mark.parametrize("entry", [0.5, "1", True], ids=["fractional", "text", "bool"])
 @pytest.mark.parametrize("form", ["v1", "v2", "v3"])
 def test_a_file_k_that_is_not_a_json_integer_is_refused_by_name(form, entry):
     # a fraction, text and a bool are no iteration numbers, though int()
     # reads each as one
-    if form == "v2":
-        doc = json.loads(V2_TRACE.read_text())
-    else:
-        run, _ = sample_traces()
-        doc = v1_document(run) if form == "v1" else json.loads(trace_text(run))
+    doc = form_document(form)
     if form == "v3":
         doc["iterations"]["k"][1] = entry
     else:
         doc["iterations"][1]["k"] = entry
     with pytest.raises(ValueError, match=f"column k: entry {entry!r} is not an integer"):
         IterateTrace.from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", ["0.19635446424334713", True, [1.0]],
+                         ids=["text", "bool", "list"])
+@pytest.mark.parametrize("field", ["alpha", "grad_norm", "sigma"])
+@pytest.mark.parametrize("form", ["v1", "v2"])
+def test_a_record_number_that_is_not_a_json_number_is_refused_by_name(form, field, entry):
+    # float() reads text and bools as numbers; a v3 file holds these as base64
+    doc = form_document(form)
+    doc["iterations"][1][field] = entry
+    with pytest.raises(ValueError, match=f"{field} {re.escape(repr(entry))} is not a number"):
+        IterateTrace.from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", ["abc", True, [1.0]], ids=["text", "bool", "list"])
+@pytest.mark.parametrize("form", ["v1", "v2", "v3"])
+def test_a_final_grad_norm_that_is_not_a_json_number_is_refused_by_name(form, entry):
+    doc = form_document(form)
+    doc["final"]["grad_norm"] = entry
+    with pytest.raises(ValueError, match=f"final.grad_norm {re.escape(repr(entry))} is not"):
+        IterateTrace.from_dict(doc)
+
+
+@pytest.mark.parametrize("form", ["v1", "v2"])
+def test_numbers_past_the_float_range_are_refused(form):
+    doc = form_document(form)
+    doc["iterations"][1]["alpha"] = 10**400
+    with pytest.raises(ValueError, match="malformed trace: int too large"):
+        IterateTrace.from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("form", ["v1", "v2", "v3"])
+def test_any_json_number_or_null_loads_as_a_float_or_none(tmp_path, form):
+    doc = form_document(form)
+    if form != "v3":
+        doc["iterations"][1].update(alpha=1, grad_norm=float("nan"), sigma=None)
+        doc["iterations"][2].update(grad_norm=float("inf"), sigma=2)
+    path = tmp_path / "numbers.json"
+    for final, want in ((0, 0.0), (float("inf"), float("inf")), (None, None)):
+        doc["final"]["grad_norm"] = final
+        path.write_text(json.dumps(doc))  # NaN and Infinity as literals
+        trace = IterateTrace.load(path)
+        assert trace.final_grad_norm == want and type(trace.final_grad_norm) is type(want)
+    if form != "v3":
+        first, second = trace.records[1:3]
+        assert type(first.alpha) is float and first.alpha == 1.0
+        assert math.isnan(first.grad_norm) and first.sigma is None
+        assert second.grad_norm == float("inf")
+        assert type(second.sigma) is float and second.sigma == 2.0
