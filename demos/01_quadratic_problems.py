@@ -30,7 +30,7 @@ for k in range(oracle.grade + 1):
     print(f"  distance from minimizer({k}) to solution: {gap:.3e}")
 
 # consecutive minimizer gaps are mutually conjugate directions
-qs = [oracle.conjugate_direction(k) for k in range(oracle.grade)]
+qs = [oracle.conjugate_directions[:, k].copy() for k in range(oracle.grade)]
 worst = max(
     abs(qs[i] @ prob.hessian_action(qs[j]))
     for i in range(len(qs)) for j in range(i)

@@ -43,7 +43,7 @@ for name, trace in traces.items():
 print("\nper-iteration direction angles against the oracle (radians):")
 for name, trace in traces.items():
     angles = [
-        line_angle(rec.p, oracle.conjugate_direction(k))
+        line_angle(rec.p, oracle.conjugate_directions[:, k].copy())
         for k, rec in enumerate(trace.records)
     ]
     print(f"{name:>10}: max {max(angles):.2e}")

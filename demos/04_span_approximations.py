@@ -26,7 +26,7 @@ prob, x0 = generate_problem(n=7, grade=5, cond=20.0, seed=11)
 oracle = KrylovOracle(prob, x0)
 
 # span the first two conjugate directions
-P = np.column_stack([oracle.conjugate_direction(k) for k in range(2)])
+P = oracle.conjugate_directions[:, :2]
 B = approximation(P, prob.H @ P, sigma=3.0)
 
 eigs = np.linalg.eigvalsh(B)
@@ -41,7 +41,7 @@ print(f"acts as sigma*I off the span and its image: |Bv - 3v| = "
       f"{np.linalg.norm(B @ v - 3.0 * v):.2e}")
 
 # full-memory variant: span every conjugate direction so far
-Q3 = np.column_stack([oracle.conjugate_direction(k) for k in range(3)])
+Q3 = oracle.conjugate_directions[:, :3]
 H_Q3 = prob.H @ Q3
 x3 = oracle.minimizer(3)
 
@@ -49,7 +49,7 @@ x3 = oracle.minimizer(3)
 # (the negated subspace gradient made conjugate to the previous direction),
 # solving B p = -g from the third minimizer lands exactly on the fourth
 g3 = prob.gradient(x3)
-q2 = oracle.conjugate_direction(2)
+q2 = oracle.conjugate_directions[:, 2].copy()
 h_q2 = prob.hessian_action(q2)
 coef = float(g3 @ h_q2) / float(q2 @ h_q2)
 q_up = -g3 + coef * q2

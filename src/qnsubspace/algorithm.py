@@ -7,8 +7,8 @@ direction is pN plus the upcoming conjugate direction over sigma, so no
 operator is built. pN, q and their Hessian images obey closed-form
 recursions, so each iteration needs one new Hessian image, that of the step:
 from H itself, or matrix-free from the gradient difference the step produces.
-With H, the gradient is carried too, as g + alpha Hp, by the stopping rule of
-``trace.Run``, so either way an iteration makes one oracle call.
+With H, the gradient is carried too, as g + alpha Hp (see :func:`_iterate`),
+so either way an iteration makes one oracle call.
 
 Finite termination does not need exact line search: once the generated
 subspace reaches its grade r, every direction is the full Newton step, and
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, NotPositiveDefiniteError, PolicyError
-from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, Run
+from .trace import BREAKDOWN, CONVERGED, MAX_ITER, IterateRecord, IterateTrace
 from .util import _integer, _real, check_run_limits, norm
 
 ORACLE = "oracle"
@@ -357,17 +357,22 @@ def _iterate(prob, x0, rule, steps, mode, tol, max_iter):
     """The one iteration of every method: ``rule`` gives each direction,
     p = ``rule.direction(g)``, and every end of a run is here.
 
-    A rule that ``descends`` ends the run where g'p >= 0, before the
-    H-product. Oracle mode takes Hp before the step policy, so the exact
-    step reuses it, and carries g + alpha Hp by the rule of ``trace.Run``;
-    matrix-free mode takes Hp from the gradient difference. A record, with
-    ``rule.exhausted``, is kept before the new gradient is checked finite;
-    ``rule.update(k, record, x_next, g_next, converged)`` fills the rest,
-    raising NotPositiveDefiniteError for degenerate curvature above
-    tolerance and PolicyError or DegenerateBasisError to end the run.
+    A run converges once ||g|| <= tol * (1 + ||g0||), the threshold. A rule
+    that ``descends`` ends it where g'p >= 0, before the H-product. Oracle
+    mode takes Hp before the step policy, so the exact step reuses it, and
+    carries the gradient as g + alpha Hp, exact on a quadratic, while its
+    norm is above the threshold and finite: it cannot end the run, so an
+    iteration makes one oracle call. Otherwise the gradient is evaluated,
+    as it always is in matrix-free mode, which takes Hp from the difference.
+    The record, with ``rule.exhausted``, is kept before the step's gradient
+    is taken; ``rule.update(k, record, x_next, g_next, converged)`` fills
+    the rest, raising NotPositiveDefiniteError for degenerate curvature
+    above tolerance and PolicyError or DegenerateBasisError to end the run.
     ``rule.begin`` gives the meta and the step generator, ``rule.start``
     runs before the start checks, and the cap, default n +
-    ``rule.cap_over_n``, ends the run as ``rule.at_cap``.
+    ``rule.cap_over_n``, ends the run as ``rule.at_cap``. Every end is at
+    the current point, where a carried gradient is evaluated; the run
+    converged if that one passes, so ``final_grad_norm`` is always evaluated.
     """
     if mode not in (ORACLE, MATRIX_FREE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -379,54 +384,69 @@ def _iterate(prob, x0, rule, steps, mode, tol, max_iter):
     def image(x_ref, g_ref, v):  # matrix-free: one more gradient, exact on a quadratic
         return prob.hessian_action(v) if mode == ORACLE else prob.gradient(x_ref + v) - g_ref
 
-    run = Run(prob, x, tol, meta)
-    g, g_norm = run.g0, run.g0_norm
+    g = prob.gradient(x)
+    g_norm = norm(g)
+    threshold = tol * (1.0 + g_norm)
+    trace = IterateTrace(meta=meta)
+    carried = False  # g is g + alpha Hp, not evaluated at x
+
+    def finish(status, reason=""):
+        final_norm = g_norm
+        if carried:
+            final_norm = norm(prob.gradient(x))
+            if final_norm <= threshold:
+                status, reason = CONVERGED, ""
+        return trace.finish(status, x, final_norm, reason)
+
     try:
-        rule.start(image, x, g, g_norm, run.trace)
+        rule.start(image, x, g, g_norm, trace)
     except PolicyError as exc:
-        return run.finish(BREAKDOWN, str(exc))
+        return finish(BREAKDOWN, str(exc))
     if not math.isfinite(g_norm):
-        return run.finish(BREAKDOWN, "gradient is not finite at iterate 0")
-    if g_norm <= run.threshold:
-        return run.finish(CONVERGED)
+        return finish(BREAKDOWN, "gradient is not finite at iterate 0")
+    if g_norm <= threshold:
+        return finish(CONVERGED)
 
     for k in range(cap):
         p = rule.direction(g)
         if rule.descends and float(g @ p) >= 0.0:
-            return run.finish(BREAKDOWN, "approximation lost positive definiteness")
+            return finish(BREAKDOWN, "approximation lost positive definiteness")
         h_p = prob.hessian_action(p) if mode == ORACLE else None
         try:
             alpha = steps.alpha(
                 k, lambda: newton_scaling(g, p, h_p if mode == ORACLE else image(x, g, p)),
                 rng)
         except NotPositiveDefiniteError:  # from the exact step
-            return run.finish(BREAKDOWN, "nonpositive curvature along search direction")
+            return finish(BREAKDOWN, "nonpositive curvature along search direction")
         except PolicyError as exc:  # a schedule runs out, a draw gives up
-            return run.finish(BREAKDOWN, str(exc))
-        x_next = x + alpha * p
-        g_next, g_next_norm = run.gradient_at(
-            x_next, g + alpha * h_p if mode == ORACLE else None)
-        if mode == MATRIX_FREE:
-            h_p = (g_next - g) / alpha
+            return finish(BREAKDOWN, str(exc))
         record = IterateRecord(x=x, g=g, p=p, alpha=alpha, grad_norm=g_norm,
                                h_p=h_p, exhausted=rule.exhausted)
-        run.trace.records.append(record)
-        if not math.isfinite(g_next_norm):
-            return run.finish(BREAKDOWN, f"gradient is not finite at iterate {k + 1}")
-        converged = g_next_norm <= run.threshold
+        trace.records.append(record)
+        x = x + alpha * p
+        g = g + alpha * h_p if mode == ORACLE else None
+        g_norm = math.nan if g is None else norm(g)  # NaN: evaluate
+        carried = threshold < g_norm < math.inf
+        if not carried:
+            g = prob.gradient(x)
+            g_norm = norm(g)
+        if mode == MATRIX_FREE:
+            record.h_p = (g - record.g) / alpha
+        if not math.isfinite(g_norm):
+            return finish(BREAKDOWN, f"gradient is not finite at iterate {k + 1}")
+        converged = g_norm <= threshold
         try:
-            rule.update(k, record, x_next, g_next, converged)
+            rule.update(k, record, x, g, converged)
         except NotPositiveDefiniteError as exc:
-            return run.finish(BREAKDOWN, f"{exc} with gradient above tolerance")
+            return finish(BREAKDOWN, f"{exc} with gradient above tolerance")
         except (PolicyError, DegenerateBasisError) as exc:
-            return run.finish(BREAKDOWN, str(exc))
+            return finish(BREAKDOWN, str(exc))
         if converged:
-            return run.finish(CONVERGED)
-        x, g, g_norm = x_next, g_next, g_next_norm
+            return finish(CONVERGED)
 
     if rule.at_cap == MAX_ITER:
-        return run.finish(MAX_ITER)
-    return run.finish(BREAKDOWN, f"no convergence within {cap} iterations")
+        return finish(MAX_ITER)
+    return finish(BREAKDOWN, f"no convergence within {cap} iterations")
 
 
 class _SubspaceRule:

@@ -12,7 +12,10 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 class DegenerateBasisError(np.linalg.LinAlgError):
-    """A direction set is linearly dependent or a subspace solve is singular."""
+    """No usable direction or scaling: a complete span, or an upcoming
+    direction below the exhaustion floor; a vanishing q'g; a Newton scaling
+    that is not finite and positive; a zero memoryless-BFGS direction; or no
+    direction left."""
 
 
 class PolicyError(ValueError):

@@ -282,20 +282,12 @@ class KrylovOracle:
 
     @cached_property
     def conjugate_directions(self):
-        """(n, grade) array whose column k is ``conjugate_direction(k)``."""
+        """(n, grade) array whose column k is minimizer(k + 1) - minimizer(k):
+        mutually H-conjugate directions, each the unit-step exact-line-search
+        move between consecutive minimizers; read-only."""
         Q = np.diff(self.minimizers, axis=1)
         Q.setflags(write=False)
         return Q
-
-    def conjugate_direction(self, k):
-        """Difference of consecutive constrained minimizers, for 0 <= k < grade.
-
-        These differences are mutually H-conjugate and each is the unit-step
-        exact-line-search move between the consecutive minimizers.
-        """
-        if not 0 <= k < self.grade:
-            raise ValueError(f"k must lie in [0, {self.grade}), got {k}")
-        return self.conjugate_directions[:, k].copy()
 
 
 def krylov_grade(prob, x0=None):

@@ -36,14 +36,11 @@ records and never read.
 
 import binascii
 import json
-import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
 import orjson
-
-from .util import norm
 
 CONVERGED = "converged"
 MAX_ITER = "max-iter"
@@ -322,42 +319,3 @@ class IterateTrace:
         with open(path) as fh:
             return cls.from_dict(json.load(fh), n)
 
-
-class Run:
-    """A solver run under way: its trace, and the stopping rule of every solver.
-
-    The gradient g0 at the start x is evaluated here; a run converges once
-    ||g|| <= tol * (1 + ||g0||), the ``threshold``. A gradient carried as
-    g + alpha Hp after a step stands only while its norm is above the
-    threshold and finite, else :meth:`gradient_at` evaluates it. A run ends
-    at the point its gradient was last taken at; :meth:`finish` evaluates a
-    carried one there, and the run converged if it passes.
-    """
-
-    def __init__(self, prob, x, tol, meta):
-        self._prob = prob
-        self.g0 = prob.gradient(x)
-        self.g0_norm = norm(self.g0)
-        self.threshold = tol * (1.0 + self.g0_norm)
-        self.trace = IterateTrace(meta=meta)
-        # the point of the last gradient, its norm, and whether it was carried
-        self._x, self._g_norm, self._carried = x, self.g0_norm, False
-
-    def gradient_at(self, x, carried=None):
-        """(g, ||g||) at x: ``carried`` if the rule keeps it, else evaluated."""
-        g_norm = math.nan if carried is None else norm(carried)  # NaN fails the rule
-        self._carried = self.threshold < g_norm < math.inf
-        if not self._carried:
-            carried = self._prob.gradient(x)
-            g_norm = norm(carried)
-        self._x, self._g_norm = x, g_norm
-        return carried, g_norm
-
-    def finish(self, status, reason=""):
-        """End the run at the point of its last gradient."""
-        g_norm = self._g_norm
-        if self._carried:
-            g_norm = norm(self._prob.gradient(self._x))
-            if g_norm <= self.threshold:
-                status, reason = CONVERGED, ""
-        return self.trace.finish(status, self._x, g_norm, reason)

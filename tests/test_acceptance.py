@@ -139,7 +139,7 @@ def test_criterion_2_direction_agreement():
         oracle = KrylovOracle(prob, x0)
         for k in range(r):
             dirs = [traces[m].records[k].p for m in ("cg", "bfgs", "memoryless")]
-            dirs.append(oracle.conjugate_direction(k))
+            dirs.append(oracle.conjugate_directions[:, k].copy())
             for i in range(len(dirs)):
                 for j in range(i + 1, len(dirs)):
                     worst = max(worst, oracles.line_angle(dirs[i], dirs[j]))
@@ -209,7 +209,7 @@ def test_criterion_4_memory_equivalence():
                 if k == 0:
                     q_up = -g_hat
                 else:
-                    q_ref = oracle.conjugate_direction(k - 1)
+                    q_ref = oracle.conjugate_directions[:, k - 1].copy()
                     h_q = prob.hessian_action(q_ref)
                     q_up = -g_hat + (float(g_hat @ h_q) / float(q_ref @ h_q)) * q_ref
                 split = newton_prev + q_up / sigma_prev

@@ -60,7 +60,7 @@ def test_applied_to_upcoming_direction_gives_scaled_subspace_gradient():
     prob, x0 = generate_problem(7, 5, cond=25.0, seed=11)
     oracle = KrylovOracle(prob, x0)
     for k in (1, 2, 3):
-        q_prev = oracle.conjugate_direction(k - 1)
+        q_prev = oracle.conjugate_directions[:, k - 1].copy()
         ghat = prob.gradient(oracle.minimizer(k))
         h_q = prob.hessian_action(q_prev)
         coef = float(ghat @ h_q) / float(q_prev @ h_q)
@@ -80,7 +80,7 @@ def test_closed_form_direction_solves_the_two_vector_approximation():
     oracle = KrylovOracle(prob, x0)
     rng = np.random.default_rng(16)
     for k in (1, 2, 3):
-        Q = np.column_stack([oracle.conjugate_direction(j) for j in range(k)])
+        Q = oracle.conjugate_directions[:, :k]
         x = x0 + Q @ rng.uniform(0.2, 1.5, k)
         g = prob.gradient(x)
         newton = oracle.minimizer(k) - x
@@ -100,7 +100,7 @@ def test_newton_value_lands_on_the_next_restricted_minimizer():
     k = 2
     x = oracle.minimizer(k)
     g = prob.gradient(x)
-    q_prev = oracle.conjugate_direction(k - 1)
+    q_prev = oracle.conjugate_directions[:, k - 1].copy()
     h_q = prob.hessian_action(q_prev)
     # at the restricted minimizer the restricted Newton step is zero, and
     # the upcoming direction is -g + (g'Hq / q'Hq) q

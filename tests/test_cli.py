@@ -767,6 +767,12 @@ def renamed(name):
     return doctor
 
 
+def saved_as_npy_version_3(path, A):
+    """A valid .npy file of A in format version 3.0, which no float64 array needs."""
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, A, version=(3, 0))
+
+
 def swap(A, i, j):
     A[0, [i, j]] = A[0, [j, i]]
 
@@ -795,10 +801,11 @@ ORDER = "eigenvalues must be positive and ascending"
     (rewritten(lambda p, A: p.write_bytes(p.read_bytes()[:-8])), "Failed to read all data"),
     (rewritten(lambda p, A: p.write_bytes(p.read_bytes()[:20])), "EOF"),
     (rewritten(lambda p, A: p.write_bytes(b"")), "is empty"),
+    (rewritten(saved_as_npy_version_3), SHAPE),
 ], ids=["absolute-name", "dotdot-name", "dotdot", "number-name", "missing",
         "short", "transposed", "float32", "int64", "npz", "nan", "non-ascending",
         "zero-eigenvalue", "negative-eigenvalue", "truncated-data",
-        "truncated-header", "empty"])
+        "truncated-header", "empty", "npy-version-3"])
 def test_bad_spectra_exit_with_usage_code(tmp_path, capsys, doctor, fragment):
     trace_path, problem_path = run_one(tmp_path)
     doctor(problem_path)
@@ -1195,13 +1202,15 @@ def test_a_refused_first_problem_leaves_no_output_directory(tmp_path, capsys, co
                                       "Is a directory"]),
     (lambda spec, out: spec.write_bytes(b"\xff\xfe{}"),
      ["error: cannot read spec {spec}: ", "can't decode byte 0xff"]),
+    (lambda spec, out: spec.write_text('{"problems": ['),
+     ["error: {spec}:1:15: Expecting value"]),
     (lambda spec, out: (write_spec(spec, ONE_CG_RUN), out.write_text("")),
      ["error: [Errno ", "'{out}"]),
     # past the 255-byte name limit of the common file systems
     (lambda spec, out: write_spec(spec, {**ONE_CG_RUN, "problems": [
         {"id": "a" * 300, "n": 4, "r": 2, "cond": 5.0}]}),
      ["error: [Errno ", "File name too long: '{out}"]),
-], ids=["list-spec", "string-spec", "directory-spec", "non-utf8-spec",
+], ids=["list-spec", "string-spec", "directory-spec", "non-utf8-spec", "non-json-spec",
         "out-dir-is-a-file", "id-past-the-name-limit"])
 @pytest.mark.parametrize("command", ["run", "generate"])
 def test_an_unusable_spec_or_output_path_exits_with_usage_code(tmp_path, capsys, command,
@@ -1213,6 +1222,8 @@ def test_an_unusable_spec_or_output_path_exits_with_usage_code(tmp_path, capsys,
     err = capsys.readouterr().err
     for fragment in fragments:
         assert fragment.format(spec=spec, out=out) in err
+    # only an output path that fails leaves anything at it
+    assert not out.exists() or "[Errno " in err
 
 
 def test_run_takes_its_settings_from_the_spec_alone(capsys):

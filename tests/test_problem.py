@@ -10,6 +10,7 @@ from qnsubspace import (
     KrylovOracle,
     NotPositiveDefiniteError,
     QuadraticProblem,
+    cg_solve,
     generate_problem,
     krylov_grade,
     load_problem,
@@ -17,6 +18,7 @@ from qnsubspace import (
     problem_to_dict,
     problem,
     save_problem,
+    verify_trace,
 )
 
 import _report
@@ -126,6 +128,18 @@ def test_grade_matches_rank_oracle():
     assert krylov_grade(prob, x0) == oracles.grade_by_rank(H, prob.gradient(x0)) == 3
 
 
+def test_the_grade_stops_where_a_krylov_vector_lies_in_the_span_numerically():
+    # two eigenvalue clusters touched, 1.5e-10 apart: the second Krylov
+    # vector is within RANK_RTOL * max(1, ||H||_1) of the first's line
+    prob = QuadraticProblem(np.diag([1.0, 1.0 + 1.5e-10]), np.ones(2))
+    oracle = KrylovOracle(prob)
+    assert oracle._w.size == 2
+    assert oracle.grade == 1
+    trace = cg_solve(prob, np.zeros(2))
+    assert (trace.status, trace.iterations) == ("converged", 1)
+    assert all(report.passed for report in verify_trace(trace, prob, np.zeros(2), oracle))
+
+
 def test_minimizer_matches_brute_force():
     rng = np.random.default_rng(5)
     for trial in range(10):
@@ -203,7 +217,7 @@ def test_minimizer_gradient_orthogonality():
 def test_conjugate_directions_are_conjugate():
     prob, x0 = generate_problem(8, 5, cond=30.0, seed=4)
     oracle = KrylovOracle(prob, x0)
-    qs = [oracle.conjugate_direction(k) for k in range(5)]
+    qs = [oracle.conjugate_directions[:, k].copy() for k in range(5)]
     for i in range(5):
         for j in range(i):
             cross = abs(qs[i] @ prob.hessian_action(qs[j]))
@@ -260,8 +274,9 @@ def test_generate_problem_checks_n_before_any_draw(monkeypatch, n):
     ({"cond": "10"}, "cond must be a finite number of at least 1"),
     ({"eigenvalues": [1.0, np.inf, 2.0, 3.0]}, "eigenvalues must be finite"),
     ({"eigenvalues": [1.0, np.nan, 2.0, 3.0]}, "eigenvalues must be finite"),
+    ({"eigenvalues": [1.0, 2.0, 3.0]}, "eigenvalues must have length 4"),
 ], ids=["inf", "nan", "below-one", "past-float", "text", "inf-eigenvalue",
-        "nan-eigenvalue"])
+        "nan-eigenvalue", "short-eigenvalues"])
 def test_generate_problem_checks_the_spectrum_before_any_draw(monkeypatch, spectrum,
                                                               message):
     def draw(n, rng):

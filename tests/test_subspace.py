@@ -80,7 +80,7 @@ def test_subspace_newton_reaches_restricted_minimizer():
 def test_subspace_newton_conjugate_basis_decomposes():
     prob, x0 = generate_problem(7, 5, cond=20.0, seed=3)
     oracle = KrylovOracle(prob, x0)
-    qs = [oracle.conjugate_direction(k) for k in range(3)]
+    qs = [oracle.conjugate_directions[:, k].copy() for k in range(3)]
     x = x0 + 0.7 * qs[0] - 0.2 * qs[1]
     step, scalings = restricted_newton(qs, prob, x)
     g = prob.gradient(x)
@@ -112,7 +112,7 @@ def test_extend_step_direction_is_scale_invariant():
     prob, x0 = generate_problem(6, 4, cond=15.0, seed=6)
     oracle = KrylovOracle(prob, x0)
     ghat = prob.gradient(oracle.minimizer(1))
-    q = oracle.conjugate_direction(0)
+    q = oracle.conjugate_directions[:, 0].copy()
     a = oracles.extend_step(np.zeros(6), q, ghat, prob.hessian_action)
     b = oracles.extend_step(np.zeros(6), 3.7 * q, ghat, prob.hessian_action)
     assert np.allclose(a.direction, b.direction, rtol=1e-12)
@@ -122,7 +122,7 @@ def test_extend_step_direction_is_scale_invariant():
 def test_extend_step_degenerate_at_optimum():
     prob, x0 = generate_problem(5, 3, cond=10.0, seed=7)
     oracle = KrylovOracle(prob, x0)
-    q = oracle.conjugate_direction(2)  # last direction: minimizer(3) = x*
+    q = oracle.conjugate_directions[:, 2].copy()  # last direction: minimizer(3) = x*
     g_hat = np.zeros(5)  # gradient at the minimizer
     # the package's DegenerateBasisError is a LinAlgError too
     assert issubclass(DegenerateBasisError, np.linalg.LinAlgError)

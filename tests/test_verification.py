@@ -97,6 +97,16 @@ def test_baseline_check_passes_on_an_honest_run():
     assert all(line.startswith("PASS") for line in report.lines())
 
 
+def test_baseline_check_of_an_empty_trace_fails_without_raising():
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=1)
+    report = check_conjugate_baseline(IterateTrace(meta={"method": "cg"}),
+                                      KrylovOracle(prob, x0))
+    assert len(report.findings) == 6
+    assert {f.name for f in report.failures()} == {
+        "run converged", "terminates in exactly the subspace grade",
+        "terminal gradient below threshold"}
+
+
 def test_baseline_check_catches_a_doctored_direction():
     prob, x0 = generate_problem(8, 5, cond=30.0, seed=100)
     trace = copy_trace(cg_solve(prob, x0, tol=1e-10))
@@ -430,6 +440,13 @@ def test_verify_trace_dispatch():
     nameless.meta["method"] = "simplex"
     with pytest.raises(ValueError):
         verify_trace(nameless, prob, x0)
+
+
+def test_traces_match_reports_a_record_count_difference():
+    prob, x0 = generate_problem(6, 3, cond=10.0, seed=1)
+    same, mismatches = traces_match(cg_solve(prob, x0), cg_solve(prob, x0, max_iter=1))
+    assert not same
+    assert "record count: 3 vs 1" in mismatches
 
 
 def test_traces_match_reports_field_level_differences():
