@@ -123,6 +123,10 @@ class _TablePolicy:
         if not isinstance(kind, str) or kind not in cls._kinds:
             raise PolicyError(f"unknown {cls._what} policy kind {kind!r}")
         entry = cls._kinds[kind]
+        for name in spec:
+            if name not in ("kind", *entry.fields):
+                raise PolicyError(f"{kind} {cls._what} policy has unknown field {name!r}, "
+                                  f"allowed: {', '.join(('kind', *entry.fields))}")
         for name in entry.required:
             if name not in spec:
                 raise PolicyError(f"{kind} {cls._what} needs {name!r}")

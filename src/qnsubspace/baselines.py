@@ -9,9 +9,10 @@ the arbitrary-step method is audited against.
 Each is a direction rule of ``algorithm._iterate``, the solver's own loop,
 formed from the new gradient g and the last pair (p, Hp): CG takes -g + c p,
 the solver's conjugate-direction rule, and the quasi-Newton variants -Mg,
-with M an inverse approximation updated by the pair. An iteration takes one
-H-product and carries the gradient as g + alpha Hp, the form of Hestenes
-and Stiefel's CG.
+with M an inverse approximation updated by the pair, looked up by variant
+in ``_QN_VARIANTS``. An iteration takes one H-product and carries the
+gradient as g + alpha Hp, the form of Hestenes and Stiefel's CG. The method
+table of :mod:`~qnsubspace.verification` runs them through this module.
 """
 
 import numpy as np
@@ -104,6 +105,24 @@ def cg_solve(prob, x0, tol=1e-9, max_iter=None):
     return _iterate(prob, x0, rule, StepPolicy.exact_line_search(), ORACLE, tol, max_iter)
 
 
+def _dense_bfgs(n):
+    """-Mg, M an n x n array that every pair updates from I."""
+    M = np.eye(n)
+
+    def next_direction(g, p, h_p):
+        nonlocal M
+        M = bfgs_inverse_update(M, p, h_p)
+        return -(M @ g)
+    return next_direction
+
+
+# The direction rule of each quasi-Newton variant on a problem of dimension n.
+_QN_VARIANTS = {
+    "bfgs": _dense_bfgs,
+    "memoryless": lambda n: lambda g, p, h_p: -memoryless_bfgs_inverse_action(p, h_p, g),
+}
+
+
 def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
     """Quasi-Newton solve under exact line search along -Mg.
 
@@ -112,17 +131,8 @@ def qn_exact_ls_solve(prob, x0, variant="bfgs", tol=1e-9, max_iter=None):
     of the identity by the latest direction pair, with no n x n array. Stops
     as :func:`cg_solve` does.
     """
-    if variant == "bfgs":
-        M = np.eye(prob.n)
-
-        def next_direction(g, p, h_p):
-            nonlocal M
-            M = bfgs_inverse_update(M, p, h_p)
-            return -(M @ g)
-    elif variant == "memoryless":
-        def next_direction(g, p, h_p):
-            return -memoryless_bfgs_inverse_action(p, h_p, g)
-    else:
+    rule = _QN_VARIANTS.get(variant) if isinstance(variant, str) else None
+    if rule is None:
         raise ValueError(f"unknown variant {variant!r}")
-    return _iterate(prob, x0, _Baseline(variant, next_direction),
+    return _iterate(prob, x0, _Baseline(variant, rule(prob.n)),
                     StepPolicy.exact_line_search(), ORACLE, tol, max_iter)

@@ -7,6 +7,10 @@ Three subcommands share a JSON experiment spec:
                summary table, and a plot-ready convergence curve table
     verify     re-check one saved trace against its problem
 
+A spec method is read through its kind's row of the method table,
+:data:`~qnsubspace.verification.METHODS`: the fields it takes, its run and
+its label. A spec field that no row, problem or policy takes is refused.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 spec error, 3 solver breakdown.
 """
@@ -19,7 +23,8 @@ import sys
 import time
 from pathlib import Path
 
-from .algorithm import MATRIX_FREE, ORACLE, SigmaPolicy, StepPolicy, subspace_qn_solve
+# Never called here: the traced benchmark wraps them, until ROADMAP item 1.
+from .algorithm import subspace_qn_solve
 from .baselines import cg_solve, qn_exact_ls_solve
 from .errors import PolicyError
 from .problem import (
@@ -97,11 +102,18 @@ def _require(cond, where, msg):
         raise SpecError(f"{where}: {msg}")
 
 
+def _require_fields(spec, allowed, where):
+    for name in spec:
+        _require(name in allowed, where,
+                 f"unknown field {name!r}, allowed: {', '.join(allowed)}")
+
+
 def _read_spec(args, *lists):
     """The spec at ``args.spec`` and its base seed (``--seed``, else the
     spec's ``seed``, else 0), with each top-level field named in ``lists``
     checked to be a non-empty list."""
     spec = _load_spec(args.spec)
+    _require_fields(spec, ("problems", "methods", "seed", "tol", "max_iter"), "spec")
     for key in lists:
         _require(isinstance(spec.get(key), list) and spec[key], key,
                  "must be a non-empty list")
@@ -127,6 +139,8 @@ def _problem_ids(problems):
     for idx, pspec in enumerate(problems):
         where = f"problems[{idx}]"
         _require(isinstance(pspec, dict), where, "must be an object")
+        _require_fields(pspec, ("id", "path") if "path" in pspec else
+                        ("id", "n", "r", "grade", "cond", "eigenvalues", "seed"), where)
         if "path" in pspec:
             path = pspec["path"]
             _require(isinstance(path, str) and path, where,
@@ -186,61 +200,29 @@ def _resolve_problem(pspec, idx, base_seed):
 
 
 class _Method:
-    """One resolved method column of the experiment matrix."""
+    """One method column of the experiment matrix: the method table's row of
+    its kind, and the settings and label read once from its spec."""
 
     def __init__(self, mspec, idx):
         where = f"methods[{idx}]"
         _require(isinstance(mspec, dict), where, "must be an object")
-        self.idx = idx
-        self.kind = mspec.get("kind")
-        _require(self.kind in METHODS, where, f"unknown method kind {self.kind!r}")
-        if self.kind == "qn-subspace":
-            try:
-                self.step = StepPolicy.from_spec(mspec.get("step", {}))
-                self.sigma = SigmaPolicy.from_spec(mspec.get("sigma", {}))
-            except PolicyError as exc:
-                raise SpecError(f"{where}: {exc}")
-            self.mode = mspec.get("mode", ORACLE)
-            _require(self.mode in (ORACLE, MATRIX_FREE), where,
-                     f"unknown mode {self.mode!r}")
-        else:
-            self.step = self.sigma = self.mode = None
-
-    @property
-    def label(self):
-        if self.kind != "qn-subspace":
-            return self.kind
-        return (f"qn-subspace({self.mode},step={self.step.descriptor()},"
-                f"sigma={self.sigma.descriptor()})")
-
-    def file_tag(self, pid):
-        return f"{pid}__m{self.idx:02d}_{self.kind}.json"
-
-    def run(self, prob, x0, tol, max_iter, seed):
-        if self.kind == "cg":
-            return cg_solve(prob, x0, tol=tol, max_iter=max_iter)
-        if self.kind in ("bfgs", "memoryless"):
-            return qn_exact_ls_solve(prob, x0, variant=self.kind, tol=tol,
-                                     max_iter=max_iter)
-        return subspace_qn_solve(
-            prob, x0, steps=self.step, sigmas=self.sigma, mode=self.mode,
-            tol=tol, max_iter=max_iter, seed=seed,
-        )
+        self.idx, self.kind = idx, mspec.get("kind")
+        self.row = METHODS.get(self.kind) if isinstance(self.kind, str) else None
+        _require(self.row is not None, where, f"unknown method kind {self.kind!r}")
+        _require_fields(mspec, ("kind", *self.row.fields), where)
+        try:
+            self.settings, self.label = self.row.resolve(mspec)
+        except PolicyError as exc:
+            raise SpecError(f"{where}: {exc}")
 
 
 def _verdicts(trace, prob, x0, oracle):
-    """Map check reports onto the two verdict columns."""
+    """The verdict columns: the first check of the trace's row, and the next."""
     if trace.status == BREAKDOWN:
         return "n/a", "n/a"
-    termination = "n/a"
-    unit = "n/a"
-    for report in verify_trace(trace, prob, x0, oracle):
-        verdict = "pass" if report.passed else "fail"
-        if report.check in ("newton-onset", "conjugate-baseline"):
-            termination = verdict
-        else:
-            unit = verdict
-    return termination, unit
+    verdicts = ["pass" if report.passed else "fail"
+                for report in verify_trace(trace, prob, x0, oracle)] + ["n/a"]
+    return verdicts[0], verdicts[1]
 
 
 def cmd_generate(args):
@@ -288,13 +270,13 @@ def cmd_run(args):
         save_problem(out_dir / "problems" / f"{pid}.json", prob, x0,
                      seed=seed_used, spec=gen_spec)
         for method in methods:
-            cell_seed = (base_seed, pi, method.idx)
             started = time.perf_counter()
-            trace = method.run(prob, x0, tol, max_iter, cell_seed)
+            trace = method.row.run(prob, x0, (base_seed, pi, method.idx), tol=tol,
+                                   max_iter=max_iter, **method.settings)
             trace.meta["wall_time_ms"] = (time.perf_counter() - started) * 1e3
             trace.meta["problem_id"] = pid
             trace.meta["method_label"] = method.label
-            trace.save(out_dir / "traces" / method.file_tag(pid))
+            trace.save(out_dir / "traces" / f"{pid}__m{method.idx:02d}_{method.kind}.json")
 
             termination, unit = _verdicts(trace, prob, x0, oracle)
             if trace.status == BREAKDOWN:

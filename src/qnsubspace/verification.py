@@ -11,6 +11,10 @@ solver's report, which no check reads.
 The checks take those references from one :class:`KrylovOracle` of the
 problem and start point, which every trace of that problem can share.
 
+:data:`METHODS` is the method table: one row per method kind holds what
+``qnsubspace run`` reads of a spec method and how it runs one, and the checks
+:func:`verify_trace` holds its traces to. Adding a method is adding a row.
+
 A check stacks each record field it reads once, as the rows of one array,
 and computes every per-record quantity (distances, angles, alignments) in
 one array expression. ``tests/oracles.py`` keeps the per-record loops the
@@ -22,17 +26,17 @@ always through :func:`_worst`: a NaN among them makes the finding's value
 NaN, and the finding fails.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algorithm import SigmaPolicy
+from . import algorithm, baselines
+from .algorithm import MATRIX_FREE, ORACLE, SigmaPolicy, StepPolicy
+from .errors import PolicyError
 from .problem import ILL_CONDITIONED, KrylovOracle
 from .trace import CONVERGED, IterateRecord
 from .util import norm
-
-# Every method a trace can come from, the baselines first.
-METHODS = ("cg", "bfgs", "memoryless", "qn-subspace")
 
 # |alpha - 1| below this counts as a deliberate unit step.
 UNIT_STEP_ATOL = 1e-12
@@ -444,32 +448,65 @@ def traces_match(a, b, rtol=1e-6):
     return (not mismatches, mismatches)
 
 
-# The iteration-count check each step policy kind is held to.
-_COUNT_CHECKS = {"unit": check_unit_step_counts,
-                 "exact": check_exact_search_count}
+# A row of the method table: the spec fields its kind takes besides "kind";
+# ``resolve(mspec)``, its runs' settings and label (PolicyError for a bad spec);
+# ``run(prob, x0, seed, **kw)``, through the solver's module, where the traced
+# benchmark wraps it; ``checks(trace)``, the checks its traces pass, the one on
+# termination first.
+_MethodKind = namedtuple("_MethodKind", "fields resolve run checks")
+
+
+def _baseline(kind, solver, **settings):
+    """The row of a baseline that ``baselines.<solver>`` runs with ``settings``."""
+    return _MethodKind((), lambda mspec: (settings, kind),
+                       lambda prob, x0, seed, **kw: getattr(baselines, solver)(prob, x0, **kw),
+                       lambda trace: [check_conjugate_baseline])
+
+
+def _subspace_resolve(mspec):
+    steps = StepPolicy.from_spec(mspec.get("step", {}))
+    sigmas = SigmaPolicy.from_spec(mspec.get("sigma", {}))
+    mode = mspec.get("mode", ORACLE)
+    if mode not in (ORACLE, MATRIX_FREE):
+        raise PolicyError(f"unknown mode {mode!r}")
+    return ({"steps": steps, "sigmas": sigmas, "mode": mode},
+            f"qn-subspace({mode},step={steps.descriptor()},sigma={sigmas.descriptor()})")
+
+
+def _subspace_checks(trace):
+    policy = trace.meta.get("step_policy", {})
+    if not isinstance(policy, dict) or not isinstance(policy.get("kind", ""), str):
+        raise ValueError(f"step_policy {policy!r} is not a step policy spec")
+    # the iteration-count check each step policy kind is held to
+    count = {"unit": [check_unit_step_counts], "exact": [check_exact_search_count]}
+    return [check_newton_onset] + count.get(policy.get("kind"), [])
+
+
+# Every method a trace can come from, the baselines first.
+METHODS = {
+    "cg": _baseline("cg", "cg_solve"),
+    "bfgs": _baseline("bfgs", "qn_exact_ls_solve", variant="bfgs"),
+    "memoryless": _baseline("memoryless", "qn_exact_ls_solve", variant="memoryless"),
+    "qn-subspace": _MethodKind(
+        ("step", "sigma", "mode"), _subspace_resolve,
+        lambda prob, x0, seed, **kw: algorithm.subspace_qn_solve(prob, x0, seed=seed, **kw),
+        _subspace_checks),
+}
 
 
 def verify_trace(trace, prob, x0, oracle=None):
-    """Run every check that applies to this trace's method.
+    """Run every check that the method table holds this trace's method to.
 
     ``oracle`` is the :class:`KrylovOracle` of ``prob`` from ``x0``, built
     here when not given; pass one to share its eigendecomposition and
     minimizers across the traces of one problem. Returns a list of
-    CheckReport; ValueError for a method without checks or a qn-subspace
+    CheckReport; ValueError for a method without a row or a qn-subspace
     trace whose ``step_policy`` is not a policy spec.
     """
     method = trace.meta.get("method", "")
-    if method not in METHODS:
+    row = METHODS.get(method) if isinstance(method, str) else None
+    if row is None:
         raise ValueError(f"no checks registered for method {method!r}")
-    if oracle is None:
-        oracle = KrylovOracle(prob, x0)
-    if method != "qn-subspace":
-        return [check_conjugate_baseline(trace, oracle)]
-    policy = trace.meta.get("step_policy", {})
-    if not isinstance(policy, dict) or not isinstance(policy.get("kind", ""), str):
-        raise ValueError(f"step_policy {policy!r} is not a step policy spec")
-    reports = [check_newton_onset(trace, oracle)]
-    count_check = _COUNT_CHECKS.get(policy.get("kind"))
-    if count_check is not None:
-        reports.append(count_check(trace, oracle))
-    return reports
+    checks = row.checks(trace)
+    oracle = KrylovOracle(prob, x0) if oracle is None else oracle
+    return [check(trace, oracle) for check in checks]

@@ -12,7 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnsubspace import IterateTrace, cli, load_problem, problem, traces_match
+from qnsubspace import (
+    IterateTrace,
+    StepPolicy,
+    cli,
+    load_problem,
+    problem,
+    traces_match,
+    verification,
+)
+from qnsubspace.algorithm import ORACLE, _iterate
+from qnsubspace.baselines import _Baseline
 from qnsubspace.cli import (
     EXIT_BREAKDOWN,
     EXIT_CHECK_FAIL,
@@ -21,6 +31,8 @@ from qnsubspace.cli import (
     SUMMARY_COLUMNS,
     main,
 )
+
+import oracles
 
 
 def write_spec(path, payload):
@@ -266,6 +278,58 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "FAIL" in printed
 
 
+def test_a_row_added_to_the_method_table_runs_and_verifies(tmp_path, capsys, monkeypatch):
+    # BFGS on the Hessian approximation B itself, -B^-1 g with B updated from
+    # I by every pair: in exact arithmetic the directions of the inverse
+    # update, so its traces are held to the checks of the other baselines
+    def run(prob, x0, seed, tol, max_iter):
+        B = [np.eye(prob.n)]
+
+        def next_direction(g, p, h_p):
+            B[0] = oracles.bfgs_update_dense(B[0], p, h_p)
+            return -np.linalg.solve(B[0], g)
+        return _iterate(prob, x0, _Baseline("bfgs-dense", next_direction),
+                        StepPolicy.exact_line_search(), ORACLE, tol, max_iter)
+
+    monkeypatch.setitem(verification.METHODS, "bfgs-dense", verification._MethodKind(
+        (), lambda mspec: ({}, "bfgs-dense"), run,
+        lambda trace: [verification.check_conjugate_baseline]))
+    spec = write_spec(tmp_path / "spec.json", {
+        "seed": 2, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "bfgs"}, {"kind": "bfgs-dense"}]})
+    out = tmp_path / "out"
+    assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_PASS
+    bfgs, dense = read_rows(out / "summary.csv")
+    assert dense["method"] == "bfgs-dense"
+    assert {**dense, "method": "bfgs"} == {**bfgs, "terminal_grad_norm":
+                                           dense["terminal_grad_norm"]}
+    assert (dense["status"], dense["iterations"]) == ("converged", "3")
+    assert (dense["termination_check"], dense["unit_step_check"]) == ("pass", "n/a")
+    path = out / "traces" / "p000__m01_bfgs-dense.json"
+    trace = IterateTrace.load(path)
+    assert (trace.meta["method"], trace.meta["method_label"]) == ("bfgs-dense",) * 2
+    same, mismatches = traces_match(
+        trace, IterateTrace.load(out / "traces" / "p000__m00_bfgs.json"))
+    assert same, mismatches
+
+    capsys.readouterr()
+    verify = ["verify", "--trace", str(path), "--problem", str(out / "problems" / "p000.json")]
+    assert main(verify) == EXIT_PASS
+    printed = capsys.readouterr().out
+    assert printed.startswith("[conjugate-baseline]\n")
+    assert printed.endswith("all checks passed\n")
+
+    # the row takes no field besides its kind, and without it the kind is unknown
+    spec = write_spec(tmp_path / "spec.json", {
+        "problems": [{"n": 6, "r": 3, "cond": 10.0}],
+        "methods": [{"kind": "bfgs-dense", "mode": "oracle"}]})
+    assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "refused")]) == EXIT_USAGE
+    assert "methods[0]: unknown field 'mode', allowed: kind" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(verify) == EXIT_USAGE
+    assert "no checks registered for method 'bfgs-dense'" in capsys.readouterr().err
+
+
 def test_verify_of_a_trace_with_an_infinite_final_gradient_exits_3(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", {
         "seed": 2,
@@ -472,12 +536,19 @@ def test_verify_scans_the_trace_dimension_once(tmp_path, capsys, monkeypatch):
             IterateTrace.load(path, 5)
 
 
-@pytest.mark.parametrize("step_policy, code", [
-    ("unit", EXIT_USAGE),
-    ({"kind": ["unit"]}, EXIT_USAGE),
-    (None, EXIT_PASS),  # absent: the count checks are skipped
-])
-def test_verify_rejects_a_malformed_step_policy(tmp_path, capsys, step_policy, code):
+@pytest.mark.parametrize("key, value, code, fragment", [
+    ("step_policy", "unit", EXIT_USAGE, "is not a step policy spec"),
+    ("step_policy", {"kind": ["unit"]}, EXIT_USAGE, "is not a step policy spec"),
+    ("step_policy", None, EXIT_PASS, None),  # absent: the count checks are skipped
+    # a method that is no string names no row of the method table
+    ("method", ["qn-subspace"], EXIT_USAGE,
+     "error: no checks registered for method ['qn-subspace']"),
+    ("method", {"qn-subspace": 1}, EXIT_USAGE,
+     "error: no checks registered for method {'qn-subspace': 1}"),
+], ids=["text-step-policy", "list-kind-step-policy", "no-step-policy", "list-method",
+        "object-method"])
+def test_verify_rejects_a_malformed_method_or_step_policy(tmp_path, capsys, key, value,
+                                                          code, fragment):
     spec = write_spec(tmp_path / "spec.json", {
         "seed": 2, "problems": [{"n": 6, "r": 3, "cond": 10.0}],
         "methods": [{"kind": "qn-subspace"}]})
@@ -485,16 +556,17 @@ def test_verify_rejects_a_malformed_step_policy(tmp_path, capsys, step_policy, c
     assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_PASS
     path = out / "traces" / "p000__m00_qn-subspace.json"
     doc = json.loads(path.read_text())
-    if step_policy is None:
-        del doc["meta"]["step_policy"]
+    if value is None:
+        del doc["meta"][key]
     else:
-        doc["meta"]["step_policy"] = step_policy
+        doc["meta"][key] = value
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--trace", str(path),
                  "--problem", str(out / "problems" / "p000.json")]) == code
-    if code == EXIT_USAGE:
-        assert "is not a step policy spec" in capsys.readouterr().err
+    if fragment is not None:
+        err = capsys.readouterr().err
+        assert fragment in err and "Traceback" not in err
 
 
 GRID_METHODS = [
@@ -614,7 +686,36 @@ def test_generate_run_and_verify_need_no_scipy(tmp_path):
           ({"sigma": {"kind": "newton-at", "at": 1.5}}, "integer"),
           ({"step": {"kind": "bogus"}}, "unknown step policy kind"),
           ({"sigma": "constant"}, "sigma policy must be an object"),
+          ({"mode": "lazy"}, "methods[0]: unknown mode 'lazy'"),
+          ({"mode": ["oracle"]}, "methods[0]: unknown mode ['oracle']"),
+          # a field that no row, problem or policy takes is refused, not ignored
+          ({"step": {"kind": "unit"}, "sigmas": {"kind": "newton-at", "at": 2}},
+           "methods[0]: unknown field 'sigmas', allowed: kind, step, sigma, mode"),
+          ({"step": {"kind": "uniform", "low": 0.5}}, "methods[0]: uniform step "
+           "policy has unknown field 'low', allowed: kind, lo, hi"),
+          ({"sigma": {"kind": "constant", "value": 2.0, "at": 1}}, "methods[0]: "
+           "constant sigma policy has unknown field 'at', allowed: kind, value"),
+          ({"step": {"start": 3}},
+           "methods[0]: unit step policy has unknown field 'start', allowed: kind"),
+          ({"step": {"kind": "exact", "value": 1.0}},
+           "methods[0]: exact step policy has unknown field 'value', allowed: kind"),
+          ({"sigma": {"kind": "newton-at", "at": 2, "scales": 1.1}}, "methods[0]: newton-at "
+           "sigma policy has unknown field 'scales', allowed: kind, at, scale, default"),
       ]],
+    ({"problems": [{"n": 5, "r": 2, "cond": 4.0}],
+      "methods": [{"kind": "cg", "step": {"kind": "unit"}}], "max_iter": 2},
+     "methods[0]: unknown field 'step', allowed: kind"),
+    ({"problems": [{"n": 5, "r": 2, "cond": 4.0}], "methods": [{"kind": "cg"}], "sed": 3},
+     "error: spec: unknown field 'sed', allowed: problems, methods, seed, tol, max_iter"),
+    ({"problems": [{"n": 5, "r": 2, "cond": 4.0, "sed": 3}], "methods": [{"kind": "cg"}]},
+     "problems[0]: unknown field 'sed', allowed: id, n, r, grade, cond, eigenvalues, seed"),
+    ({"problems": [{"path": "p.json", "n": 5}], "methods": [{"kind": "cg"}]},
+     "problems[0]: unknown field 'n', allowed: id, path"),
+    # a kind that is no string names no row
+    ({"problems": [{"n": 5, "r": 2, "cond": 4.0}], "methods": [{"kind": ["cg"]}]},
+     "methods[0]: unknown method kind ['cg']"),
+    ({"problems": [{"n": 5, "r": 2, "cond": 4.0}], "methods": [{"kind": {"cg": 1}}]},
+     "methods[0]: unknown method kind {'cg': 1}"),
     # problem files store the seed, and their codec holds no integer past 64 bits
     ({"problems": [{"n": 5, "r": 2, "cond": 4.0, "seed": 2**70}],
       "methods": [{"kind": "cg"}]}, "problems[0].seed: must be an integer"),
@@ -636,6 +737,7 @@ def test_bad_specs_exit_with_usage_code(tmp_path, capsys, payload, fragment):
     out = tmp_path / "out"
     assert main(["run", "--spec", spec, "--out-dir", str(out)]) == EXIT_USAGE
     assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "run"])
