@@ -141,6 +141,8 @@ def _problem_ids(problems):
         _require(isinstance(pspec, dict), where, "must be an object")
         _require_fields(pspec, ("id", "path") if "path" in pspec else
                         ("id", "n", "r", "grade", "cond", "eigenvalues", "seed"), where)
+        _require(not {"r", "grade"} <= pspec.keys(), where,
+                 "'r' and 'grade' name one setting; give one of them")
         if "path" in pspec:
             path = pspec["path"]
             _require(isinstance(path, str) and path, where,

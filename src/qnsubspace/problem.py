@@ -13,8 +13,10 @@ checks it against H; a file that names none loads, and its problem runs
 ``eigh`` on first use.
 """
 
+import io
+import struct
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -411,12 +413,15 @@ def problem_to_dict(prob, x0=None, seed=None, spec=None):
 def _float_array(values):
     """``np.asarray(values, dtype=float)``, bit for bit, without its pass over
     a list to find the result's shape: a flat list of numbers, as H is, goes
-    through ``np.fromiter``, and anything else (nested, text or not a list)
-    goes through ``np.asarray``, so it is accepted or refused as before."""
+    through one ``struct.pack_into``, and anything it refuses (text, null,
+    nested, an int past the float range, not a list) through ``np.asarray``,
+    so it is accepted or refused as before."""
     if isinstance(values, list):
+        out = np.empty(len(values))
         try:
-            return np.fromiter(values, float, len(values))
-        except (TypeError, ValueError):
+            struct.pack_into(f"{len(values)}d", out, 0, *values)
+            return out
+        except struct.error:  # what it raises for any value it refuses
             pass
     return np.asarray(values, dtype=float)
 
@@ -460,29 +465,41 @@ def save_problem(path, prob, x0=None, seed=None, spec=None):
 _NPY_HEADERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 
+@cache
+def _npy_header(shape):
+    """The header bytes ``np.save`` writes for a float64 C-order array of ``shape``."""
+    fh = io.BytesIO()
+    npy.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return fh.getvalue()
+
+
 def _read_npy(fh, name, shape):
     """The float64 C-order array of ``shape`` in the .npy file ``fh``.
 
     The header is checked before any data is read, because it may claim any
     shape, and ``np.load`` allocates the claimed shape before it finds the
     data short: a claim past the machine's memory raises MemoryError, not
-    ValueError. Then exactly the floats of ``shape`` are read, without pickle.
+    ValueError. Only a header other than the bytes ``np.save`` writes for
+    ``shape`` is parsed. Then its floats are read, without pickle.
     """
-    wrong = ValueError(f"spectrum file {name} must hold a float64 {shape} array")
-    magic = fh.read(len(npy.MAGIC_PREFIX))
-    if not magic:
-        raise ValueError(f"spectrum file {name} is empty")
-    if magic != npy.MAGIC_PREFIX:
-        raise wrong
-    fh.seek(0)
-    read_header = _NPY_HEADERS.get(npy.read_magic(fh))
-    if read_header is None:
-        raise wrong
-    claimed, fortran_order, dtype = read_header(fh)
-    if dtype.hasobject:
-        raise ValueError(f"spectrum file {name} holds objects, which only pickle loads")
-    if claimed != shape or fortran_order or dtype != np.dtype("<f8"):
-        raise wrong
+    canonical = _npy_header(shape)
+    if fh.read(len(canonical)) != canonical:
+        fh.seek(0)
+        wrong = ValueError(f"spectrum file {name} must hold a float64 {shape} array")
+        magic = fh.read(len(npy.MAGIC_PREFIX))
+        if not magic:
+            raise ValueError(f"spectrum file {name} is empty")
+        if magic != npy.MAGIC_PREFIX:
+            raise wrong
+        fh.seek(0)
+        read_header = _NPY_HEADERS.get(npy.read_magic(fh))
+        if read_header is None:
+            raise wrong
+        claimed, fortran_order, dtype = read_header(fh)
+        if dtype.hasobject:
+            raise ValueError(f"spectrum file {name} holds objects, which only pickle loads")
+        if claimed != shape or fortran_order or dtype != np.dtype("<f8"):
+            raise wrong
     count = shape[0] * shape[1]
     A = np.fromfile(fh, dtype="<f8", count=count)
     if A.size != count:

@@ -25,7 +25,8 @@ the base64 text of the little-endian float64 bytes of its values, which
 keeps every bit (NaN and infinities included), and the records that have it,
 or null for all. So ``NaN`` and ``Infinity`` literals appear only in
 ``final``, as in the ``final.grad_norm`` of a run that broke down on a
-non-finite gradient, and ``json.load`` reads them. ``qnsubspace-trace-v2``
+non-finite gradient; orjson refuses them, and a file that holds one is read
+with ``json.load`` (see :meth:`IterateTrace.load`). ``qnsubspace-trace-v2``
 files, with one object per record and each vector one base64 string, v1
 files, with number lists, and v3 files that still hold the four columns load
 as well. Every form becomes one value list per record field, and one row
@@ -315,7 +316,37 @@ class IterateTrace:
 
     @classmethod
     def load(cls, path, n=None):
-        """The trace a file holds, as :meth:`from_dict` reads it."""
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), n)
+        """The trace a file holds, as :meth:`from_dict` reads its ``json.load``.
+        orjson parses an ASCII file, a few times faster, unless it refuses it
+        or :func:`_json_reads_otherwise`; ``json.load`` reads the rest."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:  # ASCII reads the same in every locale's encoding
+            doc = orjson.loads(raw) if raw.isascii() else None
+        except orjson.JSONDecodeError:
+            doc = None  # and a file of null reads as None either way
+        if doc is None or _json_reads_otherwise(doc):
+            with open(path) as fh:
+                doc = json.load(fh)
+        return cls.from_dict(doc, n)
 
+
+def _json_reads_otherwise(doc):
+    """Whether ``json`` may read orjson's ``doc`` otherwise: if it holds a float
+    of magnitude 2**63 or more, as orjson reads an integer outside [-2**63,
+    2**64), or nests past 32 levels (a trace file nests 4), past which json
+    raises RecursionError at a depth set by the caller's stack."""
+    level = [doc]
+    for _ in range(32):
+        inner = []
+        for item in level:
+            if type(item) is dict:
+                inner += item.values()
+            elif type(item) is list:
+                inner += item
+            elif type(item) is float and not -2.0**63 < item < 2.0**63:
+                return True
+        if not inner:
+            return False
+        level = inner
+    return True

@@ -1,8 +1,11 @@
+import io
 import json
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 from numpy.linalg import norm
 
 from qnsubspace import (
@@ -502,6 +505,83 @@ def test_a_saved_spectrum_loads_read_only(tmp_path, doctor):
                    for a, b in zip(loaded.spectrum, prob.spectrum))
         assert np.array_equal(KrylovOracle(loaded, x0).minimizers,
                               KrylovOracle(prob, x0).minimizers)
+
+
+def header_of(text):
+    """A version 1.0 .npy header of dict ``text``, padded as the format asks."""
+    pad = -(len(npy.MAGIC_PREFIX) + 4 + len(text) + 1) % 64
+    return npy.magic(1, 0) + struct.pack("<H", len(text) + pad + 1) + (
+        text.encode("latin1") + b" " * pad + b"\n")
+
+
+@pytest.mark.parametrize("write", [
+    lambda fh, A: npy.write_array(fh, A, version=(2, 0)),
+    # numpy's own spelling, padded to the next multiple of 64 bytes but one
+    lambda fh, A: fh.write(header_of(
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (17, 16), }" + " " * 64)
+        + A.tobytes()),
+    lambda fh, A: fh.write(header_of(
+        "{'shape': (17, 16), 'fortran_order': False, 'descr': '<f8'}") + A.tobytes()),
+], ids=["version-2", "wider-padding", "reordered"])
+def test_a_valid_header_that_is_not_np_save_s_still_loads(tmp_path, write):
+    prob, path, A = saved_with_spectrum(tmp_path)
+    sidecar = tmp_path / json.loads(path.read_text())["spectrum"]
+    canonical = sidecar.read_bytes()
+    with open(sidecar, "wb") as fh:
+        write(fh, A)
+    assert sidecar.read_bytes() != canonical  # numpy's header parser reads it
+    loaded, _, _ = load_problem(path)
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(loaded.spectrum, prob.spectrum))
+
+
+class FirstWrite:
+    """A file that keeps the first bytes written to it: np.save's header."""
+
+    def write(self, data):
+        self.__dict__.setdefault("data", bytes(data))
+
+
+def test_the_expected_sidecar_header_is_np_save_s_for_every_dimension():
+    for n in range(1, problem.MAX_DIMENSION + 1):
+        fh = FirstWrite()
+        np.save(fh, np.zeros((n + 1, n)))
+        assert problem._npy_header((n + 1, n)) == fh.data, n
+
+
+def outcome(convert, values):
+    """Bits, dtype and shape of ``convert(values)``, or the type and text of
+    what it raised."""
+    try:
+        out = convert(values)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.tobytes(), out.dtype, out.shape
+
+
+WIDE_INTEGERS = [int(v) for v in np.random.default_rng(0).integers(
+    0, 2**64, size=1000, dtype=np.uint64)]
+
+
+@pytest.mark.parametrize("values", [
+    [0.1, -0.0, 5e-324, -1.7976931348623157e308, float("nan"), float("inf")],
+    [0, -1, 2**53 + 1, 2**63 - 1, -2**63, 2**63, 2**64 - 1],
+    WIDE_INTEGERS,
+    [-v for v in WIDE_INTEGERS],
+    [True, False, 2, 0.5],
+    [2**64, -2**63 - 1, 10**30],  # past 64 bits, within the float range
+    [],
+    # what struct refuses, so np.asarray reads or refuses it
+    ["1.5", 2.0], [None, 1.0], [1.0, "x"], [10**400], [1.0, 2**1024],
+    [[1.0, 2.0], [3.0, 4.0]], [[1.0], 2.0], [{"a": 1}],
+    # not a list
+    {"a": 1}, "1.5", 3.0, None, (1.0, 2.0),
+], ids=["floats", "ints", "wide-ints", "negative-wide-ints", "bools", "past-64-bits",
+        "empty", "text", "null", "not-a-number", "int-past-floats", "int-past-floats-2",
+        "nested", "ragged", "object", "dict", "str", "float", "none", "tuple"])
+def test_float_arrays_are_asarray_bit_for_bit(values):
+    assert outcome(problem._float_array, values) == outcome(
+        lambda v: np.asarray(v, dtype=float), values)
 
 
 def test_a_problem_is_decomposed_at_most_once(monkeypatch):

@@ -1,16 +1,23 @@
 """On-disk layout of trace and problem files: one line of sorted-key JSON."""
 
 import base64
+import functools
 import json
 import math
+import os
 import re
 import shutil
+import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnsubspace import (
     BREAKDOWN,
@@ -530,3 +537,167 @@ def test_any_json_number_or_null_loads_as_a_float_or_none(tmp_path, form):
         assert math.isnan(first.grad_norm) and first.sigma is None
         assert second.grad_norm == float("inf")
         assert type(second.sigma) is float and second.sigma == 2.0
+
+
+def same(a, b):
+    """Whether ``a`` and ``b`` are equal and of one type all the way down:
+    floats and arrays bit for bit, and dict keys in one order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is np.ndarray:
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if type(a) is dict:
+        return list(a) == list(b) and all(same(a[key], b[key]) for key in a)
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    if type(a) in (IterateTrace, IterateRecord):
+        return same(vars(a), vars(b))
+    return a == b
+
+
+def json_loaded(path, n=None):
+    """The trace of the file's ``json.load``, which IterateTrace.load must give."""
+    with open(path) as fh:
+        return IterateTrace.from_dict(json.load(fh), n)
+
+
+def outcome(read, path, n):
+    """``read(path, n)``, or the type and text of what it raised."""
+    try:
+        return read(path, n)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_loads_as_json_load(path, n=None):
+    got, want = outcome(IterateTrace.load, path, n), outcome(json_loaded, path, n)
+    assert same(got, want), (got, want)
+
+
+def document_bytes(doc, literal=b'"@"'):
+    """``json.dumps`` of ``doc`` (NaN and Infinity as literals, a lone
+    surrogate escaped), with the text ``"@"`` in it replaced by ``literal``."""
+    return json.dumps(doc).encode().replace(b'"@"', literal)
+
+
+def with_final(x0, grad_norm):
+    def doctor(doc):
+        doc["final"]["x"][0], doc["final"]["grad_norm"] = x0, grad_norm
+        return document_bytes(doc)
+    return doctor
+
+
+def with_meta(literal):
+    def doctor(doc):
+        doc["meta"]["deep"] = "@"
+        return document_bytes(doc, literal)
+    return doctor
+
+
+def with_warning(text, literal=b'"@"'):
+    def doctor(doc):
+        doc["warnings"] = [text]
+        return document_bytes(doc, literal)
+    return doctor
+
+
+@pytest.mark.parametrize("doctor", [
+    document_bytes,
+    with_final(float("nan"), float("inf")),
+    with_final(float("-inf"), float("nan")),
+    lambda doc: with_final(1.0, "@")(doc).replace(b'"@"', b"1e400"),
+    with_warning("\ud800"),  # a lone surrogate, which json.dumps escapes
+    with_warning("\udc00 after"),
+    with_warning("@", b'"caf\xc3\xa9"'),  # UTF-8, unescaped
+    with_warning("@", b'"\xff"'),  # no UTF-8
+    lambda doc: b"\xef\xbb\xbf" + document_bytes(doc),  # a UTF-8 BOM
+    with_meta(b"[" * 20 + b"]" * 20),
+    with_meta(b"[" * 40 + b"]" * 40),  # past the 32 levels left to orjson
+    with_meta(b"[" * 100_000 + b"]" * 100_000),  # past json's recursion limit
+    lambda doc: b"null",
+    lambda doc: b"[1, 2",
+], ids=["saved", "nan-x-inf-norm", "inf-x-nan-norm", "norm-1e400", "lone-surrogate",
+        "lone-low-surrogate", "utf-8", "invalid-utf-8", "bom", "nested-20", "nested-40",
+        "nested-100000", "null", "truncated"])
+def test_a_trace_loads_as_json_load_reads_it(tmp_path, doctor):
+    path = tmp_path / "doctored.json"
+    path.write_bytes(doctor(form_document("v3")))
+    assert_loads_as_json_load(path, 8)
+
+
+def test_a_utf_8_trace_loads_as_json_load_reads_it_in_an_ascii_locale(tmp_path):
+    # json.load reads the file in the locale's encoding, here ASCII, and so
+    # refuses the UTF-8 text that orjson would read
+    path = tmp_path / "utf-8.json"
+    path.write_bytes(with_warning("@", b'"caf\xc3\xa9"')(form_document("v3")))
+    child = (f"import locale, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+             "import codecs, test_trace; "
+             "print(codecs.lookup(locale.getpreferredencoding(False)).name); "
+             f"test_trace.assert_loads_as_json_load({str(path)!r}, 8)")
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+                               "PYTHONCOERCECLOCALE": "0"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ascii"]
+
+
+def big_integer_at(doc, place, value):
+    """``doc`` with the integer ``value`` in ``place``."""
+    columns = doc["iterations"]
+    if place == "k":
+        columns["k"][1] = value
+    elif place == "rows":
+        columns["alpha"]["rows"] = [value, *range(1, len(columns["k"]))]
+    elif place == "meta":
+        doc["meta"]["count"] = value
+    else:
+        doc["final"]["grad_norm"] = value
+    return doc
+
+
+# orjson reads an integer outside [-2**63, 2**64) as a float, where json keeps
+# an int: 2**63 is just inside, the others are outside
+@pytest.mark.parametrize("value", [2**63, 2**64, -2**63 - 1, 10**30],
+                         ids=["2**63", "2**64", "-2**63-1", "10**30"])
+@pytest.mark.parametrize("place", ["k", "rows", "meta", "final.grad_norm"])
+def test_big_integers_load_as_json_load_reads_them(tmp_path, place, value):
+    path = tmp_path / "big.json"
+    path.write_bytes(document_bytes(big_integer_at(form_document("v3"), place, value)))
+    assert_loads_as_json_load(path, 8)
+
+
+def float_of_bits(sign, exponent, fraction):
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | fraction))[0]
+
+
+# hypothesis draws small integers far more often than wide ones, so integers
+# next to each power of two up to 2**130 are drawn apart, and floats from
+# their sign, exponent and fraction bits (NaN, infinities and subnormals too)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.builds(lambda sign, power, offset: sign * 2**power + offset,
+                st.sampled_from([1, -1]), st.integers(0, 130), st.integers(-2, 2))
+    | st.floats()
+    | st.builds(float_of_bits, st.integers(0, 1), st.integers(0, 2047),
+                st.integers(0, 2**52 - 1))
+    | st.text(st.characters(exclude_categories=[])  # lone surrogates too
+              | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16)
+
+
+@functools.cache
+def sample_text():
+    return trace_text(sample_traces()[0])
+
+
+@given(meta=JSON_VALUES)
+def test_any_json_meta_loads_as_json_load_reads_it(tmp_path_factory, meta):
+    path = tmp_path_factory.getbasetemp() / "meta.json"
+    doc = json.loads(sample_text())
+    doc["meta"] = meta
+    path.write_bytes(document_bytes(doc))
+    assert_loads_as_json_load(path, 8)
